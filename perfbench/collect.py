@@ -5,7 +5,8 @@
 
 For every workload and metric it reports the median and the quartiles of the
 values over the seeds, as ``statistics.quantiles(values, n=4)`` gives them,
-and the spread (q3 - q1) / median.  Runs go one at a time, in seed order.
+and the spread (q3 - q1) / median.  Runs go one at a time, on seeds 1..N
+in order.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workloads", nargs="+", choices=names, default=names)
     p.add_argument("--seeds", type=int, default=10)
-    p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--seconds", type=int, default=bench["run_seconds"])
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", required=True)
@@ -58,7 +58,7 @@ def main() -> int:
     summary = {"seconds": args.seconds, "trace": args.trace, "workloads": {}}
     for wl in args.workloads:
         runs = [run_once(wl, s, args.seconds, args.trace)
-                for s in range(args.first_seed, args.first_seed + args.seeds)]
+                for s in range(1, args.seeds + 1)]
         metrics = {k: summarize([r["metrics"][k]["value"] for r in runs])
                    for k in runs[0]["metrics"]}
         labels = {}

@@ -4,10 +4,10 @@
 
 Run from the root of a source checkout; the package is imported from its
 ``src/`` directory.  The workload's commands go one at a time through
-``shoreline.cli.main``, each gated for correctness, and the pass repeats
-until ``--seconds`` is used up.  ``--trace 0`` reports the end-to-end
-metrics, ``--trace 1`` the per-layer metrics of a traced run (see
-``perfbench/README.md``).  Human-readable lines come first; the last line of
+``shoreline.cli.main``, each gated for correctness, and the pass repeats a
+number of times set by the workload and ``--seconds``.  ``--trace 0``
+reports the end-to-end metrics, ``--trace 1`` the per-layer metrics of a
+traced run (see ``perfbench/README.md``).  Human-readable lines come first; the last line of
 standard output is one JSON object with ``correct``, ``attempted``,
 ``failed`` and ``metrics``.
 """
@@ -29,14 +29,22 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".bench_build" / "perfbench"
 WORKLOADS = ("rays-grid", "spiral-tune", "polyline-certify", "certify-lemmas")
 
+# Seconds per untraced pass of each workload on the reference machine (see
+# baseline.json).  A run's pass count follows from these and --seconds alone,
+# never from the program's speed: the samples behind every percentile keep
+# the same size and mix of commands as the program gets faster or slower.
+REFERENCE_PASS_S = {"rays-grid": 7.0, "spiral-tune": 9.6, "polyline-certify": 1.6,
+                    "certify-lemmas": 0.45}
+# No pass after the second starts once the run is expected to pass this many
+# seconds, so a much slower program still ends with a result.
+RUN_LIMIT_S = 150.0
 SETUP_RUNS = 9
-# Fewest commands that leave ten samples beyond the tail percentile.
-MIN_LATENCY_SAMPLES = 11
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 SETUP_CHILD = """
@@ -62,10 +70,10 @@ def pin_threads() -> int:
     return nproc
 
 
-def source_digest() -> str:
+def digest(top: Path) -> str:
     h = hashlib.sha256()
-    for path in sorted(SRC.rglob("*.py")):
-        h.update(str(path.relative_to(SRC)).encode())
+    for path in sorted(top.rglob("*.py")):
+        h.update(str(path.relative_to(top)).encode())
         h.update(path.read_bytes())
     return h.hexdigest()[:16]
 
@@ -91,7 +99,7 @@ def provenance(nproc: int) -> dict:
     return {
         "nproc": nproc, "cpu": cpu, "python": platform.python_version(),
         "numpy": np.__version__, "blas": blas, "git_sha": sha,
-        "source_sha256": source_digest(),
+        "source_sha256": digest(SRC), "bench_sha256": digest(HERE),
         "threads": {v: os.environ.get(v) for v in THREAD_VARS + ("SHORELINE_WORKERS",)},
     }
 
@@ -146,10 +154,20 @@ def run_command(cli, cmd, tally, gate) -> float:
     return latency
 
 
+def pass_count(workload: str, seconds: float, traced: bool) -> int:
+    """Passes in a run: two at least, and two traced plus two untraced when traced."""
+    n = max(2, round(seconds / REFERENCE_PASS_S[workload]))
+    return max(4, n) if traced else n
+
+
 def tail_latency(samples: list[float]) -> tuple[float, float]:
-    """Value at the highest percentile with at least ten samples beyond it."""
+    """Value at the highest percentile with at least ten samples beyond it.
+
+    With fewer than eleven samples no percentile has ten beyond it; the tail
+    is then the largest sample.
+    """
     s = sorted(samples)
-    k = max(len(s) - 11, 0)
+    k = len(s) - 11 if len(s) >= 11 else len(s) - 1
     return s[k], 100.0 * (k + 1) / len(s)
 
 
@@ -162,6 +180,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--detail", help="also write per-command latencies and "
                                     "provenance to this JSON file")
     args = p.parse_args(argv)
+    t_start = perf_counter()
 
     if not (SRC / "shoreline" / "__init__.py").is_file() or not (ROOT / "fleets").is_dir():
         print(f"error: no shoreline source tree (src/shoreline, fleets/) under {ROOT}",
@@ -214,23 +233,19 @@ def main(argv: list[str] | None = None) -> int:
                 m["trace.wall_s"] = wall
                 layers.append(m)
 
-        # One untimed command (the cheapest kind in each workload comes
-        # first) warms lazy imports and allocator pools.
+        # One untimed run of the pass's first command warms lazy imports and
+        # allocator pools.  It is gated and counted like any other.
         run_command(cli, wl.commands[0], tally, workloads.gate)
-        # Untraced runs need enough commands for the tail percentile; traced
-        # runs alternate traced and untraced passes, two traced at least.
-        # Another pass starts only while it is expected to end in time.
-        per_pass = len(wl.commands)
-        min_passes = 3 if args.trace else max(2, -(-MIN_LATENCY_SAMPLES // per_pass))
-        n = 0
-        while True:
-            one_pass(traced=bool(args.trace) and n % 2 == 0)
-            n += 1
-            spent = sum(walls[False]) + sum(walls[True])
+        # Traced runs alternate traced and untraced passes, starting traced.
+        passes = pass_count(args.workload, args.seconds, bool(args.trace))
+        for n in range(1, passes + 1):
+            one_pass(traced=bool(args.trace) and n % 2 == 1)
             if probe is not None:
-                expected = max(min_passes, int(args.seconds * n // spent))
-                probe.sample_until(-(-SETUP_RUNS * n // expected))
-            if n >= min_passes and spent + spent / n > args.seconds:
+                probe.sample_until(-(-SETUP_RUNS * n // passes))
+            elapsed = perf_counter() - t_start
+            if 2 <= n < passes and elapsed + elapsed / n > RUN_LIMIT_S:
+                print(f"note: stopped after {n} of {passes} passes, at the "
+                      f"{RUN_LIMIT_S:.0f} s limit")
                 break
 
         if args.trace:
@@ -314,8 +329,13 @@ def trace_metrics(layers: list[dict], walls: dict[bool, list[float]], units: dic
 
 
 def check_counters(args, prov: dict, counts: dict) -> str | None:
-    """Exact counters must match every earlier traced run of this seed and build."""
-    key = f"{args.workload}-seed{args.seed}-{prov['source_sha256']}-numpy{prov['numpy']}"
+    """Exact counters must match every earlier traced run of this seed and build.
+
+    A build is the program's source, the benchmark's own files (they generate
+    the inputs) and the numpy version.
+    """
+    key = (f"{args.workload}-seed{args.seed}-{prov['source_sha256']}"
+           f"-{prov['bench_sha256']}-numpy{prov['numpy']}")
     path = WORK / "counters" / f"{key}.json"
     if path.exists():
         try:

@@ -4,7 +4,7 @@ A workload is one pass of CLI commands, built once per run from the seed and
 the shipped ``fleets/``; a run repeats the same pass.  The program only ever
 sees the generated config files and the command lines below.
 
-Each command is gated: expected exit code, a report that parses and carries
+Each command is gated: exit code 0, a report that parses and carries
 the right schema kind, and the value checks of its workload.  A command that
 fails a gate is counted, never raised.
 """
@@ -80,7 +80,6 @@ class Command:
     kind: str  # report schema kind ("cr_report", ...) or "svg"
     out: Path
     check: Check | None = None
-    expect_exit: int = 0
 
 
 @dataclass
@@ -92,8 +91,8 @@ class Workload:
 
 def gate(cmd: Command, rc, tally: Tally) -> str | None:
     """Why the finished command is wrong, or None when it passed."""
-    if rc != cmd.expect_exit:
-        return f"exit {rc}, expected {cmd.expect_exit}"
+    if rc != 0:
+        return f"exit {rc}"
     try:
         text = cmd.out.read_text()
     except OSError:
