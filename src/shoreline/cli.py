@@ -7,8 +7,7 @@ facts the certificates lean on), optimize (spiral growth search), plot
 stdout.
 
 Exit codes: 0 ok, 1 usage/config error, 2 uncovered direction, 3 lemma
-violation, 4 non-convergence.  Set SHORELINE_WORKERS to parallelize the
-evaluator's direction sweep.
+violation, 4 non-convergence.
 
 Fleet configs are JSON:
 

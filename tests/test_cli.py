@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -62,6 +63,19 @@ def test_evaluate_uncovered_exit(tmp_path, capsys):
                  "--t-steps", "64"])
     assert code == EXIT_UNCOVERED
     assert "uncovered" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--horizon", "--epsilon"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_evaluate_non_finite_is_a_config_error(tmp_path, capsys, flag, value):
+    cfg = ray_config(tmp_path / "f.json", 4, horizon=10.0, theta_steps=16,
+                     t_steps=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evaluate", cfg, flag, value]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{flag[2:]} must be finite and positive" in err
+    assert "uncovered" not in err
 
 
 def test_evaluate_missing_config_file(tmp_path, capsys):
