@@ -4,51 +4,14 @@ n unit-speed robots start at the origin and must reach an adversarial line.
 The package evaluates the competitive ratio (worst-case hit time divided by
 line distance) of concrete trajectory fleets, numerically certifies
 snapshot lower bounds, and tunes logarithmic spiral searchers.
+
+The top level re-exports only the quick-start names; everything else lives
+in its submodule (geometry, trajectory, evaluator, certifier, optimizer,
+report, cli).
 """
 
-from .certifier import (
-    ConeCertificate,
-    EllipseRegion,
-    discriminant,
-    discriminant_sweep,
-    ellipse_q,
-    empty_cone,
-    min_cone_exit,
-    omb_oracle,
-    reach_oracle,
-    snapshot_lower_bound,
-)
-from .evaluator import (
-    CRReport,
-    DirectionProfile,
-    UncoveredDirectionError,
-    direction_profile,
-    evaluate_cr,
-    records_to_ratio,
-)
-from .geometry import Cone, Line, Point2, distance_point_line, max_angular_gap, support
-from .optimizer import OptimizeResult, golden_section, optimize_spiral, steady_state_cr
-from .report import RenderSpec, emit_report, render
-from .trajectory import (
-    AntipodalOf,
-    Fleet,
-    LogSpiral,
-    Polyline,
-    Ray,
-    first_hit_time,
-    position,
-    positions,
-    speed_check,
-)
+from .certifier import snapshot_lower_bound
+from .evaluator import evaluate_cr
+from .trajectory import Fleet, Ray
 
-__all__ = [
-    "AntipodalOf", "Cone", "ConeCertificate", "CRReport", "DirectionProfile",
-    "EllipseRegion", "Fleet", "Line", "LogSpiral", "OptimizeResult", "Point2",
-    "Polyline", "Ray", "RenderSpec", "UncoveredDirectionError",
-    "direction_profile", "discriminant", "discriminant_sweep",
-    "distance_point_line", "ellipse_q", "emit_report", "empty_cone",
-    "evaluate_cr", "first_hit_time", "golden_section", "max_angular_gap",
-    "min_cone_exit", "omb_oracle", "optimize_spiral", "position", "positions",
-    "reach_oracle", "records_to_ratio", "render", "snapshot_lower_bound",
-    "speed_check", "steady_state_cr", "support",
-]
+__all__ = ["Fleet", "Ray", "evaluate_cr", "snapshot_lower_bound"]

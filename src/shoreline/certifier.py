@@ -19,8 +19,8 @@ fleet regardless of grid choices.  Three constructions, by fleet size:
   y = -(1/2 + zeta)d is unvisited.  Bound (3/2 + zeta)/(1/2 + zeta) -> 3.
 
 The reflection inequality and the ellipse geometry are verified separately
-by brute-force oracles (omb_oracle, discriminant_sweep) so the per-fleet
-certificates can lean on them.
+by brute-force oracles (omb_oracle, discriminant_sweep), run together by
+lemma_suite, so the per-fleet certificates can lean on them.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Cone, Line, Point2, max_angular_gap, normalize_angle
-from .optimizer import golden_section
 from .trajectory import Fleet, positions
 
 SQRT3 = math.sqrt(3.0)
@@ -147,33 +146,33 @@ def _cone_exit_slope(lam: float) -> float:
 
 
 def min_cone_exit(grid: int = DEFAULT_GRID) -> tuple[float, float]:
-    """Minimizer of cone_exit_objective over [0, 1]: grid scan, then golden.
+    """Minimizer of cone_exit_objective over [0, 1]: grid scan, then bisection.
 
+    The objective is convex, so the scan's neighbours bracket the minimum.
     Value-only search cannot localize a quadratic minimum past about
-    sqrt(machine eps), so the golden bracket is polished by bisecting the
-    sign change of the closed-form slope, which is strictly increasing.
+    sqrt(machine eps); bisecting the sign change of the closed-form slope,
+    which is strictly increasing, pins it to within an ulp or two.
     """
     if grid < 3:
         raise ValueError("grid must be at least 3")
     xs = np.linspace(0.0, 1.0, grid)
     vals = [cone_exit_objective(float(x)) for x in xs]
     i = int(np.argmin(vals))
-    lo = float(xs[max(i - 1, 0)])
-    hi = float(xs[min(i + 1, grid - 1)])
-    res = golden_section(cone_exit_objective, lo, hi, tol=1e-9)
-    a = max(0.0, res.bracket[0] - 1e-6)
-    b = min(1.0, res.bracket[1] + 1e-6)
-    if _cone_exit_slope(a) < 0.0 < _cone_exit_slope(b):
-        for _ in range(80):
-            mid = 0.5 * (a + b)
-            if _cone_exit_slope(mid) < 0.0:
-                a = mid
-            else:
-                b = mid
-        lam = 0.5 * (a + b)
-    else:  # minimum sits on the domain boundary
-        lam = 0.5 * (res.bracket[0] + res.bracket[1])
+    a = float(xs[max(i - 1, 0)])
+    b = float(xs[min(i + 1, grid - 1)])
+    for _ in range(80):
+        mid = 0.5 * (a + b)
+        if _cone_exit_slope(mid) < 0.0:
+            a = mid
+        else:
+            b = mid
+    lam = 0.5 * (a + b)
     return lam, cone_exit_objective(lam)
+
+
+def _check_snapshot_time(d: float) -> None:
+    if not (math.isfinite(d) and d > 0.0):
+        raise ValueError(f"snapshot time d must be finite and positive, got {d!r}")
 
 
 def _snapshot_angles(
@@ -208,8 +207,7 @@ def empty_cone(
     Returns None when the largest angular gap is smaller than
     2*target_half_angle + 2*gamma.
     """
-    if d <= 0.0:
-        raise ValueError("snapshot time d must be positive")
+    _check_snapshot_time(d)
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
     if origin_tol is None:
@@ -245,8 +243,10 @@ def snapshot_lower_bound(
     certificate's bound uses the finite values while bound_limit records the
     eps -> 0 supremum.
     """
-    if d <= 0.0:
-        raise ValueError("snapshot time d must be positive")
+    _check_snapshot_time(d)
+    for name, value in (("eps", eps), ("zeta", zeta)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
     if len(fleet) != n:
         raise ValueError(f"fleet has {len(fleet)} robots, expected n={n}")
     if origin_tol is None:
@@ -358,13 +358,16 @@ def ellipse_q_grid(
     return 4.0 * axial * axial + trans * trans / b2 - 1.0
 
 
-def ellipse_boundary(region: EllipseRegion, samples: int = 512) -> np.ndarray:
-    """(samples, 2) points with q = 0, counterclockwise from the far vertex."""
+def ellipse_boundary(delta: float, theta: float, samples: int = 512) -> np.ndarray:
+    """(samples, 2) points with q = 0, counterclockwise from the far vertex.
+
+    The ellipse of EllipseRegion(delta, theta), but theta may be any bearing.
+    """
     t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    u = np.array([math.cos(region.theta), math.sin(region.theta)])
+    u = np.array([math.cos(theta), math.sin(theta)])
     v = np.array([-u[1], u[0]])
-    center = region.h * u
-    return center + 0.5 * np.outer(np.cos(t), u) + region.b * np.outer(np.sin(t), v)
+    b = 0.5 * math.sqrt(max(0.0, 1.0 - delta * delta))
+    return 0.5 * delta * u + 0.5 * np.outer(np.cos(t), u) + b * np.outer(np.sin(t), v)
 
 
 def reach_oracle(p: Point2, robot_end: Point2, time_budget: float) -> bool:
@@ -434,3 +437,114 @@ def discriminant_sweep(
         vals = _discriminant_closed(d, t, float(zeta))
         best = max(best, float(vals.max()))
     return best
+
+
+LEMMA_SUITES = ("omb", "cone-exit", "ellipses", "discriminant")
+OMB_PHIS = (math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4)
+DEFAULT_SAMPLES = 20_000
+_DISC_ZETAS = (1e-6, 1e-3, 0.1)
+
+
+def _disc_grids() -> tuple[np.ndarray, np.ndarray]:
+    return np.linspace(0.0, 0.99, 100), np.linspace(0.0, math.pi, 256)
+
+
+def _omb_suite(grid: int) -> dict:
+    worst, worst_phi = math.inf, None
+    for phi in OMB_PHIS:
+        excess, _ = omb_oracle(phi, grid)
+        if excess < worst:
+            worst, worst_phi = excess, phi
+    return {
+        "lemma": "reflection inequality (OK + KL >= OB)",
+        "suite": "omb", "grid": grid, "phis": list(OMB_PHIS),
+        "extremal": worst, "at": {"phi": worst_phi}, "passed": worst >= -1e-9,
+    }
+
+
+def _cone_exit_suite(grid: int) -> dict:
+    lam, f = min_cone_exit(grid)
+    resid = abs(_cone_exit_slope(lam))
+    passed = (abs(lam - 1 / 3) <= 1e-8 and abs(f - SQRT3 / 2) <= 1e-12
+              and resid < 1e-8)
+    return {
+        "lemma": "cone exit cost minimum sqrt(3)/2 at lambda=1/3",
+        "suite": "cone-exit", "grid": grid,
+        "extremal": f, "at": {"lambda": lam, "derivative_residual": resid},
+        "passed": passed,
+    }
+
+
+def _ellipse_suite(samples: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.3, 1.3, size=(samples, 2))
+    deltas = rng.uniform(0.0, 0.999, size=samples)
+    thetas = rng.uniform(0.0, math.pi, size=samples)
+    q = ellipse_q_grid(pts[:, 0], pts[:, 1], deltas, thetas)
+    trip = np.hypot(pts[:, 0], pts[:, 1]) + np.hypot(
+        pts[:, 0] - deltas * np.cos(thetas), pts[:, 1] - deltas * np.sin(thetas))
+    decisive = np.abs(q) > 1e-6
+    checked = int(decisive.sum())
+    disagree = checked - int(((q[decisive] < 0) == (trip[decisive] <= 1.0)).sum())
+    return {
+        "lemma": "reachable region equals the ellipse (q <= 0)",
+        "suite": "ellipses", "samples": samples, "checked": checked,
+        "extremal": disagree, "at": {"seed": seed}, "passed": disagree == 0,
+    }
+
+
+def _discriminant_suite() -> dict:
+    mx = discriminant_sweep(*_disc_grids(), _DISC_ZETAS)
+    return {
+        "lemma": "line y = -1/2 - zeta misses every reachable ellipse",
+        "suite": "discriminant", "grid": [100, 256, 3],
+        "extremal": mx, "at": {"zeta": _DISC_ZETAS}, "passed": mx < 0.0,
+    }
+
+
+def _negative_controls(grid: int) -> list[dict]:
+    """Sweeps that must come out violated or tangent, showing the checks bite."""
+    excess, _ = omb_oracle(0.3 * math.pi, grid, allow_beyond_hypothesis=True)
+    mx = discriminant_sweep(*_disc_grids(), [0.0])
+    return [{
+        "lemma": "reflection inequality beyond phi = pi/4 (expected violation)",
+        "suite": "omb-negative-control", "grid": grid, "phi": 0.3 * math.pi,
+        "extremal": excess, "passed": excess < 0.0,
+    }, {
+        "lemma": "zeta = 0 tangency diagnostic (expected max exactly 0)",
+        "suite": "discriminant-zeta-zero", "grid": [100, 256], "extremal": mx,
+        "passed": abs(mx) <= 1e-12,
+    }]
+
+
+def lemma_suite(
+    grid: int = DEFAULT_GRID,
+    samples: int = DEFAULT_SAMPLES,
+    seed: int = 0,
+    suites: tuple[str, ...] = LEMMA_SUITES,
+    negative_control: bool = False,
+) -> list[dict]:
+    """Brute-force checks of the lemmas the certificates lean on.
+
+    One result per suite, in LEMMA_SUITES order, each carrying its extremal
+    value and whether it passed; negative_control appends two controls that
+    must come out violated (omb beyond pi/4) or tangent (zeta = 0).  grid
+    sizes the omb and cone-exit sweeps, samples and seed the random
+    ellipse-equivalence check.  Each suite frees its arrays before the next
+    one runs.
+    """
+    unknown = set(suites) - set(LEMMA_SUITES)
+    if unknown:
+        raise ValueError(f"unknown lemma suites {sorted(unknown)}")
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    runs = {
+        "omb": lambda: _omb_suite(grid),
+        "cone-exit": lambda: _cone_exit_suite(grid),
+        "ellipses": lambda: _ellipse_suite(samples, seed),
+        "discriminant": _discriminant_suite,
+    }
+    results = [runs[name]() for name in LEMMA_SUITES if name in suites]
+    if negative_control:
+        results += _negative_controls(grid)
+    return results

@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Subcommands: evaluate (competitive ratio of a fleet config), certify
-(snapshot lower bound), lemmas (verification sweeps for the geometric
-facts the certificates lean on), optimize (spiral growth search), plot
-(SVG rendering of a report).  Outputs are files plus a one-line summary on
-stdout.
+(snapshot lower bound), lemmas (certifier.lemma_suite: verification sweeps
+for the geometric facts the certificates lean on), optimize (spiral growth
+search), plot (SVG rendering of a report).  Outputs are files plus a
+one-line summary on stdout.
 
-Exit codes: 0 ok, 1 usage/config error, 2 uncovered direction, 3 lemma
-violation, 4 non-convergence.
+Exit codes: 0 ok, 1 usage/config error (including any flag value the
+library rejects), 2 uncovered direction, 3 lemma violation, 4
+non-convergence.
 
 Fleet configs are JSON:
 
@@ -30,11 +31,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import certifier, evaluator, optimizer, report
 from .trajectory import Fleet, spec_from_dict, spec_to_dict
@@ -44,9 +42,6 @@ EXIT_CONFIG = 1
 EXIT_UNCOVERED = 2
 EXIT_LEMMA = 3
 EXIT_NO_CONVERGENCE = 4
-
-LEMMA_SUITES = ("omb", "cone-exit", "ellipses", "discriminant")
-OMB_PHIS = (math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4)
 
 
 class ConfigError(ValueError):
@@ -153,112 +148,19 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _run_lemma_suites(grid: int, samples: int, seed: int,
-                      suites: tuple[str, ...]) -> tuple[list[dict], bool]:
-    results = []
-    ok = True
-
-    if "omb" in suites:
-        worst = math.inf
-        worst_phi = None
-        for phi in OMB_PHIS:
-            excess, _ = certifier.omb_oracle(phi, grid)
-            if excess < worst:
-                worst, worst_phi = excess, phi
-        passed = worst >= -1e-9
-        results.append({
-            "lemma": "reflection inequality (OK + KL >= OB)",
-            "suite": "omb", "grid": grid, "phis": list(OMB_PHIS),
-            "extremal": worst, "at": {"phi": worst_phi}, "passed": passed,
-        })
-        ok &= passed
-
-    if "cone-exit" in suites:
-        lam, f = certifier.min_cone_exit(grid)
-        resid = abs(3 * lam / (2 * math.sqrt(3 * lam * lam + 1)) - math.sqrt(3) / 4)
-        passed = (abs(lam - 1 / 3) <= 1e-8 and abs(f - math.sqrt(3) / 2) <= 1e-12
-                  and resid < 1e-8)
-        results.append({
-            "lemma": "cone exit cost minimum sqrt(3)/2 at lambda=1/3",
-            "suite": "cone-exit", "grid": grid,
-            "extremal": f, "at": {"lambda": lam, "derivative_residual": resid},
-            "passed": passed,
-        })
-        ok &= passed
-
-    if "ellipses" in suites:
-        rng = np.random.default_rng(seed)
-        pts = rng.uniform(-1.3, 1.3, size=(samples, 2))
-        deltas = rng.uniform(0.0, 0.999, size=samples)
-        thetas = rng.uniform(0.0, math.pi, size=samples)
-        q = certifier.ellipse_q_grid(pts[:, 0], pts[:, 1], deltas, thetas)
-        trip = np.hypot(pts[:, 0], pts[:, 1]) + np.hypot(
-            pts[:, 0] - deltas * np.cos(thetas), pts[:, 1] - deltas * np.sin(thetas))
-        decisive = np.abs(q) > 1e-6
-        agree = (q[decisive] < 0) == (trip[decisive] <= 1.0)
-        n_checked = int(decisive.sum())
-        n_agree = int(agree.sum())
-        passed = n_agree == n_checked
-        results.append({
-            "lemma": "reachable region equals the ellipse (q <= 0)",
-            "suite": "ellipses", "samples": samples, "checked": n_checked,
-            "extremal": n_checked - n_agree, "at": {"seed": seed},
-            "passed": passed,
-        })
-        ok &= passed
-
-    if "discriminant" in suites:
-        mx = certifier.discriminant_sweep(
-            np.linspace(0.0, 0.99, 100), np.linspace(0.0, math.pi, 256),
-            [1e-6, 1e-3, 0.1],
-        )
-        passed = mx < 0.0
-        results.append({
-            "lemma": "line y = -1/2 - zeta misses every reachable ellipse",
-            "suite": "discriminant", "grid": [100, 256, 3],
-            "extremal": mx, "at": {"zeta": [1e-6, 1e-3, 0.1]}, "passed": passed,
-        })
-        ok &= passed
-
-    return results, ok
-
-
-def _run_negative_controls(grid: int) -> tuple[list[dict], bool]:
-    results = []
-    ok = True
-    excess, _ = certifier.omb_oracle(0.3 * math.pi, grid,
-                                     allow_beyond_hypothesis=True)
-    behaved = excess < 0.0
-    results.append({
-        "lemma": "reflection inequality beyond phi = pi/4 (expected violation)",
-        "suite": "omb-negative-control", "grid": grid, "phi": 0.3 * math.pi,
-        "extremal": excess, "passed": behaved,
-    })
-    ok &= behaved
-    mx = certifier.discriminant_sweep(
-        np.linspace(0.0, 0.99, 100), np.linspace(0.0, math.pi, 256), [0.0])
-    behaved = abs(mx) <= 1e-12
-    results.append({
-        "lemma": "zeta = 0 tangency diagnostic (expected max exactly 0)",
-        "suite": "discriminant-zeta-zero", "grid": [100, 256], "extremal": mx,
-        "passed": behaved,
-    })
-    ok &= behaved
-    return results, ok
-
-
 def cmd_lemmas(args) -> int:
-    suites = LEMMA_SUITES if args.suite == "all" else (args.suite,)
-    results, ok = _run_lemma_suites(args.grid, args.samples, args.seed, suites)
-    if args.negative_control:
-        controls, controls_ok = _run_negative_controls(args.grid)
-        results.extend(controls)
-        ok &= controls_ok
+    suites = certifier.LEMMA_SUITES if args.suite == "all" else (args.suite,)
+    try:
+        results = certifier.lemma_suite(args.grid, args.samples, args.seed, suites,
+                                        args.negative_control)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    ok = all(r["passed"] for r in results)
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
         print(f"{status} {r['suite']}: {r['lemma']} | extremal={r['extremal']:.6g}")
     if args.out:
-        doc = {"results": results, "all_passed": bool(ok)}
+        doc = {"results": results, "all_passed": ok}
         Path(args.out).write_text(report.emit_report(doc))
     if not ok:
         failed = ", ".join(r["suite"] for r in results if not r["passed"])
@@ -279,6 +181,8 @@ def cmd_optimize(args) -> int:
     except optimizer.ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     text = report.emit_report(result, extra={"n": args.n, "r0": args.r0})
     if args.out:
         Path(args.out).write_text(text)
@@ -342,9 +246,9 @@ def build_parser() -> _Parser:
     pc.set_defaults(func=cmd_certify)
 
     pl = sub.add_parser("lemmas", help="run the lemma verification sweeps")
-    pl.add_argument("--suite", choices=("all",) + LEMMA_SUITES, default="all")
+    pl.add_argument("--suite", choices=("all",) + certifier.LEMMA_SUITES, default="all")
     pl.add_argument("--grid", type=int, default=certifier.DEFAULT_GRID)
-    pl.add_argument("--samples", type=int, default=20_000,
+    pl.add_argument("--samples", type=int, default=certifier.DEFAULT_SAMPLES,
                     help="random samples for the ellipse equivalence check")
     pl.add_argument("--seed", type=int, default=0)
     pl.add_argument("--negative-control", action="store_true",

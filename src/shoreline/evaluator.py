@@ -89,6 +89,8 @@ def _check_positive(name: str, value: float) -> None:
 
 def _time_grid(horizon: float, t_steps: int, spacing: str, t_start: float) -> np.ndarray:
     _check_positive("horizon", horizon)
+    if not math.isfinite(t_start):
+        raise ValueError(f"t_start must be finite, got {t_start!r}")
     if t_steps < 2:
         raise ValueError("t_steps must be at least 2")
     if spacing == "uniform":
@@ -133,7 +135,7 @@ def _record_sweep(fleet: Fleet, thetas: np.ndarray, ts: np.ndarray, sinks) -> np
     hbuf = np.zeros((len(thetas), cols + 2))
     rbuf = np.zeros((len(thetas), cols + 2))
     seen = np.zeros(len(thetas), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for c0, c1 in zip(bounds, bounds[1:]):
             w = c1 - c0
             h, h_lo = hbuf[:, 1:w + 1], hbuf[:, :w]
@@ -147,7 +149,8 @@ def _record_sweep(fleet: Fleet, thetas: np.ndarray, ts: np.ndarray, sinks) -> np
                 np.maximum(run, prev[:, :1], out=run)
             rec = h > prev
             # On a record h > prev >= h_lo, so the secant fraction lies in
-            # [0, 1]; off the records it is garbage that no sink reads.
+            # [0, 1]; off the records it is garbage (0/0, x/0 or overflow)
+            # that no sink reads.
             brk = np.subtract(prev, h_lo)
             np.divide(brk, h - h_lo, out=brk)
             np.multiply(brk, dt[c0:c1], out=brk)

@@ -86,12 +86,6 @@ class Cone:
         object.__setattr__(self, "bisector", normalize_angle(bisector))
         object.__setattr__(self, "half_angle", half)
 
-    def contains_direction(self, angle: float) -> bool:
-        d = abs(normalize_angle(angle) - self.bisector)
-        if d > math.pi:
-            d = TWO_PI - d
-        return d <= self.half_angle
-
 
 def support(p: Point2, theta: float) -> float:
     """Signed extent of p in direction theta.
@@ -104,11 +98,6 @@ def support(p: Point2, theta: float) -> float:
 
 def distance_point_line(p: Point2, line: Line) -> float:
     return abs(support(p, line.theta) - line.delta)
-
-
-def line_hit(p: Point2, line: Line, tol: float = 0.0) -> bool:
-    """Whether p lies on or beyond the line as seen from the origin."""
-    return support(p, line.theta) >= line.delta - tol
 
 
 def max_angular_gap(angles: list[float]) -> tuple[float, float]:

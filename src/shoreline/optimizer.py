@@ -194,6 +194,8 @@ def optimize_spiral(
         raise ValueError("bracket must satisfy 0 < lo < hi")
     if prescan < 3:
         raise ValueError("prescan needs at least 3 points")
+    if not tol > 0.0:  # checked before the pre-scan, not after it
+        raise ValueError("tol must be positive")
 
     def objective(b: float) -> float:
         return steady_state_cr(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certifier import ConeCertificate
+from .certifier import ConeCertificate, ellipse_boundary
 from .evaluator import CRReport
 from .geometry import Cone, Line
 from .optimizer import OptimizeResult
@@ -130,18 +130,6 @@ def emit_report(obj, *, fleet: list[dict] | None = None, extra: dict | None = No
                       sort_keys=True, indent=2) + "\n"
 
 
-def _ellipse_points(delta: float, phi: float, scale: float,
-                    samples: int = CURVE_SAMPLES) -> np.ndarray:
-    """Boundary of the reachable region, scaled: foci at O and at distance
-    delta*scale along bearing phi, string length scale."""
-    t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    u = np.array([math.cos(phi), math.sin(phi)])
-    v = np.array([-u[1], u[0]])
-    b = 0.5 * math.sqrt(max(0.0, 1.0 - delta * delta))
-    pts = 0.5 * delta * u + 0.5 * np.outer(np.cos(t), u) + b * np.outer(np.sin(t), v)
-    return scale * pts
-
-
 def _clip_line(line: Line, w: float) -> tuple[tuple[float, float], tuple[float, float]] | None:
     """Segment of the line inside the square [-w, w]^2, if any."""
     c, s = math.cos(line.theta), math.sin(line.theta)
@@ -221,8 +209,8 @@ def render(spec: RenderSpec, entities: dict) -> str:
             )
             parts.append(f'<polygon points="{pt(0.0, 0.0)} {arc}" {style}/>')
         elif layer.kind == "ellipse":
-            pts = _ellipse_points(float(ent["delta"]), float(ent["phi"]),
-                                  float(ent["scale"]))
+            pts = float(ent["scale"]) * ellipse_boundary(
+                float(ent["delta"]), float(ent["phi"]), CURVE_SAMPLES)
             coords = " ".join(pt(p[0], p[1]) for p in pts)
             parts.append(f'<polygon points="{coords}" {style}/>')
         elif layer.kind == "point":

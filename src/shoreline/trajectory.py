@@ -183,10 +183,6 @@ def position(spec: TrajectorySpec, t: float) -> Point2:
     return Point2(float(p[0, 0]), float(p[0, 1]))
 
 
-def path_start(spec: TrajectorySpec) -> Point2:
-    return position(spec, 0.0)
-
-
 def speed_check(spec: TrajectorySpec, horizon: float, samples: int = 10_000) -> float:
     """Max chord speed over a uniform sampling; should be ~1 for valid specs."""
     if horizon <= 0.0:

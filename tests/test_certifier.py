@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from shoreline.certifier import (
     ellipse_q,
     ellipse_q_grid,
     empty_cone,
+    lemma_suite,
     min_cone_exit,
     omb_excess,
     omb_oracle,
@@ -224,6 +226,28 @@ def test_snapshot_validates_inputs(ray_fleet):
         snapshot_lower_bound(ray_fleet(4), d=1.0, n=4, gamma=math.pi)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("kwargs", [
+    {"d": math.inf}, {"d": math.nan}, {"d": -1.0},
+    {"eps": -0.1}, {"eps": math.nan}, {"eps": math.inf},
+    {"zeta": -0.4}, {"zeta": -0.5}, {"zeta": math.nan}, {"zeta": math.inf},
+])
+def test_snapshot_rejects_unsound_parameters(ray_fleet, n, kwargs):
+    # a negative offset moves the witness line inside the visited region and
+    # would certify more than the fleet's own CR (2 for 3 rays, 5.26 for the
+    # spiral pair); non-finite values have no certificate at all
+    args = {"d": 1.0, **kwargs}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be finite"):
+            snapshot_lower_bound(ray_fleet(n), n=n, **args)
+
+
+def test_snapshot_zero_offsets_give_the_limits(ray_fleet):
+    assert snapshot_lower_bound(ray_fleet(3), 1.0, 3, eps=0.0).bound == pytest.approx(SQRT3)
+    assert snapshot_lower_bound(ray_fleet(2), 1.0, 2, zeta=0.0).bound == 3.0
+
+
 # --------------------------------------------------------------- ellipses
 
 
@@ -251,15 +275,14 @@ def test_ellipse_q_rejects_degenerate():
 
 @pytest.mark.parametrize("delta,theta", [(0.0, 0.0), (0.3, 1.1), (0.9, 2.9)])
 def test_ellipse_boundary_lies_on_q_zero(delta, theta):
-    r = EllipseRegion(delta, theta)
-    pts = ellipse_boundary(r, samples=256)
+    pts = ellipse_boundary(delta, theta, samples=256)
     q = ellipse_q_grid(pts[:, 0], pts[:, 1], np.array(delta), np.array(theta))
     assert np.max(np.abs(q)) < 1e-6
 
 
 def test_ellipse_boundary_first_point_is_far_vertex():
     r = EllipseRegion(0.5, 0.0)
-    pts = ellipse_boundary(r, samples=128)
+    pts = ellipse_boundary(r.delta, r.theta, samples=128)
     assert pts[0, 0] == pytest.approx(r.h + 0.5)
     assert pts[0, 1] == pytest.approx(0.0, abs=1e-12)
 
@@ -285,8 +308,8 @@ def test_ellipse_stays_above_witness_level():
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(200):
-        r = EllipseRegion(rng.uniform(0.0, 0.999), rng.uniform(0.0, math.pi))
-        worst = min(worst, float(np.min(ellipse_boundary(r, 512)[:, 1])))
+        delta, theta = rng.uniform(0.0, 0.999), rng.uniform(0.0, math.pi)
+        worst = min(worst, float(np.min(ellipse_boundary(delta, theta, 512)[:, 1])))
     assert worst >= -0.5 - 1e-9
 
 
@@ -372,3 +395,23 @@ def test_snapshot_with_spiral_fleet():
     assert cert.bound == pytest.approx(3.0, abs=1e-5)
     for (px, py) in cert.robot_positions:
         assert support(Point2(px, py), cert.witness_line.theta) < cert.witness_line.delta
+
+
+# ------------------------------------------------------------ lemma suite
+
+
+def test_lemma_suite_runs_in_fixed_order():
+    results = lemma_suite(grid=50, samples=500, suites=("discriminant", "omb"),
+                          negative_control=True)
+    assert [r["suite"] for r in results] == [
+        "omb", "discriminant", "omb-negative-control", "discriminant-zeta-zero"]
+    assert all(r["passed"] for r in results)
+    assert results[2]["extremal"] < 0.0  # the control really is violated
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"samples": 0}, {"samples": -5}, {"suites": ("omb", "nope")}, {"grid": 2},
+])
+def test_lemma_suite_rejects_bad_arguments(kwargs):
+    with pytest.raises(ValueError):
+        lemma_suite(**kwargs)

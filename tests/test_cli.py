@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,8 @@ from shoreline.cli import (
     load_fleet_config,
     main,
 )
+
+FLEETS = Path(__file__).resolve().parent.parent / "fleets"
 
 
 def write_config(path, robots, evaluation=None, version=1):
@@ -75,6 +78,16 @@ def test_evaluate_non_finite_is_a_config_error(tmp_path, capsys, flag, value):
         assert main(["evaluate", cfg, flag, value]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"{flag[2:]} must be finite and positive" in err
+    assert "uncovered" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_evaluate_non_finite_t_start_is_a_config_error(tmp_path, capsys, value):
+    cfg = ray_config(tmp_path / "f.json", 4, horizon=10.0, theta_steps=16,
+                     t_steps=64)
+    assert main(["evaluate", cfg, "--t-start", value]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "t_start must be finite" in err
     assert "uncovered" not in err
 
 
@@ -163,6 +176,26 @@ def test_certify_rejects_nonpositive_d(tmp_path, capsys):
     assert main(["certify", cfg, "--d", "0.0"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("config,flag,value", [
+    ("rays-3.json", "d", "inf"),
+    ("rays-3.json", "d", "nan"),
+    ("rays-3.json", "eps", "-0.1"),
+    ("rays-3.json", "eps", "nan"),
+    ("double-spiral-2.json", "zeta", "-0.4"),
+    ("double-spiral-2.json", "zeta", "-0.5"),
+    ("double-spiral-2.json", "zeta", "inf"),
+])
+def test_certify_rejects_unsound_parameters(capsys, config, flag, value):
+    # negative offsets used to certify above the fleet's own CR
+    argv = ["certify", str(FLEETS / config), "--d", "1", f"--{flag}", value]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert f"{flag} must be finite" in captured.err
+    assert "bound=" not in captured.out
+
+
 # ------------------------------------------------------------------ lemmas
 
 
@@ -218,6 +251,23 @@ def test_optimize_rejects_n3(capsys):
 
 def test_optimize_requires_n(capsys):
     assert main(["optimize"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemmas", "--grid", "1"],
+    ["lemmas", "--grid", "2"],
+    ["lemmas", "--samples", "-5"],
+    ["lemmas", "--samples", "0"],
+    ["optimize", "--n", "1", "--tol", "-1"],
+    ["optimize", "--n", "1", "--bracket", "0.5", "0.1"],
+    ["optimize", "--n", "1", "--prescan", "2"],
+    ["optimize", "--n", "1", "--r0", "-1"],
+], ids=lambda argv: "_".join(argv).replace("--", ""))
+def test_bad_arguments_exit_without_traceback(capsys, argv):
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # -------------------------------------------------------------------- plot

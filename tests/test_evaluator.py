@@ -303,7 +303,7 @@ def test_evaluate_cr_validates_arguments(ray_fleet):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("arg", ["horizon", "epsilon"])
+@pytest.mark.parametrize("arg", ["horizon", "epsilon", "t_start"])
 def test_evaluate_cr_rejects_non_finite(ray_fleet, arg, bad):
     kwargs = {"horizon": 10.0, "theta_steps": 16, "t_steps": 64, arg: bad}
     # a plain ValueError, not an uncovered fleet, and no numpy warning
@@ -493,6 +493,19 @@ def test_tile_size_never_changes_the_report(walks, window):
     with pytest.MonkeyPatch.context() as mp:
         _assert_tile_invariant(mp, Fleet(robots), 97, horizon=12.0, theta_steps=24,
                                window=window)
+
+
+def test_record_sweep_overflow_stays_silent():
+    # a robot drifting 5e-324 sideways makes the support step between two
+    # samples subnormal in some directions, so an off-record secant fraction
+    # overflows; no sink reads it and no warning may escape
+    diamond = Polyline(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0),
+                        (0.0, -1.0), (1.0, 0.0)))
+    fleet = Fleet((diamond, Polyline(((0.0, 0.0), (5e-324, 3.0)))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = evaluate_cr(fleet, horizon=12.0, theta_steps=24, t_steps=97)
+    assert math.isfinite(rep.cr_estimate)
 
 
 def test_tile_size_never_changes_windowed_spiral(monkeypatch):

@@ -9,7 +9,6 @@ from shoreline.geometry import (
     Line,
     Point2,
     distance_point_line,
-    line_hit,
     max_angular_gap,
     normalize_angle,
     support,
@@ -72,20 +71,6 @@ def test_distance_point_line_scaling_frame():
     l = Line(math.pi / 3.0, math.sqrt(3.0) / 4.0)
     k = Point2(math.sqrt(3.0) / 6.0, 0.0)
     assert distance_point_line(k, l) == pytest.approx(math.sqrt(3.0) / 6.0, abs=1e-15)
-
-
-def test_line_hit_semantics():
-    l = Line(0.0, 2.0)
-    assert not line_hit(Point2(1.9, 5.0), l)
-    assert line_hit(Point2(2.0, -3.0), l)
-    assert line_hit(Point2(2.5, 0.0), l)
-
-
-def test_cone_contains_direction_wraps():
-    c = Cone(0.1, 0.2)
-    assert c.contains_direction(0.25)
-    assert c.contains_direction(TWO_PI - 0.05)
-    assert not c.contains_direction(math.pi)
 
 
 def test_cone_rejects_bad_half_angle():

@@ -1,0 +1,66 @@
+"""Repository-level guards: module layering and the shipped fleet configs."""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "shoreline"
+
+# Dependencies flow one way, from low layers to high; modules on one layer
+# do not import each other.
+LAYERS = {
+    "geometry": 0,
+    "trajectory": 1,
+    "evaluator": 2,
+    "certifier": 2,
+    "optimizer": 3,
+    "report": 4,
+    "cli": 5,
+}
+
+
+def package_imports(path: Path) -> set[str]:
+    """Sibling modules a source file imports, relatively or by full name."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("shoreline"):
+            continue
+        parts = (node.module or "").split(".")
+        if node.level == 0:
+            parts = parts[1:]  # drop the package name
+        if parts and parts[0]:
+            found.add(parts[0])
+        else:  # from . import a, b
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+def test_imports_follow_the_layers():
+    wrong = []
+    for name, layer in LAYERS.items():
+        for dep in sorted(package_imports(PACKAGE / f"{name}.py")):
+            if LAYERS[dep] >= layer:
+                wrong.append(f"{name} (layer {layer}) imports {dep} (layer {LAYERS[dep]})")
+    assert not wrong, wrong
+
+
+def test_make_fleets_reproduces_the_shipped_configs(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "make_fleets", ROOT / "scripts" / "make_fleets.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.OUT = tmp_path
+    script.main()
+    made = {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
+    shipped = {p.name: p.read_bytes() for p in (ROOT / "fleets").glob("*.json")}
+    assert sorted(made) == sorted(shipped)
+    for name, data in made.items():
+        assert data == shipped[name], name

@@ -13,7 +13,6 @@ from shoreline.trajectory import (
     Polyline,
     Ray,
     first_hit_time,
-    path_start,
     position,
     positions,
     spec_from_dict,
@@ -92,10 +91,10 @@ def test_polyline_traversal():
 
 
 def test_path_start_at_origin_variants():
-    assert path_start(Ray(1.0)).norm() == 0.0
-    assert path_start(Polyline(((0.0, 0.0), (1.0, 1.0)))).norm() == 0.0
+    assert position(Ray(1.0), 0.0).norm() == 0.0
+    assert position(Polyline(((0.0, 0.0), (1.0, 1.0))), 0.0).norm() == 0.0
     s = LogSpiral(growth=0.2, start_radius=0.05)
-    assert path_start(s).norm() == pytest.approx(0.05)
+    assert position(s, 0.0).norm() == pytest.approx(0.05)
 
 
 @given(
@@ -107,7 +106,7 @@ def test_path_start_at_origin_variants():
 @settings(max_examples=60)
 def test_spiral_start_within_radius(b, r0, phi, t):
     s = LogSpiral(growth=b, start_radius=r0, start_phase=phi)
-    assert path_start(s).norm() <= r0 + 1e-12
+    assert position(s, 0.0).norm() <= r0 + 1e-12
     # radius never shrinks below r0
     assert position(s, t).norm() >= r0 - 1e-9
 
