@@ -244,7 +244,7 @@ def snapshot_lower_bound(
     eps -> 0 supremum.
     """
     _check_snapshot_time(d)
-    for name, value in (("eps", eps), ("zeta", zeta)):
+    for name, value in (("gamma", gamma), ("eps", eps), ("zeta", zeta)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
     if len(fleet) != n:

@@ -170,20 +170,14 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.n not in (1, 2):
-        raise ConfigError(f"unsupported n={args.n}: only n=1 or n=2 spiral "
-                          "fleets are defined")
     try:
         result = optimizer.optimize_spiral(
             args.n, bracket=(args.bracket[0], args.bracket[1]), tol=args.tol,
-            prescan=args.prescan, r0=args.r0,
+            prescan=args.prescan,
         )
-    except optimizer.ConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    text = report.emit_report(result, extra={"n": args.n, "r0": args.r0})
+    text = report.emit_report(result, extra={"n": args.n})
     if args.out:
         Path(args.out).write_text(text)
     if not result.converged:
@@ -263,7 +257,6 @@ def build_parser() -> _Parser:
                     default=list(optimizer.DEFAULT_BRACKET))
     po.add_argument("--tol", type=float, default=optimizer.DEFAULT_B_TOL)
     po.add_argument("--prescan", type=int, default=optimizer.DEFAULT_PRESCAN)
-    po.add_argument("--r0", type=float, default=1.0)
     po.add_argument("--out")
     po.set_defaults(func=cmd_optimize)
 
@@ -288,9 +281,6 @@ def main(argv: list[str] | None = None) -> int:
     except evaluator.UncoveredDirectionError as exc:
         print(f"uncovered: {exc}", file=sys.stderr)
         return EXIT_UNCOVERED
-    except optimizer.ConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

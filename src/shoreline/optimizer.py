@@ -1,10 +1,10 @@
-"""Derivative-free tuning of spiral growth rates against the evaluator.
+"""Derivative-free tuning of spiral growth rates.
 
-The steady-state competitive ratio of a logarithmic spiral depends only on
-its growth rate b, so one-dimensional golden-section search over b suffices.
-The objective is the evaluator's windowed sweep: the window and horizon are
-sized per b so that the measured plateau ratios sit deep in the self-similar
-regime, one full turn clear of both the start radius and the truncation.
+The log spiral is self-similar, so its steady-state competitive ratio depends
+only on the growth rate b and has a closed form (steady_state_cr).  One-
+dimensional golden-section search over b then finds the optimum.
+spiral_eval_params sizes the windowed evaluator sweep that measures the same
+ratio numerically; the shipped spiral configs are built from it.
 """
 
 from __future__ import annotations
@@ -13,25 +13,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .evaluator import UncoveredDirectionError, evaluate_cr
-from .trajectory import AntipodalOf, Fleet, LogSpiral
-
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_BRACKET = (0.05, 2.0)
 DEFAULT_B_TOL = 1e-4
 DEFAULT_PRESCAN = 32
-# Extra multiplicative headroom on the outer radius so measured ratios have
-# converged to the asymptote (the finite start radius biases them low by
-# roughly r0 / outer_radius).
-DEFAULT_ASYM_MARGIN = 40.0
-SPIRAL_T_STEPS = 200_000
-SPIRAL_THETA_STEPS = 6
-UNCOVERED_RETRIES = 3
-
-
-class ConvergenceError(RuntimeError):
-    pass
+# Extra multiplicative headroom on the outer radius of the measurement window
+# so measured ratios have converged to the asymptote (the finite start radius
+# biases them low by roughly r0 / outer_radius).
+ASYM_MARGIN = 40.0
 
 
 @dataclass
@@ -89,33 +79,21 @@ def golden_section(
     )
 
 
-def spiral_fleet(n: int, b: float, r0: float = 1.0) -> Fleet:
-    """One spiral, or a point-reflected pair sharing the origin as midpoint."""
-    s = LogSpiral(growth=b, start_radius=r0)
-    if n == 1:
-        return Fleet((s,))
-    if n == 2:
-        return Fleet((s, AntipodalOf(s)))
-    raise ValueError(f"unsupported spiral fleet size {n}")
-
-
-def spiral_eval_params(
-    n: int, b: float, r0: float = 1.0, asym_margin: float = DEFAULT_ASYM_MARGIN
-) -> dict:
+def spiral_eval_params(n: int, b: float, r0: float = 1.0) -> dict:
     """Horizon, window, and grid spacing for measuring steady-state CR.
 
     The pattern repeats when the spiral (or the pair) turns far enough to
     cover the same directions again: a full turn for one robot, half a turn
     for the antipodal pair.  The window keeps one full turn of guard on each
     side per the periodicity of the ratio in log offset, and the outer
-    radius carries asym_margin headroom plus room for the final crossing.
+    radius carries ASYM_MARGIN headroom plus room for the final crossing.
     """
     c = math.hypot(1.0, b)
     period = 2.0 * math.pi if n == 1 else math.pi
     guard = math.exp(2.0 * math.pi * b)
     span = math.exp(1.5 * period * b)
     crossing_room = 2.0 * c * math.exp(math.pi * b)
-    r_end = r0 * guard * span * crossing_room * guard * asym_margin
+    r_end = r0 * guard * span * crossing_room * guard * ASYM_MARGIN
     horizon = (c / b) * (r_end - r0)
     window = (r0 * guard, r_end / guard)
     return {
@@ -127,47 +105,40 @@ def spiral_eval_params(
     }
 
 
-def steady_state_cr(
-    n: int,
-    b: float,
-    *,
-    r0: float = 1.0,
-    t_steps: int = SPIRAL_T_STEPS,
-    theta_steps: int = SPIRAL_THETA_STEPS,
-    asym_margin: float = DEFAULT_ASYM_MARGIN,
-) -> float:
-    """Windowed CR of the spiral fleet at growth b.
+def steady_state_cr(n: int, b: float) -> float:
+    """Steady-state CR of one spiral (n=1) or the antipodal pair (n=2) at growth b.
 
-    A handful of directions suffices: the steady-state record pattern is the
-    same in every direction up to a time rescaling, so each direction's
-    plateau ratios approach the same supremum.  Retries with a larger
-    horizon if the sweep reports an uncovered direction (can only mean the
-    horizon or window was too tight for this b).
+    With alpha = arctan b, the fleet's support in a fixed direction peaks at
+    spiral phase alpha (mod the period P = 2*pi, or pi for the pair, whose
+    second robot supplies the other half turn).  A line just beyond that peak
+    is reached psi later in phase, where psi is the root of
+    exp(b*psi) * |cos(psi + alpha)| = cos(alpha) on the rising branch
+    (P - pi/2 - alpha, P).  Arc length from the origin is (c/b) * radius with
+    c = sqrt(1 + b^2), so the ratio is (c^2 / b) * exp(b*psi), the same at
+    every scale and in every direction.  psi is bisected until the interval
+    stops shrinking; a ratio beyond the float range is inf.
     """
-    fleet = spiral_fleet(n, b, r0)
-    margin = asym_margin
-    for attempt in range(UNCOVERED_RETRIES + 1):
-        p = spiral_eval_params(n, b, r0, margin)
-        try:
-            rep = evaluate_cr(
-                fleet,
-                p["horizon"],
-                theta_steps,
-                t_steps,
-                epsilon=p["epsilon"],
-                window=p["window"],
-                spacing=p["spacing"],
-                t_start=p["t_start"],
-            )
-            return rep.cr_estimate
-        except UncoveredDirectionError:
-            if attempt == UNCOVERED_RETRIES:
-                raise ConvergenceError(
-                    f"spiral evaluation kept failing coverage at b={b:g} "
-                    f"after {UNCOVERED_RETRIES} horizon enlargements"
-                )
-            margin *= 8.0
-    raise AssertionError("unreachable")
+    if n not in (1, 2):
+        raise ValueError(f"unsupported fleet size n={n}; only 1 or 2 spiral robots")
+    if not (math.isfinite(b) and b > 0.0):
+        raise ValueError(f"growth rate must be finite and positive, got {b!r}")
+    alpha = math.atan(b)
+    period = 2.0 * math.pi if n == 1 else math.pi
+    log_c2 = math.log1p(b * b)  # log c^2 = -2 log cos(alpha)
+    lo, hi = period - 0.5 * math.pi - alpha, period
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        # the root equation in logs, so no exp overflows for large b
+        if b * mid + math.log(abs(math.cos(mid + alpha))) < -0.5 * log_c2:
+            lo = mid
+        else:
+            hi = mid
+    try:
+        return math.exp(log_c2 - math.log(b) + b * hi)
+    except OverflowError:
+        return math.inf
 
 
 def optimize_spiral(
@@ -176,10 +147,6 @@ def optimize_spiral(
     bracket: tuple[float, float] = DEFAULT_BRACKET,
     tol: float = DEFAULT_B_TOL,
     prescan: int = DEFAULT_PRESCAN,
-    r0: float = 1.0,
-    t_steps: int = SPIRAL_T_STEPS,
-    theta_steps: int = SPIRAL_THETA_STEPS,
-    asym_margin: float = DEFAULT_ASYM_MARGIN,
 ) -> OptimizeResult:
     """Best growth rate for one spiral (n=1) or the antipodal pair (n=2).
 
@@ -187,8 +154,6 @@ def optimize_spiral(
     then golden-section refines between the pre-scan neighbors of the best
     point.
     """
-    if n not in (1, 2):
-        raise ValueError(f"unsupported fleet size n={n}; only 1 or 2 spiral robots")
     lo, hi = bracket
     if not 0.0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lo < hi")
@@ -198,10 +163,7 @@ def optimize_spiral(
         raise ValueError("tol must be positive")
 
     def objective(b: float) -> float:
-        return steady_state_cr(
-            n, b, r0=r0, t_steps=t_steps, theta_steps=theta_steps,
-            asym_margin=asym_margin,
-        )
+        return steady_state_cr(n, b)
 
     ratio = (hi / lo) ** (1.0 / (prescan - 1))
     bs = [lo * ratio**k for k in range(prescan)]

@@ -1,17 +1,19 @@
 """Unit-speed trajectory specs and their kinematics.
 
-Every robot starts at the origin at time zero and moves at speed one, so arc
-length equals elapsed time.  The spiral is parameterized in closed form:
-radius grows linearly in arc length, r(t) = r0 + growth * t / sqrt(1 +
-growth^2), and the phase follows phi(t) = phi0 +/- ln(r(t)/r0) / growth.
-Differentiating shows |dp/dt| = 1 exactly, so no numeric reparameterization
-is needed.
+Every robot moves at speed one, so arc length equals elapsed time.  The
+spiral is parameterized in closed form: radius grows linearly in arc length,
+r(t) = r0 + growth * t / sqrt(1 + growth^2), and the phase follows phi(t) =
+phi0 +/- ln(r(t)/r0) / growth.  Differentiating shows |dp/dt| = 1 exactly, so
+no numeric reparameterization is needed.
 
-A spiral spec teleports nothing: it *starts* at radius start_radius, which
-models a searcher that has already spent start_radius time moving straight
-out.  Fleets that need a true origin start prepend a radial polyline or just
-accept the offset; the competitive ratio of a spiral is insensitive to the
-start once the adversary offset dwarfs start_radius.
+Rays and polylines start at the origin at time zero; a spiral does not.  It
+is at radius start_radius at t = 0, as if it had already travelled there
+without the time being counted.  The uncounted time, start_radius *
+sqrt(1 + growth^2) / growth, biases the numerically evaluated CR of a spiral
+fleet low by that time over the witness time: evaluating
+fleets/spiral-1.json gives 13.80989, while the origin-start steady-state
+value that `shoreline optimize` reports (optimizer.steady_state_cr) is
+13.81114 at the same growth rate.
 """
 
 from __future__ import annotations

@@ -229,6 +229,7 @@ def test_snapshot_validates_inputs(ray_fleet):
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("kwargs", [
     {"d": math.inf}, {"d": math.nan}, {"d": -1.0},
+    {"gamma": -1.0}, {"gamma": math.nan}, {"gamma": math.inf},
     {"eps": -0.1}, {"eps": math.nan}, {"eps": math.inf},
     {"zeta": -0.4}, {"zeta": -0.5}, {"zeta": math.nan}, {"zeta": math.inf},
 ])

@@ -181,6 +181,8 @@ def test_certify_rejects_nonpositive_d(tmp_path, capsys):
     ("rays-3.json", "d", "nan"),
     ("rays-3.json", "eps", "-0.1"),
     ("rays-3.json", "eps", "nan"),
+    ("rays-3.json", "gamma", "-1"),
+    ("rays-3.json", "gamma", "nan"),
     ("double-spiral-2.json", "zeta", "-0.4"),
     ("double-spiral-2.json", "zeta", "-0.5"),
     ("double-spiral-2.json", "zeta", "inf"),
@@ -261,7 +263,7 @@ def test_optimize_requires_n(capsys):
     ["optimize", "--n", "1", "--tol", "-1"],
     ["optimize", "--n", "1", "--bracket", "0.5", "0.1"],
     ["optimize", "--n", "1", "--prescan", "2"],
-    ["optimize", "--n", "1", "--r0", "-1"],
+    ["optimize", "--n", "1", "--r0", "-1"],  # not an optimize flag
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_bad_arguments_exit_without_traceback(capsys, argv):
     assert main(argv) == EXIT_CONFIG

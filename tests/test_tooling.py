@@ -1,7 +1,11 @@
-"""Repository-level guards: module layering and the shipped fleet configs."""
+"""Repository-level guards: module layering, the shipped fleet configs and
+the spiral reproduction script."""
 
 import ast
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,3 +68,15 @@ def test_make_fleets_reproduces_the_shipped_configs(tmp_path, capsys):
     assert sorted(made) == sorted(shipped)
     for name, data in made.items():
         assert data == shipped[name], name
+
+
+def test_reproduce_spiral_bounds_finds_both_optima(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_spiral_bounds.py"),
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    for n, (lo, hi) in ((1, (13.76, 13.86)), (2, (5.21, 5.32))):
+        doc = json.loads((tmp_path / f"spiral-{n}-optimum.json").read_text())
+        assert doc["n"] == n and doc["converged"]
+        assert lo <= doc["value"] <= hi
