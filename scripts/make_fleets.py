@@ -37,7 +37,6 @@ def spiral_fleet(n: int) -> dict:
     spiral = {
         "kind": "log_spiral",
         "growth": b,
-        "start_radius": 1.0,
         "start_phase": 0.0,
         "chirality": "ccw",
     }

@@ -16,8 +16,8 @@ Fleet configs are JSON:
       "version": 1,
       "robots": [
         {"kind": "ray", "angle": 0.0},
-        {"kind": "log_spiral", "growth": 0.5, "start_radius": 1.0,
-         "start_phase": 0.0, "chirality": "ccw"},
+        {"kind": "log_spiral", "growth": 0.5, "start_phase": 0.0,
+         "chirality": "ccw"},
         {"kind": "antipodal_of", "inner": {"kind": "ray", "angle": 1.0}},
         {"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1]]}
       ],
@@ -25,6 +25,8 @@ Fleet configs are JSON:
     }
 
 The optional "evaluation" block supplies defaults that CLI flags override.
+Every robot starts at the origin at t = 0; a spiral's "start_phase" is the
+bearing at which it crosses radius 1.  A key not shown here is an error.
 """
 
 from __future__ import annotations
@@ -42,6 +44,27 @@ EXIT_CONFIG = 1
 EXIT_UNCOVERED = 2
 EXIT_LEMMA = 3
 EXIT_NO_CONVERGENCE = 4
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What each evaluation key holds, and the test its JSON value must pass.
+EVALUATION_VALUES = {
+    "horizon": ("a number", _is_number),
+    "epsilon": ("a number", _is_number),
+    "t_start": ("a number", _is_number),
+    "theta_steps": ("an integer", _is_count),
+    "t_steps": ("an integer", _is_count),
+    "window": ("a pair of numbers",
+               lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))),
+    "spacing": ("a string", lambda v: isinstance(v, str)),
+}
 
 
 class ConfigError(ValueError):
@@ -63,6 +86,7 @@ def load_fleet_config(path: str) -> tuple[Fleet, list[dict], dict]:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config {path}: top level must be an object")
+    _reject_unknown_keys(doc, {"version", "robots", "evaluation"}, f"config {path}")
     if doc.get("version") != 1:
         raise ConfigError(f"config {path}: missing or unsupported version "
                           f"(expected 1, got {doc.get('version')!r})")
@@ -78,7 +102,19 @@ def load_fleet_config(path: str) -> tuple[Fleet, list[dict], dict]:
     evaluation = doc.get("evaluation") or {}
     if not isinstance(evaluation, dict):
         raise ConfigError(f"config {path}: evaluation must be an object")
+    where = f"config {path}: evaluation"
+    _reject_unknown_keys(evaluation, EVALUATION_VALUES.keys(), where)
+    for key, value in evaluation.items():
+        what, valid = EVALUATION_VALUES[key]
+        if not valid(value):
+            raise ConfigError(f"{where}: {key} must be {what}, got {value!r}")
     return Fleet(robots), [spec_to_dict(r) for r in robots], evaluation
+
+
+def _reject_unknown_keys(doc: dict, known, where: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
 
 
 def _pick(cli_value, config: dict, key: str, default=None):
@@ -199,11 +235,17 @@ def cmd_plot(args) -> int:
         raise ConfigError(f"cannot read report {args.report}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report {args.report} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"report {args.report}: top level must be an object")
     try:
         spec, entities = report.scene_for_document(
             doc, canvas=args.size, world_radius=args.world_radius)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    except KeyError as exc:
+        raise ConfigError(f"report {args.report} lacks the field {exc}") from exc
+    except TypeError as exc:
+        raise ConfigError(f"report {args.report} is malformed: {exc}") from exc
     svg = report.render(spec, entities)
     out = args.out or str(Path(args.report).with_suffix(".svg"))
     Path(out).write_text(svg)

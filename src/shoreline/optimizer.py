@@ -18,10 +18,6 @@ INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 DEFAULT_BRACKET = (0.05, 2.0)
 DEFAULT_B_TOL = 1e-4
 DEFAULT_PRESCAN = 32
-# Extra multiplicative headroom on the outer radius of the measurement window
-# so measured ratios have converged to the asymptote (the finite start radius
-# biases them low by roughly r0 / outer_radius).
-ASYM_MARGIN = 40.0
 
 
 @dataclass
@@ -79,29 +75,29 @@ def golden_section(
     )
 
 
-def spiral_eval_params(n: int, b: float, r0: float = 1.0) -> dict:
+def spiral_eval_params(n: int, b: float) -> dict:
     """Horizon, window, and grid spacing for measuring steady-state CR.
 
     The pattern repeats when the spiral (or the pair) turns far enough to
     cover the same directions again: a full turn for one robot, half a turn
     for the antipodal pair.  The window keeps one full turn of guard on each
     side per the periodicity of the ratio in log offset, and the outer
-    radius carries ASYM_MARGIN headroom plus room for the final crossing.
+    radius leaves room for the final crossing.  A spiral from the origin
+    reaches radius r at time (c/b) * r, which sets the horizon.
     """
     c = math.hypot(1.0, b)
     period = 2.0 * math.pi if n == 1 else math.pi
     guard = math.exp(2.0 * math.pi * b)
     span = math.exp(1.5 * period * b)
     crossing_room = 2.0 * c * math.exp(math.pi * b)
-    r_end = r0 * guard * span * crossing_room * guard * ASYM_MARGIN
-    horizon = (c / b) * (r_end - r0)
-    window = (r0 * guard, r_end / guard)
+    r_end = guard * span * crossing_room * guard
+    window = (guard, r_end / guard)
     return {
-        "horizon": horizon,
+        "horizon": (c / b) * r_end,
         "window": window,
         "epsilon": window[0],
         "spacing": "geometric",
-        "t_start": 0.05 * r0,
+        "t_start": 0.05,
     }
 
 
@@ -113,10 +109,11 @@ def steady_state_cr(n: int, b: float) -> float:
     second robot supplies the other half turn).  A line just beyond that peak
     is reached psi later in phase, where psi is the root of
     exp(b*psi) * |cos(psi + alpha)| = cos(alpha) on the rising branch
-    (P - pi/2 - alpha, P).  Arc length from the origin is (c/b) * radius with
-    c = sqrt(1 + b^2), so the ratio is (c^2 / b) * exp(b*psi), the same at
-    every scale and in every direction.  psi is bisected until the interval
-    stops shrinking; a ratio beyond the float range is inf.
+    (P - pi/2 - alpha, P).  Arc length from the origin, where
+    trajectory.LogSpiral starts, is (c/b) * radius with c = sqrt(1 + b^2), so
+    the ratio is (c^2 / b) * exp(b*psi), the same at every scale and in every
+    direction.  psi is bisected until the interval stops shrinking; a ratio
+    beyond the float range is inf.
     """
     if n not in (1, 2):
         raise ValueError(f"unsupported fleet size n={n}; only 1 or 2 spiral robots")

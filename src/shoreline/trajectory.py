@@ -1,25 +1,18 @@
 """Unit-speed trajectory specs and their kinematics.
 
-Every robot moves at speed one, so arc length equals elapsed time.  The
-spiral is parameterized in closed form: radius grows linearly in arc length,
-r(t) = r0 + growth * t / sqrt(1 + growth^2), and the phase follows phi(t) =
-phi0 +/- ln(r(t)/r0) / growth.  Differentiating shows |dp/dt| = 1 exactly, so
-no numeric reparameterization is needed.
-
-Rays and polylines start at the origin at time zero; a spiral does not.  It
-is at radius start_radius at t = 0, as if it had already travelled there
-without the time being counted.  The uncounted time, start_radius *
-sqrt(1 + growth^2) / growth, biases the numerically evaluated CR of a spiral
-fleet low by that time over the witness time: evaluating
-fleets/spiral-1.json gives 13.80989, while the origin-start steady-state
-value that `shoreline optimize` reports (optimizer.steady_state_cr) is
-13.81114 at the same growth rate.
+Every robot starts at the origin at time zero and moves at speed one, so arc
+length equals elapsed time.  The spiral is parameterized in closed form: a
+log spiral has finite arc length from its centre, so its radius grows
+linearly in arc length, r(t) = growth * t / sqrt(1 + growth^2), and the
+phase follows phi(t) = phi0 +/- ln(r(t)) / growth, where phi0 is the bearing
+at which the spiral crosses radius 1.  Differentiating shows |dp/dt| = 1
+exactly, so no numeric reparameterization is needed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -37,15 +30,12 @@ class Ray:
 @dataclass(frozen=True)
 class LogSpiral:
     growth: float
-    start_radius: float = 1.0
     start_phase: float = 0.0
     chirality: str = "ccw"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.growth) and self.growth > 0.0):
             raise ValueError("growth must be positive and finite")
-        if not (math.isfinite(self.start_radius) and self.start_radius > 0.0):
-            raise ValueError("start_radius must be positive and finite")
         if self.chirality not in ("ccw", "cw"):
             raise ValueError(f"chirality must be 'ccw' or 'cw', got {self.chirality!r}")
 
@@ -91,47 +81,51 @@ class Fleet:
         return len(self.robots)
 
 
+_KINDS = {"ray": Ray, "log_spiral": LogSpiral, "antipodal_of": AntipodalOf,
+          "polyline": Polyline}
+
+
 def spec_to_dict(spec: TrajectorySpec) -> dict:
     """Plain-data descriptor for configs and report provenance."""
-    if isinstance(spec, Ray):
-        return {"kind": "ray", "angle": spec.angle}
-    if isinstance(spec, LogSpiral):
-        return {
-            "kind": "log_spiral",
-            "growth": spec.growth,
-            "start_radius": spec.start_radius,
-            "start_phase": spec.start_phase,
-            "chirality": spec.chirality,
-        }
+    kind = {cls: k for k, cls in _KINDS.items()}.get(type(spec))
+    if kind is None:
+        raise TypeError(f"unknown trajectory spec {type(spec).__name__}")
+    doc = {"kind": kind} | {f.name: getattr(spec, f.name) for f in fields(spec)}
     if isinstance(spec, AntipodalOf):
-        return {"kind": "antipodal_of", "inner": spec_to_dict(spec.inner)}
+        doc["inner"] = spec_to_dict(spec.inner)
     if isinstance(spec, Polyline):
-        return {"kind": "polyline", "vertices": [list(v) for v in spec.vertices]}
-    raise TypeError(f"unknown trajectory spec {type(spec).__name__}")
+        doc["vertices"] = [list(v) for v in spec.vertices]
+    return doc
 
 
 def spec_from_dict(doc: dict, where: str = "robot") -> TrajectorySpec:
-    """Inverse of spec_to_dict; raises ValueError naming `where` on bad input."""
+    """Inverse of spec_to_dict; raises ValueError naming `where` on bad input.
+
+    A descriptor carries "kind" plus fields of its spec class, nothing else.
+    """
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: descriptor must be a mapping")
     kind = doc.get("kind")
+    cls = _KINDS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"{where}: unknown kind {kind!r}")
+    unknown = sorted(set(doc) - {"kind"} - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
     try:
         if kind == "ray":
             return Ray(angle=float(doc["angle"]))
         if kind == "log_spiral":
             return LogSpiral(
                 growth=float(doc["growth"]),
-                start_radius=float(doc.get("start_radius", 1.0)),
                 start_phase=float(doc.get("start_phase", 0.0)),
                 chirality=str(doc.get("chirality", "ccw")),
             )
         if kind == "antipodal_of":
             return AntipodalOf(spec_from_dict(doc["inner"], where + ".inner"))
-        if kind == "polyline":
-            return Polyline(tuple((float(x), float(y)) for x, y in doc["vertices"]))
+        return Polyline(tuple((float(x), float(y)) for x, y in doc["vertices"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    raise ValueError(f"{where}: unknown kind {kind!r}")
 
 
 def _polyline_tables(spec: Polyline) -> tuple[np.ndarray, np.ndarray]:
@@ -163,8 +157,9 @@ def positions(spec: TrajectorySpec, ts: np.ndarray) -> np.ndarray:
     if isinstance(spec, LogSpiral):
         b = spec.growth
         c = math.sqrt(1.0 + b * b)
-        r = spec.start_radius + b * ts / c
-        dphi = np.log(r / spec.start_radius) / b
+        r = (b / c) * ts
+        # at r = 0 the phase is irrelevant: leave it at phi0, not -inf
+        dphi = np.log(r, out=np.zeros_like(r), where=r > 0.0) / b
         phi = spec.start_phase + (dphi if spec.chirality == "ccw" else -dphi)
         return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
     if isinstance(spec, AntipodalOf):

@@ -389,9 +389,8 @@ def test_discriminant_matches_quadratic_expansion(delta, theta, zeta):
 
 
 def test_snapshot_with_spiral_fleet():
-    fleet = Fleet((LogSpiral(growth=0.6465, start_radius=0.05),
-                   LogSpiral(growth=0.6465, start_radius=0.05,
-                             start_phase=math.pi)))
+    fleet = Fleet((LogSpiral(growth=0.6465),
+                   LogSpiral(growth=0.6465, start_phase=math.pi)))
     cert = snapshot_lower_bound(fleet, d=4.0, n=2)
     assert cert.bound == pytest.approx(3.0, abs=1e-5)
     for (px, py) in cert.robot_positions:

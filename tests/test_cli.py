@@ -91,6 +91,24 @@ def test_evaluate_non_finite_t_start_is_a_config_error(tmp_path, capsys, value):
     assert "uncovered" not in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("theta_steps", "abc"),
+    ("t_steps", None),
+    ("window", 5),
+    ("t_start", "x"),
+    ("theta_steps", 7.9),  # used to be truncated to 7
+])
+def test_evaluate_non_numeric_config_value_is_a_config_error(tmp_path, capsys, key,
+                                                             value):
+    evaluation = {"horizon": 10.0, "theta_steps": 16, "t_steps": 64, key: value}
+    cfg = ray_config(tmp_path / "f.json", 4, **evaluation)
+    assert main(["evaluate", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"evaluation: {key} must be " in err
+    assert "Traceback" not in err
+
+
 def test_evaluate_missing_config_file(tmp_path, capsys):
     code = main(["evaluate", str(tmp_path / "nope.json"), "--horizon", "5"])
     assert code == EXIT_CONFIG
@@ -122,6 +140,28 @@ def test_config_error_names_bad_robot(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "robots[1]" in err
     assert "hovercraft" in err
+
+
+@pytest.mark.parametrize("doc,where,key", [
+    ({"version": 1, "robots": [{"kind": "ray", "angle": 0.0}], "horizon": 5},
+     "f.json", "horizon"),
+    ({"version": 1, "robots": [{"kind": "ray", "angle": 0.0}],
+      "evaluation": {"horizon": 5, "theta_step": 12}}, "evaluation", "theta_step"),
+    ({"version": 1, "robots": [{"kind": "ray", "angle": 0.0},
+                               {"kind": "log_spiral", "growth": 0.3, "chiralty": "cw"}]},
+     "robots[1]", "chiralty"),
+    # spirals start at the origin; a config from before that fails loudly
+    ({"version": 1, "robots": [{"kind": "antipodal_of", "inner": {
+        "kind": "log_spiral", "growth": 0.3, "start_radius": 1.0}}]},
+     "robots[0].inner", "start_radius"),
+], ids=["top-level", "evaluation", "robot", "inner-robot"])
+def test_config_rejects_unknown_keys(tmp_path, capsys, doc, where, key):
+    p = tmp_path / "f.json"
+    p.write_text(json.dumps(doc))
+    assert main(["evaluate", str(p), "--horizon", "5"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{where}: unknown key '{key}'" in err
 
 
 def test_config_invalid_json(tmp_path, capsys):
@@ -306,6 +346,19 @@ def test_plot_unknown_schema(tmp_path, capsys):
     p.write_text(json.dumps({"schema": "mystery/v9"}))
     assert main(["plot", str(p)]) == EXIT_CONFIG
     assert "schema" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc,message", [
+    ([1, 2], "top level must be an object"),
+    ({"schema": "cr_report/v1"}, "lacks the field 'witness'"),
+], ids=["not-an-object", "missing-field"])
+def test_plot_malformed_report(tmp_path, capsys, doc, message):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    assert main(["plot", str(p)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
 
 
 def test_plot_missing_file(tmp_path, capsys):

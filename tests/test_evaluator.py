@@ -73,16 +73,16 @@ def test_profile_records_property():
 )
 @settings(max_examples=30, deadline=None)
 def test_profile_invariants_mixed_fleet(a, b, theta):
-    fleet = Fleet((Ray(a), LogSpiral(growth=b, start_radius=0.05)))
+    fleet = Fleet((Ray(a), LogSpiral(growth=b)))
     prof = direction_profile(fleet, theta, horizon=6.0, t_steps=512)
     assert prof.values.size > 0
     assert np.all(np.diff(prof.values) > 0)
     assert np.all(prof.times >= -1e-12)
     assert np.all(prof.times <= 6.0 + 1e-9)
     # at each break time the support equals the level being broken, and a
-    # unit-speed robot starting within 0.05 of the origin cannot project
-    # farther than elapsed time plus that start offset
-    assert np.all(prof.values[:-1] <= prof.times[1:] + 0.05 + 1e-6)
+    # unit-speed robot starting at the origin cannot project farther than
+    # the elapsed time
+    assert np.all(prof.values[:-1] <= prof.times[1:] + 1e-9)
 
 
 def test_profile_geometric_spacing_requires_start():
@@ -346,12 +346,13 @@ FLEETS = Path(__file__).resolve().parents[1] / "fleets"
 # cr_estimate, witness theta, witness delta, witness_time, coverage_radius of
 # every shipped config at its own grid (rays: 720 x 4096), and of four ray
 # fleets turned by half a theta step, as the per-direction record loop
-# computed them; a bare float is the theta of an UncoveredDirectionError.
+# computed them (the spirals as they run from the origin); a bare float is
+# the theta of an UncoveredDirectionError.
 PINNED = {
     "all-at-origin": 0.0,
     "double-spiral-2": (
-        5.264424804975618, 4.1887902047863905, 469617.61832814285,
-        2472266.6387802474, 27282427.400904503,
+        5.264431212708408, 5.235987755982988, 273.8358061710915,
+        1441.589765164264, 469617.6186364259,
     ),
     "rays-10": (
         1.0514630264402818, 0.3141592653589793, 0.0116124116763755,
@@ -395,8 +396,8 @@ PINNED = {
     ),
     "single-ray": 1.5707963267948966,
     "spiral-1": (
-        13.809885932571087, 1.0471975511965976, 3850.6680984396794,
-        53177.28720364239, 6009.284100055886,
+        13.81113566232692, 0.0, 3.8868072790408954,
+        53.68122262415357, 170.81638857155338,
     ),
     "rays-3-half-step": (
         1.9850179386684712, 5.235987755982989, 0.012302172821624553,
@@ -509,7 +510,7 @@ def test_record_sweep_overflow_stays_silent():
 
 
 def test_tile_size_never_changes_windowed_spiral(monkeypatch):
-    fleet = Fleet((LogSpiral(growth=0.3, start_radius=1.0),))
+    fleet = Fleet((LogSpiral(growth=0.3),))
     _assert_tile_invariant(monkeypatch, fleet, 3001, horizon=2000.0, theta_steps=6,
                            epsilon=5.0, window=(5.0, 300.0), spacing="geometric",
                            t_start=0.05)

@@ -34,20 +34,18 @@ def test_ray_negative_time_rejected():
 
 
 def test_log_spiral_closed_form():
-    # with b=1 the radius grows linearly at rate 1/sqrt(2); after
-    # t = 0.1*sqrt(2)*(e-1) the radius is 0.1*e and the phase advanced
-    # by ln(e) = 1 radian
-    b, r0 = 1.0, 0.1
-    s = LogSpiral(growth=b, start_radius=r0, start_phase=0.0)
-    t = r0 * math.sqrt(2.0) * (math.e - 1.0)
-    p = position(s, t)
-    assert p.norm() == pytest.approx(r0 * math.e, rel=1e-12)
+    # with b=1 the radius grows linearly from the origin at rate 1/sqrt(2);
+    # at t = sqrt(2)*e the radius is e and the phase is ln(e) = 1 radian
+    # past the bearing of radius 1
+    s = LogSpiral(growth=1.0, start_phase=0.0)
+    p = position(s, math.sqrt(2.0) * math.e)
+    assert p.norm() == pytest.approx(math.e, rel=1e-12)
     assert math.atan2(p.y, p.x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_log_spiral_cw_mirrors_ccw():
-    ccw = LogSpiral(growth=0.5, start_radius=0.2, start_phase=0.0, chirality="ccw")
-    cw = LogSpiral(growth=0.5, start_radius=0.2, start_phase=0.0, chirality="cw")
+    ccw = LogSpiral(growth=0.5, start_phase=0.0, chirality="ccw")
+    cw = LogSpiral(growth=0.5, start_phase=0.0, chirality="cw")
     p, q = position(ccw, 1.7), position(cw, 1.7)
     assert p.x == pytest.approx(q.x)
     assert p.y == pytest.approx(-q.y)
@@ -55,15 +53,15 @@ def test_log_spiral_cw_mirrors_ccw():
 
 def test_log_spiral_rejects_bad_params():
     with pytest.raises(ValueError):
-        LogSpiral(growth=0.0, start_radius=0.1)
+        LogSpiral(growth=0.0)
     with pytest.raises(ValueError):
-        LogSpiral(growth=0.3, start_radius=-1.0)
+        LogSpiral(growth=math.nan)
     with pytest.raises(ValueError):
-        LogSpiral(growth=0.3, start_radius=0.1, chirality="up")
+        LogSpiral(growth=0.3, chirality="up")
 
 
 def test_antipodal_reflects_through_origin():
-    inner = LogSpiral(growth=0.6465, start_radius=0.05)
+    inner = LogSpiral(growth=0.6465)
     outer = AntipodalOf(inner)
     for t in (0.0, 0.3, 2.0, 11.0):
         p, q = position(inner, t), position(outer, t)
@@ -93,22 +91,37 @@ def test_polyline_traversal():
 def test_path_start_at_origin_variants():
     assert position(Ray(1.0), 0.0).norm() == 0.0
     assert position(Polyline(((0.0, 0.0), (1.0, 1.0))), 0.0).norm() == 0.0
-    s = LogSpiral(growth=0.2, start_radius=0.05)
-    assert position(s, 0.0).norm() == pytest.approx(0.05)
 
 
-@given(
-    b=st.floats(0.05, 2.0),
-    r0=st.floats(0.01, 1.0),
-    phi=st.floats(0.0, 6.2),
-    t=st.floats(0.0, 20.0),
-)
-@settings(max_examples=60)
-def test_spiral_start_within_radius(b, r0, phi, t):
-    s = LogSpiral(growth=b, start_radius=r0, start_phase=phi)
-    assert position(s, 0.0).norm() <= r0 + 1e-12
-    # radius never shrinks below r0
-    assert position(s, t).norm() >= r0 - 1e-9
+_angle = st.floats(0.0, 2.0 * math.pi)
+_spiral = st.builds(LogSpiral, growth=st.floats(0.05, 2.0), start_phase=_angle,
+                    chirality=st.sampled_from(["ccw", "cw"]))
+
+
+def _walk(legs):
+    """Polyline from the origin along (length, bearing) legs."""
+    steps = [(0.0, 0.0)] + [(r * math.cos(a), r * math.sin(a)) for r, a in legs]
+    return Polyline(tuple(map(tuple, np.cumsum(steps, axis=0))))
+
+
+# every leg is longer than a speed_check sample step, so some chord lies on
+# a straight leg and measures the speed exactly
+_polyline = st.builds(_walk, st.lists(st.tuples(st.floats(0.1, 2.0), _angle),
+                                      min_size=1, max_size=5))
+_base = st.one_of(st.builds(Ray, _angle), _spiral, _polyline)
+
+
+@given(spec=st.one_of(_base, st.builds(AntipodalOf, _base)), t=st.floats(0.0, 20.0))
+@settings(max_examples=80, deadline=None)
+def test_every_trajectory_obeys_the_model(spec, t):
+    # the model's rules: start exactly at the origin at t = 0, unit speed
+    start = position(spec, 0.0)
+    assert (start.x, start.y) == (0.0, 0.0)
+    assert speed_check(spec, horizon=5.0, samples=1024) == pytest.approx(1.0, abs=1e-4)
+    base = spec.inner if isinstance(spec, AntipodalOf) else spec
+    if isinstance(base, LogSpiral):
+        c = math.hypot(1.0, base.growth)
+        assert position(spec, t).norm() == pytest.approx(base.growth * t / c, rel=1e-12)
 
 
 def test_speed_check_polyline_is_unit():
@@ -117,16 +130,16 @@ def test_speed_check_polyline_is_unit():
     assert speed_check(p, horizon=5.0, samples=2001) == pytest.approx(1.0, abs=1e-9)
 
 
-@given(b=st.floats(0.05, 2.0), r0=st.floats(0.01, 0.5))
+@given(b=st.floats(0.05, 2.0), phi=st.floats(0.0, 6.2))
 @settings(max_examples=40)
-def test_speed_check_spiral_is_unit(b, r0):
-    s = LogSpiral(growth=b, start_radius=r0)
+def test_speed_check_spiral_is_unit(b, phi):
+    s = LogSpiral(growth=b, start_phase=phi)
     v = speed_check(s, horizon=5.0, samples=1024)
     assert v == pytest.approx(1.0, abs=1e-4)
 
 
 def test_positions_vectorized_matches_scalar():
-    fleet = Fleet((Ray(0.0), LogSpiral(growth=0.3, start_radius=0.1)))
+    fleet = Fleet((Ray(0.0), LogSpiral(growth=0.3)))
     ts = np.linspace(0.0, 4.0, 17)
     for spec in fleet.robots:
         arr = positions(spec, ts)
@@ -182,8 +195,8 @@ def test_fleet_len():
 def test_spec_dict_round_trip():
     robots = (
         Ray(0.7),
-        LogSpiral(growth=0.2125, start_radius=0.05, start_phase=1.0, chirality="cw"),
-        AntipodalOf(LogSpiral(growth=0.6465, start_radius=0.01)),
+        LogSpiral(growth=0.2125, start_phase=1.0, chirality="cw"),
+        AntipodalOf(LogSpiral(growth=0.6465)),
         Polyline(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))),
     )
     for r in robots:
@@ -202,12 +215,22 @@ def test_spec_from_dict_error_paths():
     with pytest.raises(ValueError):
         spec_from_dict({"kind": "ray"})  # missing angle
     with pytest.raises(ValueError):
-        spec_from_dict({"kind": "log_spiral", "growth": -1.0, "start_radius": 0.1})
+        spec_from_dict({"kind": "log_spiral", "growth": -1.0})
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"kind": "ray", "angle": 0.0, "angel": 1.0}, "angel"),
+    ({"kind": "log_spiral", "growth": 0.3, "start_radius": 1.0}, "start_radius"),
+    ({"kind": "polyline", "vertices": [[0, 0], [1, 0]], "speed": 2}, "speed"),
+], ids=["ray", "log_spiral", "polyline"])
+def test_spec_from_dict_rejects_unknown_keys(doc, key):
+    with pytest.raises(ValueError, match=f"robot: unknown key '{key}'"):
+        spec_from_dict(doc)
 
 
 def test_support_lipschitz_along_path():
     # support along any unit-speed trajectory changes at most at rate 1
-    s = LogSpiral(growth=0.4, start_radius=0.1)
+    s = LogSpiral(growth=0.4)
     ts = np.linspace(0.0, 6.0, 4001)
     pts = positions(s, ts)
     theta = 1.234
@@ -217,7 +240,7 @@ def test_support_lipschitz_along_path():
 
 
 def test_support_consistency_with_geometry_helper():
-    s = LogSpiral(growth=0.3, start_radius=0.2)
+    s = LogSpiral(growth=0.3)
     p = position(s, 2.5)
     assert support(p, 0.9) == pytest.approx(
         p.x * math.cos(0.9) + p.y * math.sin(0.9), abs=1e-15
