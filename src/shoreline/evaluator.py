@@ -8,39 +8,45 @@ the adversary's best offsets sit just past the values where h set a new
 record: place the line at delta = m + 0 for a record value m and the fleet
 pays the time of the *next* record divided by m.
 
-Every grid cell i carries h[i], prev[i] (the running maximum before i) and a
-secant break time: when, within one grid step, prev[i] was first exceeded.
-Cell i is a record when h[i] > prev[i], and each pair ratio is attached to
-its *numerator* record: on a record whose prev[i] is the preceding record's
-value, the line at prev[i] + 0 pays break_time[i] / prev[i].  That ratio is
-exact for piecewise-linear supports rather than inflated by one grid step,
-which keeps ray fleets accurate at the default grids.  Offsets below epsilon
-are excluded (any start inside radius epsilon trivializes the ratio); the
-first eligible record also pays a boundary ratio against max(epsilon, prev).
+The time grid holds every robot's breakpoints (``trajectory.breakpoints``),
+so on a fleet of rays, polylines and their antipodes each robot's support is
+linear on every grid cell and the running maximum at the samples is the true
+one.  Every grid cell i carries h[i] and prev[i], the running maximum before
+i; it is a record when h[i] beats prev[i] by more than rounding
+(TIE_MARGIN).  Offsets below epsilon are excluded (any start inside radius
+epsilon trivializes the ratio), so a record pays against the level
+L = max(prev[i], epsilon): the line at L + 0 is first crossed inside cell i,
+and the record's ratio is that break time over L.  The sweep takes the break
+time where the secant of h over the cell reaches L.  That is exact while one
+robot leads and early where robots take turns (h is convex on the cell), so
+the leading candidates are finished in closed form: the earliest time any
+one robot's support, linear on the cell, exceeds L.
 
 ``evaluate_cr`` finds all of this in one sweep, in t order, over tiles that
 hold every direction for a run of time samples; the running maximum, the
 previous sample and the best line so far carry from tile to tile.
-``records_to_ratio`` runs the same reduction on a stored profile.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Line, normalize_angle
-from .trajectory import Fleet, positions
+from .geometry import Line
+from .trajectory import Fleet, breakpoints, positions
 
 DEFAULT_THETA_STEPS = 720
 DEFAULT_T_STEPS = 4096
 # Fraction of the horizon below which adversary offsets are ignored.
 DEFAULT_EPSILON_FACTOR = 1e-3
-RECORD_TIME_TOL_FACTOR = 1e-9
-# How many leading sweep candidates get their numerator re-bisected.
+# How many leading sweep candidates get their break time in closed form.
 POLISH_TOP = 8
+# A rise of at most this fraction above the running max is a tie up to
+# rounding, not a record: supports that are equal in exact arithmetic (two
+# robots at mirror points, a parked robot) can differ in the last bits.
+TIE_MARGIN = 2e-12
 # Most cells in one (theta, t) tile of the record sweep, unless two time
 # samples of every direction need more: small enough that a tile's
 # temporaries stay in cache on 200k-step spiral grids.
@@ -56,18 +62,6 @@ class UncoveredDirectionError(ValueError):
 
 
 @dataclass
-class DirectionProfile:
-    theta: float
-    times: np.ndarray
-    values: np.ndarray
-    coverage: float
-
-    @property
-    def records(self) -> list[tuple[float, float]]:
-        return list(zip(self.times.tolist(), self.values.tolist()))
-
-
-@dataclass
 class CRReport:
     cr_estimate: float
     witness: Line
@@ -79,7 +73,6 @@ class CRReport:
     epsilon: float
     window: tuple[float, float] | None = None
     spacing: str = "uniform"
-    profiles: list[DirectionProfile] | None = field(default=None, repr=False)
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -102,39 +95,27 @@ def _time_grid(horizon: float, t_steps: int, spacing: str, t_start: float) -> np
     raise ValueError(f"unknown spacing {spacing!r}")
 
 
-def _fleet_support_at(fleet: Fleet, ts: np.ndarray, theta: float) -> np.ndarray:
-    u = np.array([math.cos(theta), math.sin(theta)])
-    out: np.ndarray | None = None
-    for robot in fleet.robots:
-        s = positions(robot, ts) @ u
-        out = s if out is None else np.maximum(out, s)
-    return out
-
-
-def _record_sweep(fleet: Fleet, thetas: np.ndarray, ts: np.ndarray, sinks) -> np.ndarray:
-    """Sweep the support of every direction over the time grid, tile by tile.
+def _record_sweep(fleet: Fleet, normals: np.ndarray, ts: np.ndarray,
+                  best: _BestLine) -> np.ndarray:
+    """Sweep the support of every direction over the time grid into `best`.
 
     A tile is every direction over a run of at least two time samples, its
     support one product per robot: BLAS rounds products of other shapes (one
     sample, or fewer directions) differently, and the support must not
-    depend on where tiles fall.  Each tile, in t order, goes to every sink
-    as ``add(c0, h, prev, brk, rec)`` (first sample; support, running max
-    before each cell, secant break time, record mask), valid only during
-    the call.  Returns each direction's coverage: its last record value, or
-    0 without records.
+    depend on where tiles fall.  Returns each direction's coverage: its
+    running max, which starts at 0.
     """
     paths = [positions(robot, ts) for robot in fleet.robots]
-    normals = np.stack([np.cos(thetas), np.sin(thetas)])
     ts_lo = np.concatenate((ts[:1], ts[:-1]))
     dt = ts - ts_lo  # 0 in the first column, whose break time is ts[0]
-    cols = max(2, min(len(ts), TILE_CELLS // len(thetas)))
+    n = normals.shape[1]
+    cols = max(2, min(len(ts), TILE_CELLS // n))
     bounds = [*range(0, len(ts) - 1, cols), len(ts)]  # a lone last sample joins in
     # Column 0 of each buffer carries the previous tile's last column: the
     # sample before the tile and the running max before it (0 before the
-    # first sample, which only the first column sees).
-    hbuf = np.zeros((len(thetas), cols + 2))
-    rbuf = np.zeros((len(thetas), cols + 2))
-    seen = np.zeros(len(thetas), dtype=bool)
+    # first sample, so the running max is never negative).
+    hbuf = np.zeros((n, cols + 2))
+    rbuf = np.zeros((n, cols + 2))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for c0, c1 in zip(bounds, bounds[1:]):
             w = c1 - c0
@@ -145,37 +126,12 @@ def _record_sweep(fleet: Fleet, thetas: np.ndarray, ts: np.ndarray, sinks) -> np
                 np.maximum(support, path[c0:c1] @ normals, out=support)
             h[...] = support.T
             np.fmax.accumulate(h, axis=1, out=run)  # = maximum on finite supports, faster
-            if c0:
-                np.maximum(run, prev[:, :1], out=run)
-            rec = h > prev
-            # On a record h > prev >= h_lo, so the secant fraction lies in
-            # [0, 1]; off the records it is garbage (0/0, x/0 or overflow)
-            # that no sink reads.
-            brk = np.subtract(prev, h_lo)
-            np.divide(brk, h - h_lo, out=brk)
-            np.multiply(brk, dt[c0:c1], out=brk)
-            np.add(brk, ts_lo[c0:c1], out=brk)
-            for sink in sinks:
-                sink.add(c0, h, prev, brk, rec)
-            seen |= rec.any(axis=1)
+            np.maximum(run, prev[:, :1], out=run)
+            rec = h > prev * (1.0 + TIE_MARGIN)
+            best.add(c0, h, h_lo, prev, rec, ts_lo[c0:c1], dt[c0:c1])
             hbuf[:, 0] = h[:, -1]
             rbuf[:, 0] = run[:, -1]
-    return np.where(seen, rbuf[:, 0], 0.0)
-
-
-class _RecordLog:
-    """Record cells of each swept direction: grid index, value, prev, break time."""
-
-    def __init__(self, n: int) -> None:
-        self.parts: list[list[tuple]] = [[] for _ in range(n)]
-
-    def add(self, c0, h, prev, brk, rec) -> None:
-        for k, mask in enumerate(rec):
-            i = np.nonzero(mask)[0]
-            self.parts[k].append((c0 + i, h[k, i], prev[k, i], brk[k, i]))
-
-    def row(self, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return tuple(np.concatenate(col) for col in zip(*self.parts[j]))
+    return rbuf[:, 0].copy()
 
 
 class _BestLine:
@@ -183,9 +139,9 @@ class _BestLine:
 
     Candidates are the pair numerators (records whose prev lies in [lo, hi])
     and the boundary: the first record in [lo, hi], which, records being
-    increasing, is the one whose prev lies below lo.  It pays against
-    max(lo, prev) and precedes every pair, and the first maximum wins:
-    within a tile by argmax, across tiles by a strict >.
+    increasing, is the one whose prev lies below lo.  It pays against lo
+    and precedes every pair, and the first maximum wins: within a tile by
+    argmax, across tiles by a strict >.
     """
 
     def __init__(self, n: int, epsilon: float, window: tuple[float, float] | None):
@@ -195,113 +151,50 @@ class _BestLine:
         self.ratio = np.full(n, -np.inf)  # stays -inf without a record in [lo, hi]
         self.cell = np.zeros(n, dtype=np.intp)  # grid index of the numerator
         self.time = np.zeros(n)
-        self.level = np.zeros(n)  # its prev: the level its break time beat
+        self.level = np.zeros(n)  # max(prev, lo): the offset its break time beat
 
-    def add(self, c0, h, prev, brk, rec) -> None:
+    def add(self, c0, h, h_lo, prev, rec, t_lo, dt) -> None:
         lo, hi = self.lo, self.hi
         cand = rec & (h >= lo)
         if hi < math.inf:
             cand &= (prev <= hi) & ((prev >= lo) | (h <= hi))
-        ratio = np.where(cand, brk / np.maximum(prev, lo), -np.inf)
+        level = np.maximum(prev, lo)
+        # On a candidate h >= level >= prev >= h_lo and h > h_lo, so the
+        # secant fraction lies in [0, 1]; elsewhere it is garbage (0/0, x/0
+        # or overflow) that the mask drops.
+        brk = np.subtract(level, h_lo)
+        np.divide(brk, h - h_lo, out=brk)
+        np.multiply(brk, dt, out=brk)
+        np.add(brk, t_lo, out=brk)
+        # the ratios overwrite the levels: one tile-sized temporary fewer
+        ratio = np.where(cand, np.divide(brk, level, out=level), -np.inf)
         j = ratio.argmax(axis=1)
         k = np.arange(len(h))
         k = k[ratio[k, j] > self.ratio]
         j = j[k]
         self.ratio[k], self.cell[k] = ratio[k, j], c0 + j
-        self.time[k], self.level[k] = brk[k, j], prev[k, j]
+        self.time[k], self.level[k] = brk[k, j], np.maximum(prev[k, j], lo)
 
     @property
     def found(self) -> np.ndarray:
         return self.ratio > -np.inf
 
-    @property
-    def delta(self) -> np.ndarray:
-        return np.maximum(self.level, self.lo)
 
+def _first_crossing(fleet: Fleet, cell: np.ndarray, u: np.ndarray, level: float) -> float:
+    """Earliest time in the cell [t0, t1] at which a robot's support exceeds level.
 
-def _bisect_levels(
-    fleet: Fleet,
-    theta: float,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    levels: np.ndarray,
-    tol: float,
-) -> np.ndarray:
-    """Earliest times at which fleet support exceeds the given levels.
-
-    Brackets must satisfy h(lo) <= level < h(hi); returns the hi ends after
-    shrinking every bracket below tol.
+    Each support is taken as linear on the cell, which it is for rays,
+    polylines and their antipodes; inf if no robot rises to above level.  A
+    robot that starts the cell at the level only crosses it if it rises: one
+    parked there set the level, whatever the last bit says.
     """
-    lo = lo.astype(float).copy()
-    hi = hi.astype(float).copy()
-    # 60 halvings would overshoot double precision; loop exits on width.
-    for _ in range(64):
-        width = hi - lo
-        if not np.any(width > tol):
-            break
-        mid = 0.5 * (lo + hi)
-        hm = _fleet_support_at(fleet, mid, theta)
-        above = hm > levels
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
-    return hi
-
-
-def direction_profile(
-    fleet: Fleet,
-    theta: float,
-    horizon: float,
-    t_steps: int = DEFAULT_T_STEPS,
-    *,
-    spacing: str = "uniform",
-    t_start: float = 0.0,
-) -> DirectionProfile:
-    """Running-max support records along one direction.
-
-    Every record time is refined by bisection to within 1e-9 * horizon of
-    the true instant the previous record value was exceeded.
-    """
-    theta = normalize_angle(theta)
-    ts = _time_grid(horizon, t_steps, spacing, t_start)
-    log = _RecordLog(1)
-    coverage = _record_sweep(fleet, np.array([theta]), ts, [log])
-    idx, vals, levels, times = log.row(0)
-    inner = idx > 0
-    ii = idx[inner]
-    times[inner] = _bisect_levels(
-        fleet, theta, ts[ii - 1], ts[ii], levels[inner],
-        RECORD_TIME_TOL_FACTOR * horizon,
-    )
-    return DirectionProfile(theta=theta, times=times, values=vals,
-                            coverage=float(coverage[0]))
-
-
-def records_to_ratio(
-    profile: DirectionProfile,
-    epsilon: float,
-    window: tuple[float, float] | None = None,
-) -> tuple[float, float, float]:
-    """Worst hit-time / offset ratio encoded by a profile.
-
-    Considers each record value m at or above epsilon as a line offset m+0
-    (paid at the next record's break time) plus the boundary line just above
-    max(epsilon, value preceding the first eligible record).
-    """
-    _check_positive("epsilon", epsilon)
-    best = _BestLine(1, epsilon, window)
-    values = np.asarray(profile.values, dtype=float)
-    if values.size:
-        prev = np.concatenate(([0.0], values[:-1]))
-        best.add(0, values[None], prev[None],
-                 np.asarray(profile.times, dtype=float)[None],
-                 np.ones((1, values.size), dtype=bool))
-    if not best.found[0]:
-        raise UncoveredDirectionError(
-            f"direction uncovered: no record at or above epsilon={epsilon:g} "
-            f"for theta={profile.theta:.6f}",
-            profile.theta,
-        )
-    return float(best.ratio[0]), float(best.delta[0]), float(best.time[0])
+    t = math.inf
+    for robot in fleet.robots:
+        s_lo, s_hi = positions(robot, cell) @ u
+        if s_hi > max(level, s_lo):
+            frac = max(level - s_lo, 0.0) / (s_hi - s_lo)
+            t = min(t, float(cell[0] + frac * (cell[1] - cell[0])))
+    return t
 
 
 def evaluate_cr(
@@ -314,14 +207,14 @@ def evaluate_cr(
     *,
     spacing: str = "uniform",
     t_start: float = 0.0,
-    keep_profiles: bool = False,
 ) -> CRReport:
     """Competitive-ratio estimate: max adversary ratio over a theta grid.
 
-    Record break times come from the tiled secant sweep; the leading
-    candidates are then re-bisected against the true support before the
-    final max, so the reported witness satisfies
-    cr_estimate = witness_time / witness.delta to high precision.
+    The time grid is the requested t_steps samples plus every robot's
+    breakpoints in (t_start, horizon); the report's t_steps is the requested
+    count.  The leading sweep candidates get their break time in closed form,
+    and the reported witness satisfies cr_estimate = witness_time /
+    witness.delta.
 
     Raises UncoveredDirectionError for the first direction, in grid order,
     whose coverage stays below epsilon (the fleet does not solve the problem
@@ -339,11 +232,16 @@ def evaluate_cr(
         if not 0.0 < w_lo < w_hi:
             raise ValueError("window must satisfy 0 < lo < hi")
         window = (w_lo, w_hi)
+    kinks = np.concatenate([breakpoints(robot) for robot in fleet.robots])
+    kinks = kinks[(kinks > ts[0]) & (kinks < ts[-1])]
+    if kinks.size:
+        ts = np.sort(np.concatenate((ts, kinks)))
+        ts = ts[np.diff(ts, prepend=-math.inf) > 0.0]  # one sample per time
 
     thetas = np.arange(theta_steps) * (2.0 * math.pi / theta_steps)
+    normals = np.stack([np.cos(thetas), np.sin(thetas)])
     best = _BestLine(theta_steps, epsilon, window)
-    log = _RecordLog(theta_steps) if keep_profiles else None
-    coverage = _record_sweep(fleet, thetas, ts, [best] if log is None else [best, log])
+    coverage = _record_sweep(fleet, normals, ts, best)
 
     bad = (coverage < epsilon) | ~best.found
     if bad.any():
@@ -361,32 +259,21 @@ def evaluate_cr(
             theta,
         )
 
-    deltas = best.delta
-    tol = RECORD_TIME_TOL_FACTOR * horizon
-    best_ratio, best_theta, best_delta, best_time = -math.inf, 0.0, 0.0, 0.0
-    # stable on -ratio: ties keep grid order, the first direction polishes first
+    best_ratio, best_j, best_time = -math.inf, 0, 0.0
+    # stable on -ratio: ties keep grid order, the first direction wins a tie
     for j in np.argsort(-best.ratio, kind="stable")[:POLISH_TOP]:
-        ratio, theta = float(best.ratio[j]), float(thetas[j])
-        delta, time, g = float(deltas[j]), float(best.time[j]), int(best.cell[j])
-        if g > 0 and ts[g] > ts[g - 1]:
-            t_ref = _bisect_levels(
-                fleet, theta, ts[g - 1:g], ts[g:g + 1], best.level[j:j + 1], tol
-            )
-            time = float(t_ref[0])
-            ratio = time / delta
+        time, g = float(best.time[j]), int(best.cell[j])
+        if g > 0:
+            hit = _first_crossing(fleet, ts[g - 1:g + 1], normals[:, j],
+                                  float(best.level[j]))
+            time = hit if hit < math.inf else time
+        ratio = time / float(best.level[j])
         if ratio > best_ratio:
-            best_ratio, best_theta, best_delta, best_time = ratio, theta, delta, time
-
-    profiles = None
-    if log is not None:
-        profiles = []
-        for j, theta in enumerate(thetas):
-            _, vals, _, brk = log.row(j)
-            profiles.append(DirectionProfile(float(theta), brk, vals, float(coverage[j])))
+            best_ratio, best_j, best_time = ratio, j, time
 
     return CRReport(
         cr_estimate=best_ratio,
-        witness=Line(best_theta, best_delta),
+        witness=Line(float(thetas[best_j]), float(best.level[best_j])),
         witness_time=best_time,
         coverage_radius=float(coverage.min()),
         horizon=float(horizon),
@@ -395,5 +282,4 @@ def evaluate_cr(
         epsilon=float(epsilon),
         window=window,
         spacing=spacing,
-        profiles=profiles,
     )

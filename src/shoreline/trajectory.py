@@ -26,6 +26,10 @@ class Ray:
 
     angle: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.angle):
+            raise ValueError(f"angle must be finite, got {self.angle!r}")
+
 
 @dataclass(frozen=True)
 class LogSpiral:
@@ -36,6 +40,8 @@ class LogSpiral:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.growth) and self.growth > 0.0):
             raise ValueError("growth must be positive and finite")
+        if not math.isfinite(self.start_phase):
+            raise ValueError(f"start_phase must be finite, got {self.start_phase!r}")
         if self.chirality not in ("ccw", "cw"):
             raise ValueError(f"chirality must be 'ccw' or 'cw', got {self.chirality!r}")
 
@@ -112,6 +118,8 @@ def spec_from_dict(doc: dict, where: str = "robot") -> TrajectorySpec:
     unknown = sorted(set(doc) - {"kind"} - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+    if kind == "antipodal_of":  # the inner descriptor names its own slot
+        return AntipodalOf(spec_from_dict(doc.get("inner"), where + ".inner"))
     try:
         if kind == "ray":
             return Ray(angle=float(doc["angle"]))
@@ -121,8 +129,6 @@ def spec_from_dict(doc: dict, where: str = "robot") -> TrajectorySpec:
                 start_phase=float(doc.get("start_phase", 0.0)),
                 chirality=str(doc.get("chirality", "ccw")),
             )
-        if kind == "antipodal_of":
-            return AntipodalOf(spec_from_dict(doc["inner"], where + ".inner"))
         return Polyline(tuple((float(x), float(y)) for x, y in doc["vertices"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
@@ -142,6 +148,20 @@ def _polyline_tables(spec: Polyline) -> tuple[np.ndarray, np.ndarray]:
     lengths = lengths[keep]
     cum = np.concatenate([[0.0], np.cumsum(lengths)])
     return cum, verts
+
+
+def breakpoints(spec: TrajectorySpec) -> np.ndarray:
+    """Times at which a path turns or parks: its polyline vertex times.
+
+    Between two of them a ray, a polyline or an antipode of either moves in
+    a straight line, so its support in any direction is linear in t there.
+    Rays and spirals have none.
+    """
+    if isinstance(spec, AntipodalOf):
+        return breakpoints(spec.inner)
+    if isinstance(spec, Polyline):
+        return _polyline_tables(spec)[0][1:]
+    return np.empty(0)
 
 
 def positions(spec: TrajectorySpec, ts: np.ndarray) -> np.ndarray:

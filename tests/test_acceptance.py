@@ -182,14 +182,20 @@ def random_polyline_fleet(rng: np.random.Generator) -> Fleet:
     return Fleet(tuple(robots))
 
 
-def test_criterion_10_certificates_never_exceed_measured_cr():
+def criterion_10_draws():
+    """Criterion 10's 50 fleets, each with its three snapshot times."""
     rng = np.random.default_rng(2026)
-    worst_margin = math.inf
-    checks = 0
     for _ in range(50):
         fleet = random_polyline_fleet(rng)
+        yield fleet, rng.uniform(0.2, 2.0, size=3)
+
+
+def test_criterion_10_certificates_never_exceed_measured_cr():
+    worst_margin = math.inf
+    checks = 0
+    for fleet, ds in criterion_10_draws():
         rep = evaluate_cr(fleet, horizon=16.0, theta_steps=180, t_steps=1024)
-        for d in rng.uniform(0.2, 2.0, size=3):
+        for d in ds:
             cert = snapshot_lower_bound(fleet, float(d), len(fleet))
             assert not cert.degenerate  # the anchor is always off-origin
             worst_margin = min(worst_margin, rep.cr_estimate - cert.bound)
@@ -197,3 +203,16 @@ def test_criterion_10_certificates_never_exceed_measured_cr():
     ok = worst_margin >= -1e-6
     record(10, ok, f"min(cr - bound) = {worst_margin:.3g} >= -1e-6 over "
                    f"{checks} snapshots of 50 random polyline fleets")
+
+
+def test_criterion_10_estimates_do_not_depend_on_the_t_grid():
+    # every polyline vertex is a grid time and the leading break times are
+    # exact, so the measured CRs that criterion 10 compares against barely
+    # move when the grid gets 16 times finer
+    worst = 0.0
+    for fleet, _ in criterion_10_draws():
+        coarse = evaluate_cr(fleet, horizon=16.0, theta_steps=180, t_steps=1024)
+        fine = evaluate_cr(fleet, horizon=16.0, theta_steps=180, t_steps=16384)
+        worst = max(worst, abs(coarse.cr_estimate / fine.cr_estimate - 1.0))
+    record(10, worst <= 1e-3, f"max |cr(1024 t) / cr(16384 t) - 1| = {worst:.3g} "
+                              f"<= 1e-3 over 50 random polyline fleets")

@@ -164,6 +164,24 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, doc, where, key):
     assert f"{where}: unknown key '{key}'" in err
 
 
+@pytest.mark.parametrize("command", [["evaluate"], ["certify", "--d", "1"]])
+@pytest.mark.parametrize("robot,message", [
+    ('{"kind": "log_spiral", "growth": 0.3, "start_phase": NaN}',
+     "robots[1]: start_phase must be finite, got nan"),
+    ('{"kind": "ray", "angle": NaN}', "robots[1]: angle must be finite, got nan"),
+    ('{"kind": "ray", "angle": 1e400}', "robots[1]: angle must be finite, got inf"),
+], ids=["spiral-nan-phase", "ray-nan", "ray-overflow"])
+def test_config_rejects_non_finite_bearings(tmp_path, capsys, command, robot, message):
+    # a NaN phase used to certify "unbounded CR" with exit 0, a NaN ray was
+    # dropped by certify and left evaluate uncovered, 1e400 hit a math error
+    p = tmp_path / "f.json"
+    p.write_text('{"version": 1, "evaluation": {"horizon": 10}, "robots": '
+                 f'[{{"kind": "ray", "angle": 0.0}}, {robot}]}}')
+    assert main([command[0], str(p), *command[1:]]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: config {p}: {message}\n"
+
+
 def test_config_invalid_json(tmp_path, capsys):
     p = tmp_path / "f.json"
     p.write_text("{not json")

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 from pathlib import Path
@@ -14,151 +13,164 @@ from shoreline.evaluator import (
     DEFAULT_EPSILON_FACTOR,
     DEFAULT_THETA_STEPS,
     CRReport,
-    DirectionProfile,
     UncoveredDirectionError,
-    direction_profile,
     evaluate_cr,
-    records_to_ratio,
 )
-from shoreline.trajectory import Fleet, LogSpiral, Polyline, Ray
+from shoreline.trajectory import AntipodalOf, Fleet, LogSpiral, Polyline, Ray
+
+# all four vertices visited by t = 1 + 3 sqrt(2), so every direction covered
+DIAMOND = Polyline(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
+                    (1.0, 0.0)))
+_point = st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
 
 
-def make_profile(records):
-    ts = np.array([t for t, _ in records], dtype=float)
-    vs = np.array([v for _, v in records], dtype=float)
-    cov = float(vs[-1]) if len(records) else 0.0
-    return DirectionProfile(theta=0.0, times=ts, values=vs, coverage=cov)
+def one_direction(*robots, **kwargs):
+    """evaluate_cr along theta = 0 only, where a robot's support is its x."""
+    return evaluate_cr(Fleet(robots), theta_steps=1, **kwargs)
 
 
-# ---------------------------------------------------------------- profiles
+def path(*turns):
+    """Polyline from the origin through the given vertices."""
+    return Polyline(((0.0, 0.0),) + turns)
+
+
+# ------------------------------------------------------ single directions
 
 
 def test_profile_single_ray_own_direction():
-    fleet = Fleet((Ray(0.0),))
-    prof = direction_profile(fleet, 0.0, horizon=10.0, t_steps=512)
-    assert prof.coverage == pytest.approx(10.0)
-    # support equals elapsed time along the ray's own bearing, so each
-    # record's break time matches the previous record's value
-    assert prof.times[0] < 1e-6
-    np.testing.assert_allclose(prof.times[1:], prof.values[:-1], atol=1e-7)
+    # support equals elapsed time along the ray's own bearing, so every
+    # line is hit at exactly its offset
+    rep = one_direction(Ray(0.0), horizon=10.0, t_steps=512)
+    assert rep.coverage_radius == pytest.approx(10.0)
+    assert rep.cr_estimate == pytest.approx(1.0, rel=1e-12)
+    assert rep.witness_time == pytest.approx(rep.witness.delta, rel=1e-12)
 
 
 def test_profile_oblique_direction_break_times():
     phi = math.pi / 5
-    fleet = Fleet((Ray(0.0),))
-    prof = direction_profile(fleet, phi, horizon=10.0, t_steps=512)
-    assert prof.coverage == pytest.approx(10.0 * math.cos(phi), rel=1e-12)
-    # each record time is the instant the previous record value was beaten
-    lhs = prof.times[1:] * math.cos(phi)
-    np.testing.assert_allclose(lhs, prof.values[:-1], atol=1e-7)
+    rep = one_direction(Ray(-phi), horizon=10.0, t_steps=512)
+    assert rep.coverage_radius == pytest.approx(10.0 * math.cos(phi), rel=1e-12)
+    # the witness line is first reached when t cos(phi) passes its offset
+    assert rep.witness_time * math.cos(phi) == pytest.approx(rep.witness.delta,
+                                                             rel=1e-12)
+    assert rep.cr_estimate == pytest.approx(1.0 / math.cos(phi), rel=1e-12)
 
 
 def test_profile_values_strictly_increase():
-    fleet = Fleet((Ray(0.0), Ray(2.0)))
-    prof = direction_profile(fleet, 1.0, horizon=8.0, t_steps=777)
-    assert np.all(np.diff(prof.values) > 0)
-    assert np.all(np.diff(prof.times) >= -1e-12)
-    assert prof.coverage == pytest.approx(float(prof.values[-1]))
-
-
-def test_profile_records_property():
-    prof = make_profile([(1.0, 0.5), (3.0, 2.0)])
-    assert prof.records == [(1.0, 0.5), (3.0, 2.0)]
+    # a record must beat the running max by more than rounding: one robot
+    # parks at x = 0.7071067811865475 and another reaches the next float up
+    # at t = 3.12; that is a tie, not a line paid at t = 3.12
+    x = 0.7071067811865475
+    parked = path((x, 0.7))
+    late = path((-1.0, -1.0), (float(np.nextafter(x, 1.0)), -1.0))
+    rep = one_direction(parked, late, horizon=4.0, t_steps=9)
+    assert rep.cr_estimate == pytest.approx(math.hypot(x, 0.7) / x, rel=1e-12)
+    assert rep.witness_time < 1.0
 
 
 @given(
     a=st.floats(0.0, 6.28),
     b=st.floats(0.1, 1.5),
-    theta=st.floats(0.0, 6.28),
+    phase=st.floats(0.0, 6.28),
+    walk=st.lists(_point, min_size=1, max_size=4),
 )
 @settings(max_examples=30, deadline=None)
-def test_profile_invariants_mixed_fleet(a, b, theta):
-    fleet = Fleet((Ray(a), LogSpiral(growth=b)))
-    prof = direction_profile(fleet, theta, horizon=6.0, t_steps=512)
-    assert prof.values.size > 0
-    assert np.all(np.diff(prof.values) > 0)
-    assert np.all(prof.times >= -1e-12)
-    assert np.all(prof.times <= 6.0 + 1e-9)
-    # at each break time the support equals the level being broken, and a
-    # unit-speed robot starting at the origin cannot project farther than
-    # the elapsed time
-    assert np.all(prof.values[:-1] <= prof.times[1:] + 1e-9)
+def test_profile_invariants_mixed_fleet(a, b, phase, walk):
+    # a unit-speed robot starting at the origin cannot project farther than
+    # the elapsed time, so no line is hit before its offset
+    fleet = Fleet((DIAMOND, Ray(a), LogSpiral(growth=b, start_phase=phase),
+                   AntipodalOf(path(*walk))))
+    rep = evaluate_cr(fleet, horizon=6.0, theta_steps=12, t_steps=512)
+    assert rep.cr_estimate >= 1.0 - 1e-9
+    assert rep.witness_time >= rep.witness.delta - 1e-9
+    assert rep.cr_estimate == rep.witness_time / rep.witness.delta
 
 
 def test_profile_geometric_spacing_requires_start():
-    fleet = Fleet((Ray(0.0),))
     with pytest.raises(ValueError):
-        direction_profile(fleet, 0.0, horizon=5.0, spacing="geometric", t_start=0.0)
-    prof = direction_profile(
-        fleet, 0.0, horizon=5.0, t_steps=256, spacing="geometric", t_start=0.01
-    )
-    assert prof.coverage == pytest.approx(5.0)
+        one_direction(Ray(0.0), horizon=5.0, spacing="geometric", t_start=0.0)
+    rep = one_direction(Ray(0.0), horizon=5.0, t_steps=256, spacing="geometric",
+                        t_start=0.01)
+    assert rep.coverage_radius == pytest.approx(5.0)
 
 
 def test_profile_unknown_spacing():
     with pytest.raises(ValueError, match="spacing"):
-        direction_profile(Fleet((Ray(0.0),)), 0.0, horizon=5.0, spacing="log")
+        one_direction(Ray(0.0), horizon=5.0, spacing="log")
 
 
-# ------------------------------------------------------------ ratio logic
+# ----------------------------------------------------- records to ratio
 
 
 def test_records_to_ratio_worked_example():
-    prof = make_profile([(1.0, 0.5), (3.0, 2.0)])
-    ratio, delta, time = records_to_ratio(prof, epsilon=0.5)
-    assert ratio == pytest.approx(6.0)
-    assert delta == pytest.approx(0.5)
-    assert time == pytest.approx(3.0)
+    # x reaches 0.5 at t = 0.5, waits there until t = 3, then goes on: the
+    # line just past 0.5 is paid at t = 3
+    robot = path((0.5, 0.0), (0.5, 1.25), (0.5, 0.0), (2.0, 0.0))
+    rep = one_direction(robot, horizon=6.0, t_steps=7, epsilon=0.5)
+    assert rep.cr_estimate == 6.0
+    assert rep.witness.delta == 0.5
+    assert rep.witness_time == 3.0
 
 
 def test_records_to_ratio_single_record_boundary():
-    prof = make_profile([(1.0, 0.5)])
-    ratio, delta, time = records_to_ratio(prof, epsilon=0.5)
-    # only the boundary line just above epsilon is payable
-    assert ratio == pytest.approx(2.0)
-    assert delta == pytest.approx(0.5)
-    assert time == pytest.approx(1.0)
+    # the support x = t / 2 pays 2 on every line; the first eligible line,
+    # just past epsilon, wins the tie
+    robot = path((0.5, math.sqrt(0.75)))
+    rep = one_direction(robot, horizon=2.0, t_steps=9, epsilon=0.25)
+    assert rep.cr_estimate == pytest.approx(2.0, rel=1e-12)
+    assert rep.witness.delta == 0.25
+    assert rep.witness_time == pytest.approx(0.5, rel=1e-12)
 
 
 def test_records_to_ratio_boundary_uses_preceding_value():
-    # first eligible record is not the first record; the adversary places
-    # the line just above the last value below the cutoff
-    prof = make_profile([(1.0, 0.9), (2.0, 1.5), (5.0, 4.0)])
-    ratio, delta, time = records_to_ratio(prof, epsilon=1.0)
-    # candidates: boundary 2.0/1.0 = 2.0, pair 5.0/1.5 = 3.33..
-    assert ratio == pytest.approx(5.0 / 1.5)
-    assert delta == pytest.approx(1.5)
-    assert time == pytest.approx(5.0)
+    # x waits at 0.9, just below epsilon, until t = 4.9: the boundary line
+    # just past epsilon = 0.95 is paid when x passes 0.95, at t = 4.95, not
+    # when it passes the preceding record value 0.9
+    robot = path((0.9, 0.0), (0.9, 2.0), (0.9, 0.0), (3.0, 0.0))
+    rep = one_direction(robot, horizon=8.0, t_steps=9, epsilon=0.95)
+    assert rep.witness.delta == 0.95
+    assert rep.witness_time == pytest.approx(4.95, rel=1e-12)
+    assert rep.cr_estimate == pytest.approx(4.95 / 0.95, rel=1e-12)
 
 
 def test_records_to_ratio_window_filters():
-    prof = make_profile([(1.0, 0.5), (3.0, 2.0), (10.0, 8.0)])
-    ratio, delta, _ = records_to_ratio(prof, epsilon=0.1, window=(1.0, 5.0))
-    # only the record value 2.0 sits inside the window; boundary level is
-    # max(1.0, 0.5) = 1.0 paid at its break time 3.0
-    assert delta == pytest.approx(2.0)
-    assert ratio == pytest.approx(10.0 / 2.0)
+    # x waits at 0.5 until t = 4 (ratio 8), then at 2 until t = 10 (ratio 5)
+    robot = path((0.5, 0.0), (0.5, 1.75), (0.5, 0.0), (2.0, 0.0), (2.0, 2.25),
+                 (2.0, 0.0), (8.0, 0.0))
+    rep = one_direction(robot, horizon=20.0, t_steps=21, epsilon=0.1)
+    assert (rep.cr_estimate, rep.witness.delta, rep.witness_time) == (8.0, 0.5, 4.0)
+    # the window drops the offset 0.5; its boundary line, just past 1, is
+    # paid at t = 4.5
+    rep = one_direction(robot, horizon=20.0, t_steps=21, epsilon=0.1,
+                        window=(1.0, 5.0))
+    assert (rep.cr_estimate, rep.witness.delta, rep.witness_time) == (5.0, 2.0, 10.0)
 
 
 def test_records_to_ratio_uncovered():
-    prof = make_profile([(1.0, 0.5)])
-    with pytest.raises(UncoveredDirectionError) as err:
-        records_to_ratio(prof, epsilon=0.8)
+    robot = path((0.5, 0.0))
+    with pytest.raises(UncoveredDirectionError, match="coverage") as err:
+        one_direction(robot, horizon=4.0, t_steps=9, epsilon=0.8)
     assert err.value.theta == 0.0
 
 
 def test_records_to_ratio_record_jumping_over_window():
-    # 0.5 -> 6.0 leaps from below the window to above it: no record value
-    # and no pair offset lies inside, so there is no line to measure
-    prof = make_profile([(1.0, 0.5), (2.0, 6.0)])
-    with pytest.raises(UncoveredDirectionError):
-        records_to_ratio(prof, epsilon=0.1, window=(1.0, 5.0))
+    # two samples, x = 0 and then 10: the record leaps from below the window
+    # to above it, so no record value and no pair offset lies inside
+    with pytest.raises(UncoveredDirectionError, match="measurement window"):
+        one_direction(Ray(0.0), horizon=10.0, t_steps=2, epsilon=0.1,
+                      window=(1.0, 5.0))
 
 
 def test_records_to_ratio_rejects_bad_epsilon():
-    prof = make_profile([(1.0, 0.5)])
-    with pytest.raises(ValueError):
-        records_to_ratio(prof, epsilon=0.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        one_direction(Ray(0.0), horizon=10.0, epsilon=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_records_to_ratio_rejects_non_finite_epsilon(bad):
+    # a window's lower end takes over from epsilon, but never from a bad one
+    with pytest.raises(ValueError, match="epsilon must be finite"):
+        one_direction(Ray(0.0), horizon=10.0, epsilon=bad, window=(1.0, 5.0))
 
 
 # ------------------------------------------------------------- evaluate_cr
@@ -189,24 +201,13 @@ def test_evaluate_cr_report_fields(ray_fleet):
     assert report.epsilon == pytest.approx(DEFAULT_EPSILON_FACTOR * 8.0)
     assert report.spacing == "uniform"
     assert report.window is None
-    assert report.profiles is None
     # worst direction over the grid determines the coverage radius
     assert report.coverage_radius == pytest.approx(8.0 * math.cos(math.pi / 4), rel=1e-3)
 
 
-def test_evaluate_cr_keep_profiles(ray_fleet):
-    report = evaluate_cr(
-        ray_fleet(4), horizon=6.0, theta_steps=64, t_steps=256, keep_profiles=True
-    )
-    assert report.profiles is not None
-    assert len(report.profiles) == 64
-    assert all(p.coverage >= report.epsilon for p in report.profiles)
-
-
 def test_evaluate_cr_rotation_by_grid_step(ray_fleet):
     # rotating the fleet by exactly one theta-grid step relabels directions
-    # without changing the measured ratio; the window keeps witness offsets
-    # >= 1 so bisection jitter on break times stays below 1e-8
+    # without changing the measured ratio
     steps = 360
     base = evaluate_cr(ray_fleet(4), horizon=10.0, theta_steps=steps, t_steps=512,
                        window=(1.0, 5.0))
@@ -314,16 +315,9 @@ def test_evaluate_cr_rejects_non_finite(ray_fleet, arg, bad):
     assert not isinstance(err.value, UncoveredDirectionError)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_records_to_ratio_rejects_non_finite_epsilon(bad):
-    with pytest.raises(ValueError, match="epsilon must be finite"):
-        records_to_ratio(make_profile([(1.0, 0.5)]), epsilon=bad)
-
-
 def test_evaluate_cr_refinement_stability(ray_fleet):
-    # the bisection polish makes the estimate insensitive to time-grid
-    # density for piecewise-linear supports (offsets >= 1 keep the residual
-    # break-time jitter out of the ratio)
+    # break times are exact for piecewise-linear supports, so the estimate
+    # does not depend on the time-grid density
     coarse = evaluate_cr(ray_fleet(4), horizon=10.0, theta_steps=360, t_steps=128,
                          window=(1.0, 5.0))
     fine = evaluate_cr(ray_fleet(4), horizon=10.0, theta_steps=360, t_steps=4096,
@@ -345,75 +339,74 @@ FLEETS = Path(__file__).resolve().parents[1] / "fleets"
 
 # cr_estimate, witness theta, witness delta, witness_time, coverage_radius of
 # every shipped config at its own grid (rays: 720 x 4096), and of four ray
-# fleets turned by half a theta step, as the per-direction record loop
-# computed them (the spirals as they run from the origin); a bare float is
-# the theta of an UncoveredDirectionError.
+# fleets turned by half a theta step; a bare float is the theta of an
+# UncoveredDirectionError.
 PINNED = {
     "all-at-origin": 0.0,
     "double-spiral-2": (
-        5.264431212708408, 5.235987755982988, 273.8358061710915,
-        1441.589765164264, 469617.6186364259,
+        5.2644286496457315, 2.0943951023931953, 273.8358061710916,
+        1441.5890633059298, 469617.6186364259,
     ),
     "rays-10": (
-        1.0514630264402818, 0.3141592653589793, 0.0116124116763755,
-        0.01221002152551225, 9.510565162951535,
+        1.0514622242382674, 0.3141592653589793, 0.0116124116763755,
+        0.01221001221001221, 9.510565162951535,
     ),
     "rays-11": (
-        1.0422171347182323, 3.141592653589793, 0.5037630996999193,
-        0.5250305343460251, 9.594929736144975,
+        1.0422171162264056, 3.141592653589793, 0.5037630996999193,
+        0.525030525030525, 9.594929736144975,
     ),
     "rays-12": (
-        1.0352769702631262, 1.3089969389957472, 0.011793966132955656,
-        0.01221002152551225, 9.659258262890683,
+        1.0352761804100832, 0.2617993877991494, 0.0684050035711428,
+        0.07081807081807082, 9.659258262890683,
     ),
     "rays-3": (
-        2.000000847710503, 1.0471975511965976, 0.01098901098901099,
-        0.021978031293522014, 5.000000000000001,
+        1.9999999999999998, 1.0471975511965976, 0.01098901098901099,
+        0.021978021978021976, 5.000000000000001,
     ),
     "rays-4": (
-        1.4142142367226713, 2.356194490192345, 0.013814051891312283,
-        0.019536028851519574, 7.0710678118654755,
+        1.4142135623730951, 0.7853981633974483, 0.01,
+        0.01414213562373095, 7.0710678118654755,
     ),
     "rays-5": (
-        1.2360682548659743, 0.6283185307179586, 0.033585565090046655,
-        0.04151405082954156, 8.090169943749475,
+        1.2360679774997898, 0.6283185307179586, 0.033585565090046655,
+        0.04151404151404151, 8.090169943749475,
     ),
     "rays-6": (
-        1.1547014193458487, 0.5235987755982988, 0.010574180754388752,
-        0.01221002152551225, 8.660254037844386,
+        1.154700538379252, 4.71238898038469, 0.1966797620316307,
+        0.2271062271062271, 8.660254037844386,
     ),
     "rays-7": (
-        1.109916869031105, 3.141592653589793, 0.015401177229101183,
-        0.017094026409517134, 9.009688679024192,
+        1.1099162641747424, 3.141592653589793, 0.01,
+        0.011099162641747424, 9.009688679024192,
     ),
     "rays-8": (
-        1.0823930260921075, 0.39269908169872414, 0.011280580372543184,
-        0.01221002152551225, 9.238795325112868,
+        1.082392200292394, 0.39269908169872414, 0.011280580372543184,
+        0.01221001221001221, 9.238795325112868,
     ),
     "rays-9": (
-        1.06417858437912, 2.443460952792061, 0.011473658373454314,
-        0.01221002152551225, 9.396926207859083,
+        1.0641777724759123, 0.3490658503988659, 0.0803156086141802,
+        0.08547008547008547, 9.396926207859083,
     ),
     "single-ray": 1.5707963267948966,
     "spiral-1": (
-        13.81113566232692, 0.0, 3.8868072790408954,
-        53.68122262415357, 170.81638857155338,
+        13.811135403376294, 1.0471975511965976, 18.454245017291985,
+        254.8740767009019, 170.81638857155338,
     ),
     "rays-3-half-step": (
-        1.9850179386684712, 5.235987755982989, 0.012302172821624553,
-        0.02442003373552446, 5.037739770455256,
+        1.9850171814445097, 5.235987755982989, 0.012302172821624553,
+        0.02442002442002442, 5.037739770455256,
     ),
     "rays-4-half-step": (
-        1.4080838317447955, 5.497787143782138, 0.01213992095082539,
-        0.017094026409517134, 7.1018537562328525,
+        1.408083064400422, 2.3649211364523164, 2.0169611522585607,
+        2.84004884004884, 7.1018537562328525,
     ),
     "rays-7-half-step": (
-        1.10958360566936, 5.838126347921032, 0.04621739212397181,
-        0.05128206059755132, 9.012391464174504,
+        1.1095834041110373, 5.838126347921032, 0.04621739212397181,
+        0.05128205128205128, 9.012391464174504,
     ),
     "rays-12-half-step": (
-        1.0340772454890896, 6.021385919380437, 0.04486904234277146,
-        0.04639805571354644, 9.67045938913943,
+        1.0340770378737818, 4.4505895925855405, 0.6588664638754336,
+        0.6813186813186813, 9.67045938913943,
     ),
 }
 
@@ -456,28 +449,30 @@ def test_evaluate_cr_matches_pinned_values(name):
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_shipped_ray_fleets_match_the_closed_form(n):
+    # break times are exact on rays, and the shipped grids hold the worst
+    # direction, so only rounding separates the estimate from 1/cos(pi/n)
+    fleet, horizon, kwargs = _shipped(f"rays-{n}")
+    rep = evaluate_cr(fleet, horizon, **kwargs)
+    assert rep.cr_estimate == pytest.approx(1.0 / math.cos(math.pi / n), abs=1e-12)
+
+
 def _outcome(fleet, **kwargs):
-    """Every CRReport field (profiles as arrays), or the uncovered error."""
+    """The CRReport, or the uncovered error."""
     try:
-        rep = evaluate_cr(fleet, keep_profiles=True, **kwargs)
+        return evaluate_cr(fleet, **kwargs)
     except UncoveredDirectionError as exc:
         return ("uncovered", exc.theta, str(exc))
-    fields = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
-    fields["profiles"] = [(p.theta, p.times.tolist(), p.values.tolist(), p.coverage)
-                          for p in fields["profiles"]]
-    return fields
 
 
 def _assert_tile_invariant(monkeypatch, fleet, t_steps, **kwargs):
     want = _outcome(fleet, t_steps=t_steps, **kwargs)
-    assert isinstance(want, dict), want  # every fleet here is covered
+    assert isinstance(want, CRReport), want  # every fleet here is covered
     for cells in (5, 64, 1000, t_steps - 1):
         monkeypatch.setattr(evaluator, "TILE_CELLS", cells)
         assert _outcome(fleet, t_steps=t_steps, **kwargs) == want, cells
     monkeypatch.undo()
-
-
-_point = st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
 
 
 @given(
@@ -488,9 +483,7 @@ _point = st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
 def test_tile_size_never_changes_the_report(walks, window):
     # a diamond anchor covers every direction; random walks add ties, flat
     # stretches and records that straddle tile edges
-    diamond = Polyline(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0),
-                        (0.0, -1.0), (1.0, 0.0)))
-    robots = (diamond,) + tuple(Polyline(((0.0, 0.0),) + tuple(w)) for w in walks)
+    robots = (DIAMOND,) + tuple(path(*w) for w in walks)
     with pytest.MonkeyPatch.context() as mp:
         _assert_tile_invariant(mp, Fleet(robots), 97, horizon=12.0, theta_steps=24,
                                window=window)
@@ -500,9 +493,7 @@ def test_record_sweep_overflow_stays_silent():
     # a robot drifting 5e-324 sideways makes the support step between two
     # samples subnormal in some directions, so an off-record secant fraction
     # overflows; no sink reads it and no warning may escape
-    diamond = Polyline(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0),
-                        (0.0, -1.0), (1.0, 0.0)))
-    fleet = Fleet((diamond, Polyline(((0.0, 0.0), (5e-324, 3.0)))))
+    fleet = Fleet((DIAMOND, path((5e-324, 3.0))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = evaluate_cr(fleet, horizon=12.0, theta_steps=24, t_steps=97)
@@ -521,3 +512,62 @@ def test_tile_size_never_changes_tied_ratios(monkeypatch):
     # the tied maxima must win whichever tile it falls in
     _assert_tile_invariant(monkeypatch, Fleet((Ray(0.0),)), 257, horizon=10.0,
                            theta_steps=1)
+
+
+# ------------------------------------------------------------ witness replay
+
+
+def _knots(robot, horizon):
+    """Times and points between which the robot moves in straight lines."""
+    if isinstance(robot, AntipodalOf):
+        ts, ps = _knots(robot.inner, horizon)
+        return ts, -ps
+    if isinstance(robot, Ray):
+        end = horizon * np.array([math.cos(robot.angle), math.sin(robot.angle)])
+        return np.array([0.0, horizon]), np.array([[0.0, 0.0], end])
+    verts = np.array(robot.vertices)
+    ts = np.concatenate(([0.0], np.cumsum(np.hypot(*np.diff(verts, axis=0).T))))
+    # parked at the last vertex until the horizon
+    return np.append(ts, max(ts[-1], horizon)), np.vstack((verts, verts[-1:]))
+
+
+def _first_hit(fleet, theta, delta, horizon):
+    """Earliest time any robot's support reaches delta, exact for these paths."""
+    u = np.array([math.cos(theta), math.sin(theta)])
+    best = math.inf
+    for robot in fleet.robots:
+        ts, ps = _knots(robot, horizon)
+        s = ps @ u
+        k = int(np.argmax(s >= delta))
+        if s[k] < delta:
+            continue
+        t = ts[0] if k == 0 else (
+            ts[k - 1] + (delta - s[k - 1]) / (s[k] - s[k - 1]) * (ts[k] - ts[k - 1]))
+        best = min(best, t)
+    return best
+
+
+_walk = st.lists(_point, min_size=1, max_size=5).map(lambda w: path(*w))
+_robot = st.one_of(st.floats(0.0, 2.0 * math.pi).map(Ray), _walk,
+                   _walk.map(AntipodalOf))
+# something that covers every direction: a diamond, its antipode, or a fan
+# of at least three rays
+_anchor = st.one_of(
+    st.just((DIAMOND,)), st.just((AntipodalOf(DIAMOND),)),
+    st.builds(lambda n, a: tuple(Ray(a + 2.0 * math.pi * k / n) for k in range(n)),
+              st.integers(3, 6), st.floats(0.0, 2.0 * math.pi)),
+)
+
+
+@given(anchor=_anchor, extra=st.lists(_robot, max_size=3),
+       window=st.sampled_from([None, (0.3, 2.0)]))
+@settings(max_examples=100, deadline=None)
+def test_witness_replays(anchor, extra, window):
+    # the fleet reaches a line just past the witness at the reported time:
+    # the estimate is a ratio the fleet really pays, not a grid artefact
+    fleet = Fleet(anchor + tuple(extra))
+    horizon = 12.0
+    rep = evaluate_cr(fleet, horizon, theta_steps=24, t_steps=97, window=window)
+    hit = _first_hit(fleet, rep.witness.theta, rep.witness.delta * (1.0 + 1e-12),
+                     horizon)
+    assert hit == pytest.approx(rep.witness_time, rel=0.0, abs=1e-9 * horizon)

@@ -144,7 +144,7 @@ def test_shipped_spiral_configs_match_the_closed_form(n, name):
                       epsilon=ev["epsilon"], window=tuple(ev["window"]),
                       spacing=ev["spacing"], t_start=ev["t_start"])
     b = fleet.robots[0].growth
-    assert rep.cr_estimate == pytest.approx(steady_state_cr(n, b), abs=1e-5)
+    assert rep.cr_estimate == pytest.approx(steady_state_cr(n, b), abs=2e-7)
 
 
 def test_steady_state_cr_rejects_bad_inputs():

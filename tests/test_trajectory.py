@@ -28,6 +28,14 @@ def test_ray_position():
     assert p.y == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_bearings_rejected(bad):
+    with pytest.raises(ValueError, match="angle must be finite"):
+        Ray(bad)
+    with pytest.raises(ValueError, match="start_phase must be finite"):
+        LogSpiral(growth=0.3, start_phase=bad)
+
+
 def test_ray_negative_time_rejected():
     with pytest.raises(ValueError):
         position(Ray(0.0), -0.5)
@@ -216,6 +224,19 @@ def test_spec_from_dict_error_paths():
         spec_from_dict({"kind": "ray"})  # missing angle
     with pytest.raises(ValueError):
         spec_from_dict({"kind": "log_spiral", "growth": -1.0})
+
+
+@pytest.mark.parametrize("inner,message", [
+    ({"kind": "log_spiral", "growth": -0.3}, "growth must be positive and finite"),
+    ({"kind": "ray"}, "'angle'"),
+    (None, "descriptor must be a mapping"),
+], ids=["bad-value", "missing-key", "missing-inner"])
+def test_spec_from_dict_names_a_nested_slot_once(inner, message):
+    doc = {"kind": "antipodal_of"} if inner is None else {"kind": "antipodal_of",
+                                                         "inner": inner}
+    with pytest.raises(ValueError) as err:
+        spec_from_dict(doc, "robots[0]")
+    assert str(err.value) == f"robots[0].inner: {message}"
 
 
 @pytest.mark.parametrize("doc,key", [
