@@ -164,6 +164,13 @@ def breakpoints(spec: TrajectorySpec) -> np.ndarray:
     return np.empty(0)
 
 
+def piecewise_linear(spec: TrajectorySpec) -> bool:
+    """Whether the path is straight between its breakpoints: no spiral in it."""
+    if isinstance(spec, AntipodalOf):
+        return piecewise_linear(spec.inner)
+    return not isinstance(spec, LogSpiral)
+
+
 def positions(spec: TrajectorySpec, ts: np.ndarray) -> np.ndarray:
     """Positions at the given times as an (N, 2) array. Times must be >= 0."""
     ts = np.asarray(ts, dtype=float)

@@ -206,13 +206,15 @@ def test_criterion_10_certificates_never_exceed_measured_cr():
 
 
 def test_criterion_10_estimates_do_not_depend_on_the_t_grid():
-    # every polyline vertex is a grid time and the leading break times are
-    # exact, so the measured CRs that criterion 10 compares against barely
-    # move when the grid gets 16 times finer
-    worst = 0.0
+    # polyline fleets are sampled at their events, not on the time grid, so
+    # the measured CRs that criterion 10 compares against are the same to
+    # the last bit when the grid gets 16 times finer
+    worst, differ = 0.0, 0
     for fleet, _ in criterion_10_draws():
         coarse = evaluate_cr(fleet, horizon=16.0, theta_steps=180, t_steps=1024)
         fine = evaluate_cr(fleet, horizon=16.0, theta_steps=180, t_steps=16384)
         worst = max(worst, abs(coarse.cr_estimate / fine.cr_estimate - 1.0))
-    record(10, worst <= 1e-3, f"max |cr(1024 t) / cr(16384 t) - 1| = {worst:.3g} "
-                              f"<= 1e-3 over 50 random polyline fleets")
+        differ += coarse.cr_estimate != fine.cr_estimate
+    record(10, differ == 0, f"{differ} of 50 random polyline fleets change their CR "
+                            f"from 1024 to 16384 t-steps (max relative change "
+                            f"{worst:.3g})")

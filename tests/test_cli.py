@@ -91,6 +91,35 @@ def test_evaluate_non_finite_t_start_is_a_config_error(tmp_path, capsys, value):
     assert "uncovered" not in err
 
 
+def test_evaluate_t_start_does_not_inflate_a_ray_fleet(tmp_path):
+    # a ray fleet is sampled at its events, not on the time grid: a later
+    # grid start no longer makes every direction pay t_start / epsilon
+    out = tmp_path / "report.json"
+    assert main(["evaluate", str(FLEETS / "rays-4.json"), "--t-start", "1",
+                 "--horizon", "10", "--theta-steps", "8", "--t-steps", "16",
+                 "--out", str(out)]) == EXIT_OK
+    cr = json.loads(out.read_text())["cr_estimate"]
+    assert cr == pytest.approx(math.sqrt(2.0), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("config", ["rays-4", "spiral-1"])
+@pytest.mark.parametrize("flags,message", [
+    (["--t-start", "20"], "t_start must lie in [0, horizon)"),
+    (["--t-start", "10"], "t_start must lie in [0, horizon)"),
+    (["--t-start", "-1", "--spacing", "uniform"], "t_start must lie in [0, horizon)"),
+    (["--t-steps", "1"], "t_steps must be at least 2"),
+    (["--spacing", "geometric", "--t-start", "0"], "geometric spacing needs t_start"),
+])
+def test_evaluate_bad_time_grid_is_a_config_error(capsys, config, flags, message):
+    # the time grid is validated whether or not the fleet is sampled on it
+    code = main(["evaluate", str(FLEETS / f"{config}.json"), "--horizon", "10",
+                 "--theta-steps", "8", "--t-steps", "16", *flags])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key,value", [
     ("theta_steps", "abc"),
     ("t_steps", None),

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from shoreline.evaluator import (
     UncoveredDirectionError,
     evaluate_cr,
 )
+from shoreline.optimizer import steady_state_cr
 from shoreline.trajectory import AntipodalOf, Fleet, LogSpiral, Polyline, Ray
 
 # all four vertices visited by t = 1 + 3 sqrt(2), so every direction covered
@@ -154,11 +156,17 @@ def test_records_to_ratio_uncovered():
 
 
 def test_records_to_ratio_record_jumping_over_window():
-    # two samples, x = 0 and then 10: the record leaps from below the window
-    # to above it, so no record value and no pair offset lies inside
+    # a spiral on two grid samples, x = 0 and then about 9.7: the record
+    # leaps from below the window to above it, so no record value and no
+    # pair offset lies inside, and a secant across the leap measures nothing
     with pytest.raises(UncoveredDirectionError, match="measurement window"):
-        one_direction(Ray(0.0), horizon=10.0, t_steps=2, epsilon=0.1,
+        one_direction(LogSpiral(growth=10.0), horizon=10.0, t_steps=2, epsilon=0.1,
                       window=(1.0, 5.0))
+    # a ray's support is linear between its events, so the line at the
+    # window's lower end is measured exactly, however coarse the grid
+    rep = one_direction(Ray(0.0), horizon=10.0, t_steps=2, epsilon=0.1,
+                        window=(1.0, 5.0))
+    assert (rep.cr_estimate, rep.witness.delta, rep.witness_time) == (1.0, 1.0, 1.0)
 
 
 def test_records_to_ratio_rejects_bad_epsilon():
@@ -301,6 +309,9 @@ def test_evaluate_cr_validates_arguments(ray_fleet):
         evaluate_cr(fleet, horizon=10.0, window=(5.0, 1.0))
     with pytest.raises(ValueError):
         evaluate_cr(fleet, horizon=10.0, t_steps=1)
+    for t_start in (10.0, 20.0, -1.0):  # a grid from t_start up to the horizon
+        with pytest.raises(ValueError, match=r"t_start must lie in \[0, horizon\)"):
+            evaluate_cr(fleet, horizon=10.0, t_start=t_start)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -338,9 +349,10 @@ def test_evaluate_cr_more_robots_never_hurt(ray_fleet):
 FLEETS = Path(__file__).resolve().parents[1] / "fleets"
 
 # cr_estimate, witness theta, witness delta, witness_time, coverage_radius of
-# every shipped config at its own grid (rays: 720 x 4096), and of four ray
-# fleets turned by half a theta step; a bare float is the theta of an
-# UncoveredDirectionError.
+# every shipped config at its own grid (rays: 720 directions, sampled at
+# their events, so every witness is the boundary line at epsilon), and of
+# four ray fleets turned by half a theta step; a bare float is the theta of
+# an UncoveredDirectionError.
 PINNED = {
     "all-at-origin": 0.0,
     "double-spiral-2": (
@@ -348,44 +360,44 @@ PINNED = {
         1441.5890633059298, 469617.6186364259,
     ),
     "rays-10": (
-        1.0514622242382674, 0.3141592653589793, 0.0116124116763755,
-        0.01221001221001221, 9.510565162951535,
+        1.0514622242382674, 0.3141592653589793, 0.01,
+        0.010514622242382672, 9.510565162951535,
     ),
     "rays-11": (
-        1.0422171162264056, 3.141592653589793, 0.5037630996999193,
-        0.525030525030525, 9.594929736144975,
+        1.0422171162264056, 3.141592653589793, 0.01,
+        0.010422171162264054, 9.594929736144975,
     ),
     "rays-12": (
-        1.0352761804100832, 0.2617993877991494, 0.0684050035711428,
-        0.07081807081807082, 9.659258262890683,
+        1.0352761804100832, 0.2617993877991494, 0.01,
+        0.01035276180410083, 9.659258262890683,
     ),
     "rays-3": (
-        1.9999999999999998, 1.0471975511965976, 0.01098901098901099,
-        0.021978021978021976, 5.000000000000001,
+        1.9999999999999998, 1.0471975511965976, 0.01,
+        0.019999999999999997, 5.000000000000001,
     ),
     "rays-4": (
         1.4142135623730951, 0.7853981633974483, 0.01,
         0.01414213562373095, 7.0710678118654755,
     ),
     "rays-5": (
-        1.2360679774997898, 0.6283185307179586, 0.033585565090046655,
-        0.04151404151404151, 8.090169943749475,
+        1.2360679774997898, 0.6283185307179586, 0.01,
+        0.012360679774997897, 8.090169943749475,
     ),
     "rays-6": (
-        1.154700538379252, 4.71238898038469, 0.1966797620316307,
-        0.2271062271062271, 8.660254037844386,
+        1.154700538379252, 0.5235987755982988, 0.01,
+        0.011547005383792514, 8.660254037844386,
     ),
     "rays-7": (
         1.1099162641747424, 3.141592653589793, 0.01,
         0.011099162641747424, 9.009688679024192,
     ),
     "rays-8": (
-        1.082392200292394, 0.39269908169872414, 0.011280580372543184,
-        0.01221001221001221, 9.238795325112868,
+        1.082392200292394, 0.39269908169872414, 0.01,
+        0.010823922002923939, 9.238795325112868,
     ),
     "rays-9": (
-        1.0641777724759123, 0.3490658503988659, 0.0803156086141802,
-        0.08547008547008547, 9.396926207859083,
+        1.0641777724759123, 1.0471975511965976, 0.01,
+        0.010641777724759122, 9.396926207859083,
     ),
     "single-ray": 1.5707963267948966,
     "spiral-1": (
@@ -393,20 +405,20 @@ PINNED = {
         254.8740767009019, 170.81638857155338,
     ),
     "rays-3-half-step": (
-        1.9850171814445097, 5.235987755982989, 0.012302172821624553,
-        0.02442002442002442, 5.037739770455256,
+        1.9850171814445097, 5.235987755982989, 0.01,
+        0.01985017181444509, 5.037739770455256,
     ),
     "rays-4-half-step": (
-        1.408083064400422, 2.3649211364523164, 2.0169611522585607,
-        2.84004884004884, 7.1018537562328525,
+        1.408083064400422, 5.497787143782138, 0.01,
+        0.014080830644004217, 7.1018537562328525,
     ),
     "rays-7-half-step": (
-        1.1095834041110373, 5.838126347921032, 0.04621739212397181,
-        0.05128205128205128, 9.012391464174504,
+        1.1095834041110373, 5.838126347921032, 0.01,
+        0.011095834041110371, 9.012391464174504,
     ),
     "rays-12-half-step": (
-        1.0340770378737818, 4.4505895925855405, 0.6588664638754336,
-        0.6813186813186813, 9.67045938913943,
+        1.0340770378737818, 4.4505895925855405, 0.01,
+        0.010340770378737816, 9.67045938913943,
     ),
 }
 
@@ -466,13 +478,14 @@ def _outcome(fleet, **kwargs):
         return ("uncovered", exc.theta, str(exc))
 
 
-def _assert_tile_invariant(monkeypatch, fleet, t_steps, **kwargs):
-    want = _outcome(fleet, t_steps=t_steps, **kwargs)
+def _assert_tile_invariant(monkeypatch, fleet, tiles, **kwargs):
+    want = _outcome(fleet, **kwargs)
     assert isinstance(want, CRReport), want  # every fleet here is covered
-    for cells in (5, 64, 1000, t_steps - 1):
+    for cells in tiles:
         monkeypatch.setattr(evaluator, "TILE_CELLS", cells)
-        assert _outcome(fleet, t_steps=t_steps, **kwargs) == want, cells
+        assert _outcome(fleet, **kwargs) == want, cells
     monkeypatch.undo()
+    return want
 
 
 @given(
@@ -482,11 +495,13 @@ def _assert_tile_invariant(monkeypatch, fleet, t_steps, **kwargs):
 @settings(max_examples=15, deadline=None)
 def test_tile_size_never_changes_the_report(walks, window):
     # a diamond anchor covers every direction; random walks add ties, flat
-    # stretches and records that straddle tile edges
+    # stretches, support crossings and records that straddle tile edges.  An
+    # event tile holds TILE_CELLS // (24 directions x (2 pairs + 1)) cells,
+    # at least one: here 1 to 125 of them
     robots = (DIAMOND,) + tuple(path(*w) for w in walks)
     with pytest.MonkeyPatch.context() as mp:
-        _assert_tile_invariant(mp, Fleet(robots), 97, horizon=12.0, theta_steps=24,
-                               window=window)
+        _assert_tile_invariant(mp, Fleet(robots), (1, 100, 300, 1000, 3000),
+                               horizon=12.0, theta_steps=24, window=window)
 
 
 def test_record_sweep_overflow_stays_silent():
@@ -501,17 +516,22 @@ def test_record_sweep_overflow_stays_silent():
 
 
 def test_tile_size_never_changes_windowed_spiral(monkeypatch):
+    # a spiral takes the time grid, whose tiles hold TILE_CELLS // 6 samples
     fleet = Fleet((LogSpiral(growth=0.3),))
-    _assert_tile_invariant(monkeypatch, fleet, 3001, horizon=2000.0, theta_steps=6,
-                           epsilon=5.0, window=(5.0, 300.0), spacing="geometric",
-                           t_start=0.05)
+    _assert_tile_invariant(monkeypatch, fleet, (5, 64, 1000, 3000), t_steps=3001,
+                           horizon=2000.0, theta_steps=6, epsilon=5.0,
+                           window=(5.0, 300.0), spacing="geometric", t_start=0.05)
 
 
 def test_tile_size_never_changes_tied_ratios(monkeypatch):
-    # along a ray's own heading every pair ratio is exactly 1: the first of
-    # the tied maxima must win whichever tile it falls in
-    _assert_tile_invariant(monkeypatch, Fleet((Ray(0.0),)), 257, horizon=10.0,
-                           theta_steps=1)
+    # a straight path with a vertex at every whole x: along its own heading
+    # every cell ends in a record whose ratio is exactly 1, and the first of
+    # the tied maxima, the boundary line at epsilon, must win whichever
+    # tile of one to seven cells it falls in
+    straight = path(*((float(x), 0.0) for x in range(1, 13)))
+    want = _assert_tile_invariant(monkeypatch, Fleet((straight,)), (1, 2, 3, 7),
+                                  horizon=10.0, theta_steps=1)
+    assert (want.cr_estimate, want.witness.delta) == (1.0, 0.01)
 
 
 # ------------------------------------------------------------ witness replay
@@ -571,3 +591,77 @@ def test_witness_replays(anchor, extra, window):
     hit = _first_hit(fleet, rep.witness.theta, rep.witness.delta * (1.0 + 1e-12),
                      horizon)
     assert hit == pytest.approx(rep.witness_time, rel=0.0, abs=1e-9 * horizon)
+
+
+# ----------------------------------------------------------- exact events
+
+
+def _oracle_cr(fleet, horizon, theta_steps, lo, hi):
+    """Worst first-hit ratio over the grid directions, one direction at a time.
+
+    Each robot's support is interpolated between its knots.  The events are
+    every knot plus every time two robots' supports cross between knots;
+    the offsets are lo and each value the running max of the support takes
+    at an event, inside [lo, hi].  Each offset pays its exact first hit.
+    """
+    knots = [_knots(robot, horizon) for robot in fleet.robots]
+    times = np.unique(np.concatenate([ts for ts, _ in knots] + [[horizon]]))
+    times = times[times <= horizon]
+    worst = -math.inf
+    for theta in np.arange(theta_steps) * (2.0 * math.pi / theta_steps):
+        u = np.array([math.cos(theta), math.sin(theta)])
+        s = [np.interp(times, ts, ps @ u) for ts, ps in knots]
+        events = [times]
+        for a in range(len(s)):
+            for b in range(a):
+                d = s[a] - s[b]
+                k = np.nonzero(d[:-1] * d[1:] < 0.0)[0]
+                events.append(times[k] + d[k] / (d[k] - d[k + 1])
+                              * (times[k + 1] - times[k]))
+        ev = np.sort(np.concatenate(events))
+        h = np.max([np.interp(ev, ts, ps @ u) for ts, ps in knots], axis=0)
+        run = np.maximum.accumulate(h)
+        for delta in [lo, *np.unique(run[(run >= lo) & (run <= hi)])]:
+            hit = _first_hit(fleet, theta, delta * (1.0 + 1e-12), horizon)
+            if hit <= horizon:
+                worst = max(worst, hit / delta)
+    return worst
+
+
+@given(anchor=_anchor, extra=st.lists(_robot, max_size=3),
+       window=st.sampled_from([None, (0.3, 2.0)]))
+@settings(max_examples=100, deadline=None)
+def test_piecewise_linear_fleets_match_an_exact_oracle(anchor, extra, window):
+    # without a spiral the sweep samples every event, so its estimate is the
+    # exact worst ratio over the grid directions, whatever the time grid
+    fleet = Fleet(anchor + tuple(extra))
+    horizon, steps = 12.0, 8
+    rep = evaluate_cr(fleet, horizon, theta_steps=steps, t_steps=64, window=window)
+    lo, hi = window or (0.0, math.inf)
+    want = _oracle_cr(fleet, horizon, steps, max(lo, rep.epsilon), hi)
+    assert rep.cr_estimate == pytest.approx(want, rel=1e-9)
+
+
+@given(anchor=_anchor, extra=st.lists(_robot, max_size=3),
+       window=st.sampled_from([None, (0.3, 2.0)]))
+@settings(max_examples=25, deadline=None)
+def test_piecewise_linear_fleets_ignore_the_time_grid(anchor, extra, window):
+    fleet = Fleet(anchor + tuple(extra))
+    kwargs = {"horizon": 12.0, "theta_steps": 24, "window": window}
+    want = evaluate_cr(fleet, t_steps=4096, **kwargs)
+    for grid in ({"t_steps": 2}, {"spacing": "geometric", "t_start": 0.5}):
+        rep = evaluate_cr(fleet, **grid, **kwargs)
+        assert replace(rep, t_steps=want.t_steps, spacing=want.spacing) == want
+
+
+def test_t_start_leaves_offsets_below_its_support_unmeasured():
+    # the spiral points along theta = 0 at t = 1, its support there already
+    # past epsilon: nothing is known before the first sample, so the
+    # offsets below it go unmeasured instead of paying t_start / epsilon
+    b = 0.3
+    r1 = b / math.sqrt(1.0 + b * b)
+    spiral = Fleet((LogSpiral(growth=b, start_phase=-math.log(r1) / b),))
+    rep = evaluate_cr(spiral, horizon=200.0, theta_steps=1, t_steps=4096,
+                      epsilon=0.01, t_start=1.0)
+    assert rep.witness.delta >= r1 and rep.witness_time > 1.0
+    assert rep.cr_estimate == pytest.approx(steady_state_cr(1, b), rel=1e-3)

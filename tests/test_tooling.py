@@ -80,3 +80,24 @@ def test_reproduce_spiral_bounds_finds_both_optima(tmp_path):
         doc = json.loads((tmp_path / f"spiral-{n}-optimum.json").read_text())
         assert doc["n"] == n and doc["converged"]
         assert lo <= doc["value"] <= hi
+
+
+# Bindings the benchmark's tracer still names although the program dropped
+# them on purpose: the optimizer no longer calls evaluate_cr.  The tracer
+# lives with the benchmark and changes only with it.
+STALE_TRACER_BINDINGS = {("optimizer", "evaluate_cr")}
+
+
+def test_tracer_bindings_exist():
+    # perfbench/tracer.py wraps program functions by name and silently skips
+    # any that has gone, which would zero its per-layer metrics unnoticed
+    spec = importlib.util.spec_from_file_location(
+        "tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {name: importlib.import_module(f"shoreline.{name}")
+               for name in ("cli", "evaluator", "optimizer", "certifier", "report")}
+    missing = {(mod.__name__.split(".")[-1], attr)
+               for mod, attr, *_ in tracer.Tracer(modules)._targets()
+               if not callable(getattr(mod, attr, None))}
+    assert missing == STALE_TRACER_BINDINGS
