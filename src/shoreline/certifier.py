@@ -252,24 +252,14 @@ def snapshot_lower_bound(
     if origin_tol is None:
         origin_tol = 1e-9 * d
     angles, pos = _snapshot_angles(fleet, d, origin_tol)
-    pos_t = tuple((float(p[0]), float(p[1])) for p in pos)
-    params = {"gamma": gamma, "eps": eps, "zeta": zeta, "origin_tol": origin_tol}
 
-    if not angles:
+    degenerate = not angles
+    if degenerate:
         # Nobody has left the origin: no line within distance d is hit yet.
-        return ConeCertificate(
-            cone=Cone(0.0, math.pi),
-            snapshot_time=float(d),
-            bound=math.inf,
-            witness_line=Line(0.0, float(d)),
-            n=n,
-            bound_limit=math.inf,
-            degenerate=True,
-            params=params,
-            robot_positions=pos_t,
-        )
-
-    if n >= 4:
+        cone = Cone(0.0, math.pi)
+        witness = Line(0.0, float(d))
+        bound = limit = math.inf
+    elif n >= 4:
         half = math.pi / n - gamma
         if not 0.0 < half <= math.pi / 4.0:
             raise ValueError("gamma leaves no usable cone half-angle")
@@ -277,58 +267,36 @@ def snapshot_lower_bound(
         if cone is None:  # pigeonhole over <= n directions; cannot happen
             raise AssertionError("empty cone must exist for n robots")
         witness = Line(cone.bisector, d * (1.0 + eps) * math.cos(half))
-        return ConeCertificate(
-            cone=cone,
-            snapshot_time=float(d),
-            bound=1.0 / math.cos(half),
-            witness_line=witness,
-            n=n,
-            bound_limit=1.0 / math.cos(math.pi / n),
-            params=params,
-            robot_positions=pos_t,
-        )
-
-    if n == 3:
+        bound, limit = 1.0 / math.cos(half), 1.0 / math.cos(math.pi / n)
+    elif n == 3:
         cone = empty_cone(fleet, d, math.pi / 3.0, 0.0, origin_tol)
         if cone is None:
             raise AssertionError("empty cone must exist for 3 robots")
         witness = Line(cone.bisector, d * (1.0 / SQRT3 + eps))
-        return ConeCertificate(
-            cone=cone,
-            snapshot_time=float(d),
-            bound=SQRT3 / (1.0 + SQRT3 * eps),
-            witness_line=witness,
-            n=n,
-            bound_limit=SQRT3,
-            params=params,
-            robot_positions=pos_t,
-        )
-
-    # n <= 2: reachable-ellipse argument.  Rotate robot 1 onto the positive
-    # x-axis; with two robots reflect so robot 2 ends in the upper half-plane.
-    r1 = pos[0]
-    alpha = math.atan2(r1[1], r1[0]) if np.hypot(*r1) > origin_tol else 0.0
-    reflect = False
-    if n == 2:
-        frame = _rot(-alpha) @ pos[1]
-        reflect = frame[1] < 0.0
-    # Witness normal points into the unexplored half-plane: straight down in
-    # the normalized frame, mapped back through the frame transforms.
-    normal = np.array([0.0, -1.0])
-    if reflect:
-        normal = normal * np.array([1.0, -1.0])
-    normal = _rot(alpha) @ normal
-    direction = normalize_angle(math.atan2(normal[1], normal[0]))
-    witness = Line(direction, (0.5 + zeta) * d)
+        bound, limit = SQRT3 / (1.0 + SQRT3 * eps), SQRT3
+    else:
+        # n <= 2: reachable-ellipse argument.  Rotate robot 1 onto the positive
+        # x-axis; with two robots reflect so robot 2 ends in the upper half-plane.
+        r1 = pos[0]
+        alpha = math.atan2(r1[1], r1[0]) if np.hypot(*r1) > origin_tol else 0.0
+        reflect = n == 2 and (_rot(-alpha) @ pos[1])[1] < 0.0
+        # Witness normal points into the unexplored half-plane: straight down in
+        # the normalized frame, mapped back through the frame transforms.
+        normal = _rot(alpha) @ np.array([0.0, 1.0 if reflect else -1.0])
+        direction = normalize_angle(math.atan2(normal[1], normal[0]))
+        cone = Cone(direction, math.pi / 2.0)
+        witness = Line(direction, (0.5 + zeta) * d)
+        bound, limit = (1.5 + zeta) / (0.5 + zeta), 3.0
     return ConeCertificate(
-        cone=Cone(direction, math.pi / 2.0),
+        cone=cone,
         snapshot_time=float(d),
-        bound=(1.5 + zeta) / (0.5 + zeta),
+        bound=bound,
         witness_line=witness,
         n=n,
-        bound_limit=3.0,
-        params=params,
-        robot_positions=pos_t,
+        bound_limit=limit,
+        degenerate=degenerate,
+        params={"gamma": gamma, "eps": eps, "zeta": zeta, "origin_tol": origin_tol},
+        robot_positions=tuple((float(p[0]), float(p[1])) for p in pos),
     )
 
 

@@ -238,15 +238,13 @@ def cmd_plot(args) -> int:
     if not isinstance(doc, dict):
         raise ConfigError(f"report {args.report}: top level must be an object")
     try:
-        spec, entities = report.scene_for_document(
-            doc, canvas=args.size, world_radius=args.world_radius)
+        svg = report.render(doc, canvas=args.size, world_radius=args.world_radius)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     except KeyError as exc:
         raise ConfigError(f"report {args.report} lacks the field {exc}") from exc
     except TypeError as exc:
         raise ConfigError(f"report {args.report} is malformed: {exc}") from exc
-    svg = report.render(spec, entities)
     out = args.out or str(Path(args.report).with_suffix(".svg"))
     Path(out).write_text(svg)
     print(f"wrote {out}")

@@ -193,8 +193,9 @@ class _BestLine:
     argmax, across tiles by a strict >.  On a time grid the boundary
     record's value must also lie at or below hi: there a secant across a
     cell that leaps over the whole window is no measurement.  The first
-    sample is never a candidate: nothing is known before it, so offsets
-    below its support go unmeasured.
+    sample is never a candidate: nothing is known before it.  On a grid
+    starting at t0 > 0, lo is raised to t0, so offsets at or below t0 go
+    unmeasured: each larger one, at unit speed, is first reached after t0.
 
     Column 0 of the buffers carries each direction's last sample and the
     running max up to it, which starts at 0 and ends as its coverage.
@@ -205,6 +206,8 @@ class _BestLine:
         self.lo, self.hi = epsilon, math.inf
         if window is not None:
             self.lo, self.hi = max(epsilon, window[0]), window[1]
+        if not exact:  # at unit speed no support exceeds t0 before the grid starts
+            self.lo = max(self.lo, float(t0))
         self.exact = exact
         self.ratio = np.full(n, -np.inf)  # stays -inf without a record in [lo, hi]
         self.cell = np.zeros(n, dtype=np.intp)  # sample index of the numerator
@@ -301,9 +304,9 @@ def evaluate_cr(
     the result.  A fleet with a spiral is sampled on the time grid of
     t_steps samples from t_start, plus every robot's breakpoints in
     (t_start, horizon), and its leading candidates get their break time in
-    closed form; offsets below the support reached at t_start go
-    unmeasured.  The report's t_steps is the requested count, and the
-    reported witness satisfies cr_estimate = witness_time / witness.delta.
+    closed form; offsets at or below t_start go unmeasured.  The report's
+    t_steps is the requested count, and the reported witness satisfies
+    cr_estimate = witness_time / witness.delta.
 
     Raises UncoveredDirectionError for the first direction, in grid order,
     whose coverage stays below epsilon (the fleet does not solve the problem

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .certifier import ConeCertificate, ellipse_boundary
 from .evaluator import CRReport
 from .geometry import Cone, Line
 from .optimizer import OptimizeResult
-from .trajectory import TrajectorySpec, positions, spec_from_dict
+from .trajectory import positions, spec_from_dict
 
 CURVE_SAMPLES = 512
 DEFAULT_CANVAS = 640
@@ -29,33 +28,12 @@ _STYLES = {
     "trajectory": 'fill="none" stroke="#2266aa" stroke-width="1.5"',
     "trajectory-alt": 'fill="none" stroke="#22aa77" stroke-width="1.5"',
     "witness": 'fill="none" stroke="#cc2233" stroke-width="1.5" stroke-dasharray="6 4"',
-    "line": 'fill="none" stroke="#555555" stroke-width="1"',
     "cone": 'fill="#cc223322" stroke="#cc2233" stroke-width="1"',
     "ellipse": 'fill="none" stroke="#2266aa" stroke-width="1.5"',
     "ellipse-alt": 'fill="none" stroke="#cc2233" stroke-width="1.5"',
     "point": 'fill="#222222"',
     "annotation": 'fill="#222222" font-family="sans-serif" font-size="13px"',
 }
-
-
-@dataclass
-class Layer:
-    kind: str
-    entity: str
-    style: str = ""
-
-
-@dataclass
-class RenderSpec:
-    world_radius: float
-    canvas: int = DEFAULT_CANVAS
-    layers: list[Layer] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.world_radius > 0.0:
-            raise ValueError("world_radius must be positive")
-        if self.canvas < 16:
-            raise ValueError("canvas too small")
 
 
 def _json_safe(value):
@@ -150,137 +128,88 @@ def _clip_line(line: Line, w: float) -> tuple[tuple[float, float], tuple[float, 
     return (px + t_lo * dx, py + t_lo * dy), (px + t_hi * dx, py + t_hi * dy)
 
 
-def render(spec: RenderSpec, entities: dict) -> str:
-    """SVG document for the given layers.
+def render(doc: dict, *, canvas: int = DEFAULT_CANVAS,
+           world_radius: float | None = None) -> str:
+    """SVG picture of an emitted `cr_report/v1` or `cone_certificate/v1` document.
 
-    Every layer must name an entity id present in `entities`; payloads by
-    kind: trajectory {"spec": TrajectorySpec, "t_max": float}, line a Line,
-    cone {"cone": Cone, "radius": float}, ellipse {"delta", "phi", "scale"},
-    point {"at": (x, y)}, annotation {"text": str, "at": (x, y)}.
+    Reports show their fleet's trajectories; certificates the empty cone
+    (n >= 3) or reachable ellipses (n <= 2), then the robot positions.  Both
+    add the witness line and a label.  The square shown spans [-r, r]^2 for
+    r = world_radius, by default 4 witness offsets or 1.8 snapshot times.
     """
-    w = spec.world_radius
-    size = spec.canvas
-    scale = size / (2.0 * w)
-
-    def fx(x: float) -> float:
-        return 0.5 * size + x * scale
-
-    def fy(y: float) -> float:
-        return 0.5 * size - y * scale
-
-    def pt(x: float, y: float) -> str:
-        return f"{fx(x):.2f},{fy(y):.2f}"
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="#ffffff"/>',
-        f'<line x1="0" y1="{size / 2:.1f}" x2="{size}" y2="{size / 2:.1f}" '
-        'stroke="#dddddd" stroke-width="1"/>',
-        f'<line x1="{size / 2:.1f}" y1="0" x2="{size / 2:.1f}" y2="{size}" '
-        'stroke="#dddddd" stroke-width="1"/>',
-    ]
-
-    for layer in spec.layers:
-        if layer.entity not in entities:
-            raise ValueError(f"layer references unknown entity {layer.entity!r}")
-        ent = entities[layer.entity]
-        style = _STYLES.get(layer.style) or _STYLES.get(layer.kind, _STYLES["line"])
-        if layer.kind == "trajectory":
-            ts = np.linspace(0.0, float(ent["t_max"]), CURVE_SAMPLES)
-            pts = positions(ent["spec"], ts)
-            coords = " ".join(pt(p[0], p[1]) for p in pts)
-            parts.append(f'<polyline points="{coords}" {style}/>')
-        elif layer.kind == "line":
-            seg = _clip_line(ent, w)
-            if seg is not None:
-                (x1, y1), (x2, y2) = seg
-                parts.append(
-                    f'<line x1="{fx(x1):.2f}" y1="{fy(y1):.2f}" '
-                    f'x2="{fx(x2):.2f}" y2="{fy(y2):.2f}" {style}/>'
-                )
-        elif layer.kind == "cone":
-            cone: Cone = ent["cone"]
-            radius = float(ent["radius"])
-            angles = np.linspace(cone.bisector - cone.half_angle,
-                                 cone.bisector + cone.half_angle, 64)
-            arc = " ".join(
-                pt(radius * math.cos(a), radius * math.sin(a)) for a in angles
-            )
-            parts.append(f'<polygon points="{pt(0.0, 0.0)} {arc}" {style}/>')
-        elif layer.kind == "ellipse":
-            pts = float(ent["scale"]) * ellipse_boundary(
-                float(ent["delta"]), float(ent["phi"]), CURVE_SAMPLES)
-            coords = " ".join(pt(p[0], p[1]) for p in pts)
-            parts.append(f'<polygon points="{coords}" {style}/>')
-        elif layer.kind == "point":
-            x, y = ent["at"]
-            parts.append(f'<circle cx="{fx(x):.2f}" cy="{fy(y):.2f}" r="3" {style}/>')
-        elif layer.kind == "annotation":
-            x, y = ent["at"]
-            text = str(ent["text"])
-            parts.append(
-                f'<text x="{fx(x):.2f}" y="{fy(y):.2f}" {style}>{text}</text>'
-            )
-        else:
-            raise ValueError(f"unknown layer kind {layer.kind!r}")
-
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def scene_for_document(doc: dict, *, canvas: int = DEFAULT_CANVAS,
-                       world_radius: float | None = None) -> tuple[RenderSpec, dict]:
-    """Default scene for an emitted report document, keyed by its schema."""
     schema = doc.get("schema")
-    entities: dict = {}
-    layers: list[Layer] = []
-
     if schema == "cr_report/v1":
         witness = Line(doc["witness"]["theta"], doc["witness"]["delta"])
-        horizon = float(doc["grid"]["horizon"])
-        w = world_radius or max(4.0 * witness.delta, 1e-9)
-        t_max = min(horizon, 3.0 * w)
-        for i, rdoc in enumerate(doc.get("fleet") or []):
-            spec = spec_from_dict(rdoc, f"fleet[{i}]")
-            entities[f"robot{i}"] = {"spec": spec, "t_max": t_max}
-            layers.append(Layer("trajectory", f"robot{i}",
-                                "trajectory" if i % 2 == 0 else "trajectory-alt"))
-        entities["witness"] = witness
-        layers.append(Layer("line", "witness", "witness"))
-        entities["label"] = {
-            "text": f"cr = {doc['cr_estimate']:.6f}",
-            "at": (-0.95 * w, 0.9 * w),
-        }
-        layers.append(Layer("annotation", "label"))
-        return RenderSpec(world_radius=w, canvas=canvas, layers=layers), entities
-
-    if schema == "cone_certificate/v1":
-        d = float(doc["snapshot_time"])
-        w = world_radius or 1.8 * d
+        auto_radius = max(4.0 * witness.delta, 1e-9)
+        label = f"cr = {doc['cr_estimate']:.6f}"
+    elif schema == "cone_certificate/v1":
         witness = Line(doc["witness_line"]["theta"], doc["witness_line"]["delta"])
-        n = int(doc.get("n") or 0)
-        if not doc.get("degenerate"):
-            if n >= 3:
-                cone = Cone(doc["cone"]["bisector"], doc["cone"]["half_angle"])
-                entities["cone"] = {"cone": cone, "radius": 1.5 * d}
-                layers.append(Layer("cone", "cone"))
-            else:
-                for i, p in enumerate(doc.get("robot_positions") or []):
-                    delta = min(math.hypot(p[0], p[1]) / d, 1.0)
-                    phi = math.atan2(p[1], p[0]) if delta > 0 else 0.0
-                    entities[f"region{i}"] = {"delta": delta, "phi": phi, "scale": d}
-                    layers.append(Layer("ellipse", f"region{i}",
-                                        "ellipse" if i == 0 else "ellipse-alt"))
-        for i, p in enumerate(doc.get("robot_positions") or []):
-            entities[f"robot{i}"] = {"at": (p[0], p[1])}
-            layers.append(Layer("point", f"robot{i}"))
-        entities["witness"] = witness
-        layers.append(Layer("line", "witness", "witness"))
+        d = float(doc["snapshot_time"])
+        auto_radius = 1.8 * d
         bound = doc["bound"]
-        text = "unbounded" if bound is None else f"bound = {bound:.6f}"
-        entities["label"] = {"text": text, "at": (-0.95 * w, 0.9 * w)}
-        layers.append(Layer("annotation", "label"))
-        return RenderSpec(world_radius=w, canvas=canvas, layers=layers), entities
+        label = "unbounded" if bound is None else f"bound = {bound:.6f}"
+    else:
+        raise ValueError(f"unknown report schema {schema!r}")
+    w = auto_radius if world_radius is None else world_radius
+    if canvas < 16:
+        raise ValueError("canvas too small")
+    scale = canvas / (2.0 * w) if 0.0 < w < math.inf else math.nan
+    if not math.isfinite(scale):
+        raise ValueError("world radius must be finite and positive, with a finite "
+                         f"canvas/(2 * radius), got {w!r}")
 
-    raise ValueError(f"unknown report schema {schema!r}")
+    def pixel(x: float, y: float) -> tuple[float, float]:
+        return 0.5 * canvas + x * scale, 0.5 * canvas - y * scale
+
+    def outline(tag: str, pts, style: str) -> str:
+        coords = " ".join("{:.2f},{:.2f}".format(*pixel(p[0], p[1])) for p in pts)
+        return f'<{tag} points="{coords}" {_STYLES[style]}/>'
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas}" height="{canvas}" '
+        f'viewBox="0 0 {canvas} {canvas}">',
+        f'<rect width="{canvas}" height="{canvas}" fill="#ffffff"/>',
+        f'<line x1="0" y1="{canvas / 2:.1f}" x2="{canvas}" y2="{canvas / 2:.1f}" '
+        'stroke="#dddddd" stroke-width="1"/>',
+        f'<line x1="{canvas / 2:.1f}" y1="0" x2="{canvas / 2:.1f}" y2="{canvas}" '
+        'stroke="#dddddd" stroke-width="1"/>',
+    ]
+    if schema == "cr_report/v1":
+        horizon = float(doc["grid"]["horizon"])
+        if not horizon > 0.0:
+            raise ValueError(f"grid horizon must be positive, got {horizon!r}")
+        ts = np.linspace(0.0, min(horizon, 3.0 * w), CURVE_SAMPLES)
+        for i, rdoc in enumerate(doc.get("fleet") or []):
+            pts = positions(spec_from_dict(rdoc, f"fleet[{i}]"), ts)
+            parts.append(outline("polyline", pts, ("trajectory", "trajectory-alt")[i % 2]))
+    else:
+        robots = doc.get("robot_positions") or []
+        if not all(isinstance(p, list) and len(p) == 2 and all(map(math.isfinite, p))
+                   for p in robots):
+            raise ValueError(f"robot_positions must be pairs of finite numbers, got {robots!r}")
+        if not doc.get("degenerate"):
+            if int(doc.get("n") or 0) >= 3:
+                cone = Cone(doc["cone"]["bisector"], doc["cone"]["half_angle"])
+                angles = np.linspace(cone.bisector - cone.half_angle,
+                                     cone.bisector + cone.half_angle, 64)
+                radius = 1.5 * d
+                wedge = [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
+                parts.append(outline("polygon", [(0.0, 0.0)] + wedge, "cone"))
+            else:
+                for i, (x, y) in enumerate(robots):
+                    delta = min(math.hypot(x, y) / d, 1.0)
+                    phi = math.atan2(y, x) if delta > 0 else 0.0
+                    parts.append(outline("polygon",
+                                         d * ellipse_boundary(delta, phi, CURVE_SAMPLES),
+                                         "ellipse" if i == 0 else "ellipse-alt"))
+        for x, y in robots:
+            parts.append('<circle cx="{:.2f}" cy="{:.2f}" r="3" {}/>'.format(
+                *pixel(x, y), _STYLES["point"]))
+    seg = _clip_line(witness, w)
+    if seg is not None:
+        parts.append('<line x1="{:.2f}" y1="{:.2f}" x2="{:.2f}" y2="{:.2f}" {}/>'.format(
+            *pixel(*seg[0]), *pixel(*seg[1]), _STYLES["witness"]))
+    parts.append('<text x="{:.2f}" y="{:.2f}" {}>{}</text>'.format(
+        *pixel(-0.95 * w, 0.9 * w), _STYLES["annotation"], label))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"

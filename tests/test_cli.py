@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import warnings
@@ -410,6 +411,107 @@ def test_plot_malformed_report(tmp_path, capsys, doc, message):
 
 def test_plot_missing_file(tmp_path, capsys):
     assert main(["plot", str(tmp_path / "no.json")]) == EXIT_CONFIG
+
+
+def certificate_file(tmp_path) -> Path:
+    rep = tmp_path / "cert.json"
+    assert main(["certify", ray_config(tmp_path / "f.json", 2), "--d", "1.0",
+                 "--out", str(rep)]) == EXIT_OK
+    return rep
+
+
+def assert_plot_refused(capsys, argv, message):
+    out = Path(argv[1]).with_suffix(".svg")
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--world-radius", "0"], "world radius must be finite and positive"),
+    (["--world-radius", "-2"], "world radius must be finite and positive"),
+    (["--world-radius", "inf"], "world radius must be finite and positive"),
+    (["--world-radius", "nan"], "world radius must be finite and positive"),
+    (["--world-radius", "1e-320"], "canvas/(2 * radius)"),
+    (["--size", "15"], "canvas too small"),
+], ids=["radius-0", "radius-negative", "radius-inf", "radius-nan", "radius-tiny",
+        "size-15"])
+def test_plot_bad_view_exits_1(tmp_path, capsys, flags, message):
+    rep = certificate_file(tmp_path)
+    capsys.readouterr()
+    assert_plot_refused(capsys, ["plot", str(rep), *flags], message)
+
+
+@pytest.mark.parametrize("positions", [[[1.0]], [1.0], [[1.0, 0.0, 0.0]],
+                                       [[math.nan, 0.0]]],
+                         ids=["one-coordinate", "bare-number", "three-coordinates",
+                              "nan"])
+def test_plot_bad_robot_positions_exit_1(tmp_path, capsys, positions):
+    rep = certificate_file(tmp_path)
+    doc = json.loads(rep.read_text())
+    rep.write_text(json.dumps({**doc, "robot_positions": positions}))
+    capsys.readouterr()
+    assert_plot_refused(capsys, ["plot", str(rep)], "robot_positions must be pairs")
+
+
+def test_plot_nan_horizon_exits_1(tmp_path, capsys):
+    cfg = ray_config(tmp_path / "f.json", 4, horizon=10.0, theta_steps=8)
+    rep = tmp_path / "report.json"
+    assert main(["evaluate", cfg, "--out", str(rep)]) == EXIT_OK
+    doc = json.loads(rep.read_text())
+    doc["grid"]["horizon"] = math.nan
+    rep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert_plot_refused(capsys, ["plot", str(rep)], "horizon must be positive")
+
+
+def parity_outputs(stem: str, work: Path) -> bytes:
+    """Every certificate and picture the shipped config `stem` yields."""
+    cfg = str(FLEETS / f"{stem}.json")
+    runs = []
+    for d in ("0.3", "1", "1.9"):
+        cert = work / f"{stem}.d{d}.json"
+        runs += [(["certify", cfg, "--d", d], cert),
+                 (["plot", str(cert)], cert.with_suffix(".svg")),
+                 (["plot", str(cert), "--size", "200", "--world-radius", "3"],
+                  work / f"{stem}.d{d}.small.svg")]
+    if stem.startswith("rays-"):
+        rep = work / f"{stem}.report.json"
+        runs += [(["evaluate", cfg, "--theta-steps", "72"], rep),
+                 (["plot", str(rep)], rep.with_suffix(".svg"))]
+    for argv, out in runs:
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+    return b"".join(out.read_bytes() for _, out in runs)
+
+
+# sha256 of parity_outputs for every shipped config: certificates at three
+# snapshot times, each drawn at the default view and at --size 200
+# --world-radius 3, plus a 72-direction report and its picture for each ray
+# fleet.  Any change to a certificate or a picture, down to the last digit
+# printed, changes its digest; the values depend on the platform's libm.
+PARITY_DIGESTS = {
+    "all-at-origin": "2cdacacb7cfb5dac0a56f5634b597c924d36da0191492c0fd0a2fd95a8a5a701",
+    "double-spiral-2": "efacfa259edbbdec25b72e9a3c34eb17c31aa0bc1650a0f3ad6f00e0679ee7b6",
+    "rays-10": "124a500abb3c31527acdd97a52a80122f548df1e54d571baced8bf01132fd88f",
+    "rays-11": "f66b7671c52aa2226ace9008b60e3c859de738a4fcf3bf21cc63ccbb51e9bb15",
+    "rays-12": "8782e750b491769a23387edab5a3c263d2163885c3caf4a07fdb340f30cb20d1",
+    "rays-3": "8d77c7aa8b6e17e84ea86de3b2b93478dff243732a2cf149b567b8af6af5e4cc",
+    "rays-4": "3dcb7b97557096542aae9468434d4cdd3b30a97405ef5edf002c5c3a577f3174",
+    "rays-5": "3e02d69a5ebeab7e0e16b93b1ac88ed6ef0a389b73993039f4aff27c8e99319a",
+    "rays-6": "9a0ac25f07c829e094e9f87e41de016e67f7a45e9a79776013d6035617ae17be",
+    "rays-7": "b4240cc2827586b5c33e3183363ffbfbba057aa6e5e85339bf47adfe6edd0f3f",
+    "rays-8": "a2c90f3c45fc1fbf37137fead1cbaa28945b49f9f93320046bf1dc273e8e3e55",
+    "rays-9": "1e956fdd857e85ece7c4f976bfd2b09149ce6bad2790ac9c826078410c27de84",
+    "single-ray": "58529693bd0ba2d6d583839d08d16286b6346307be2abd76db431185a6566ae8",
+    "spiral-1": "d17146817fa920b26ea62096703a081861ce2d4e57d1bb4be9658ac020b703dd",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(PARITY_DIGESTS))
+def test_certificates_and_pictures_are_pinned(tmp_path, capsys, stem):
+    digest = hashlib.sha256(parity_outputs(stem, tmp_path)).hexdigest()
+    assert digest == PARITY_DIGESTS[stem]
 
 
 # -------------------------------------------------------------- exit codes

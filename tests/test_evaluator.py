@@ -665,3 +665,14 @@ def test_t_start_leaves_offsets_below_its_support_unmeasured():
                       epsilon=0.01, t_start=1.0)
     assert rep.witness.delta >= r1 and rep.witness_time > 1.0
     assert rep.cr_estimate == pytest.approx(steady_state_cr(1, b), rel=1e-3)
+
+
+def test_t_start_leaves_offsets_at_or_below_it_unmeasured():
+    # at t = 1 the spiral's support in some of the six directions has fallen
+    # below offsets it passed earlier; a line beyond t_start cannot have been
+    # reached before it at unit speed, so the grid measures only those
+    spiral = Fleet((LogSpiral(growth=0.3),))
+    rep = evaluate_cr(spiral, horizon=200.0, theta_steps=6, t_steps=4096,
+                      epsilon=0.01, t_start=1.0)
+    assert rep.witness.delta >= 1.0
+    assert rep.cr_estimate == pytest.approx(steady_state_cr(1, 0.3), rel=1e-3)

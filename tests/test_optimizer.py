@@ -115,26 +115,23 @@ def test_steady_state_cr_slow_spiral_pays_heavily():
 def test_steady_state_cr_independent_of_start_phase():
     # the closed form has no start phase; the windowed measurement agrees
     # with it whatever bearing the spirals cross radius 1 at (measured
-    # worst +4.2e-6 over four phases, so the bound leaves a 2x margin)
+    # worst +2.5e-8 over start phases 0 to 4, so the bound leaves a 2x margin)
     exact = steady_state_cr(2, 0.6465)
     for phase in (0.0, 2.0):
         measured = windowed_cr(2, 0.6465, start_phase=phase, t_steps=60_000)
-        assert measured == pytest.approx(exact, rel=1e-5)
+        assert measured == pytest.approx(exact, rel=5e-8)
 
 
 def test_steady_state_cr_near_known_optimum():
     assert steady_state_cr(2, 0.6465) == pytest.approx(5.26443, abs=1e-5)
 
 
-# Measured, the windowed reference reads high by at most +4.9e-6 for
-# b <= 0.6465 and by +1.44e-4 at b = 1.0 (both at n = 1); at b = 1.0 the
-# geometric time grid's relative step is 1.5e-4.  Each bound is about twice
-# its worst case.
+# Measured, the windowed reference reads high by at most +7.5e-8 (b = 0.05,
+# n = 1) and by +2.6e-9 at b = 1.0; the bound is about twice the worst case.
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("b", [0.05, 0.1, 0.2125, 0.3, 0.5, 0.6465, 1.0])
 def test_steady_state_cr_matches_windowed_reference(n, b):
-    rel = 3e-4 if b == 1.0 else 1e-5
-    assert steady_state_cr(n, b) == pytest.approx(windowed_cr(n, b), rel=rel)
+    assert steady_state_cr(n, b) == pytest.approx(windowed_cr(n, b), rel=1.5e-7)
 
 
 @pytest.mark.parametrize("n,name", [(1, "spiral-1"), (2, "double-spiral-2")])

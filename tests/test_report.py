@@ -6,16 +6,9 @@ import pytest
 
 from shoreline.certifier import snapshot_lower_bound
 from shoreline.evaluator import CRReport
-from shoreline.geometry import Cone, Line
+from shoreline.geometry import Line
 from shoreline.optimizer import OptimizeResult
-from shoreline.report import (
-    Layer,
-    RenderSpec,
-    emit_report,
-    render,
-    scene_for_document,
-    to_document,
-)
+from shoreline.report import emit_report, render, to_document
 from shoreline.trajectory import Fleet, Polyline, Ray, spec_to_dict
 
 
@@ -95,72 +88,61 @@ def test_document_merges_fleet_and_extra():
     assert doc["elapsed_s"] == 0.5
 
 
-def test_render_spec_validation():
-    with pytest.raises(ValueError):
-        RenderSpec(world_radius=0.0)
-    with pytest.raises(ValueError):
-        RenderSpec(world_radius=1.0, canvas=4)
+def point_certificate(x: float, y: float, d: float = 1.0) -> dict:
+    """A degenerate certificate document: one robot, no cone or ellipse."""
+    return {"schema": "cone_certificate/v1", "snapshot_time": d, "n": 1,
+            "degenerate": True, "bound": None, "robot_positions": [[x, y]],
+            "witness_line": {"theta": 0.0, "delta": d}}
 
 
-def test_render_all_layer_kinds():
-    spec = RenderSpec(
-        world_radius=2.0,
-        canvas=320,
-        layers=[
-            Layer("trajectory", "path"),
-            Layer("line", "shore", "witness"),
-            Layer("cone", "wedge"),
-            Layer("ellipse", "region"),
-            Layer("point", "robot"),
-            Layer("annotation", "text"),
-        ],
-    )
-    entities = {
-        "path": {"spec": Ray(0.3), "t_max": 1.5},
-        "shore": Line(math.pi / 2, 1.0),
-        "wedge": {"cone": Cone(0.0, 0.5), "radius": 1.0},
-        "region": {"delta": 0.5, "phi": 0.2, "scale": 1.0},
-        "robot": {"at": (1.0, 0.5)},
-        "text": {"text": "hello", "at": (0.0, 1.8)},
-    }
-    svg = render(spec, entities)
-    assert svg.startswith("<svg ")
-    assert svg.rstrip().endswith("</svg>")
-    assert svg.count("<polyline") == 1
-    assert svg.count("<polygon") == 2
-    assert "<circle" in svg
-    assert ">hello</text>" in svg
+def test_render_validates_canvas_and_radius():
+    doc = point_certificate(0.5, 0.5)
+    for radius in (0.0, -1.0, math.inf, math.nan, 1e-320):
+        with pytest.raises(ValueError, match="world radius"):
+            render(doc, world_radius=radius)
+    with pytest.raises(ValueError, match="canvas too small"):
+        render(doc, canvas=4)
+    with pytest.raises(ValueError, match="world radius"):  # the default, 1.8 d
+        render(point_certificate(0.5, 0.5, d=1e-320))
+    render(doc, canvas=16, world_radius=1e300)
+
+
+def test_render_draws_every_element_kind(ray_fleet):
+    fleet = [spec_to_dict(Ray(0.0)), spec_to_dict(Ray(math.pi))]
+    report = render(to_document(sample_cr_report(), fleet=fleet), canvas=320)
+    cone = render(to_document(snapshot_lower_bound(ray_fleet(5), d=1.0, n=5)))
+    ellipses = render(to_document(snapshot_lower_bound(ray_fleet(2), d=1.0, n=2)))
+    for svg in (report, cone, ellipses):
+        assert svg.startswith("<svg ")
+        assert svg.rstrip().endswith("</svg>")
+        assert svg.count("stroke-dasharray") == 1  # the witness line
+        assert svg.count("<text") == 1
+    # trajectories alternate two colours, as do the two reachable ellipses
+    assert [line.split('stroke="')[1][:7] for line in report.splitlines()
+            if line.startswith("<polyline")] == ["#2266aa", "#22aa77"]
+    assert cone.count('<polygon points="') == 1 and 'fill="#cc223322"' in cone
+    assert [line.split('stroke="')[1][:7] for line in ellipses.splitlines()
+            if line.startswith("<polygon")] == ["#2266aa", "#cc2233"]
+    assert cone.count('r="3"') == 5 and ellipses.count('r="3"') == 2
 
 
 def test_render_y_axis_points_up():
     # world (0, 1) with radius 2 on a 640 canvas lands at pixel y = 160
-    spec = RenderSpec(world_radius=2.0, canvas=640,
-                      layers=[Layer("point", "p")])
-    svg = render(spec, {"p": {"at": (0.0, 1.0)}})
+    svg = render(point_certificate(0.0, 1.0), world_radius=2.0, canvas=640)
     assert 'cx="320.00" cy="160.00"' in svg
 
 
 def test_render_clips_distant_line():
-    spec = RenderSpec(world_radius=1.0, canvas=64,
-                      layers=[Layer("line", "far", "witness")])
-    svg = render(spec, {"far": Line(0.0, 5.0)})
+    doc = to_document(sample_cr_report())
+    doc["witness"] = {"theta": 0.0, "delta": 5.0}
+    svg = render(doc, world_radius=1.0, canvas=64)
     assert "dasharray" not in svg  # nothing inside the frame to draw
-
-
-def test_render_unknown_entity_and_kind():
-    spec = RenderSpec(world_radius=1.0, layers=[Layer("line", "ghost")])
-    with pytest.raises(ValueError, match="unknown entity"):
-        render(spec, {})
-    bad = RenderSpec(world_radius=1.0, layers=[Layer("blob", "x")])
-    with pytest.raises(ValueError, match="unknown layer kind"):
-        render(bad, {"x": {}})
+    assert "dasharray" in render(doc, world_radius=6.0, canvas=64)
 
 
 def test_scene_cr_report_round_trip():
     fleet = [spec_to_dict(Ray(0.0)), spec_to_dict(Ray(math.pi))]
-    doc = to_document(sample_cr_report(), fleet=fleet)
-    spec, entities = scene_for_document(doc)
-    svg = render(spec, entities)
+    svg = render(to_document(sample_cr_report(), fleet=fleet))
     assert svg.count("<polyline") == 2
     assert "cr = 1.414200" in svg
     assert "dasharray" in svg  # the witness line style
@@ -168,9 +150,7 @@ def test_scene_cr_report_round_trip():
 
 def test_scene_two_robot_certificate_draws_ellipses(ray_fleet):
     cert = snapshot_lower_bound(ray_fleet(2), d=1.0, n=2)
-    doc = to_document(cert)
-    spec, entities = scene_for_document(doc, canvas=320)
-    svg = render(spec, entities)
+    svg = render(to_document(cert), canvas=320)
     # one reachable region per robot plus two position markers
     assert svg.count("<polygon") == 2
     assert svg.count("<circle") == 2
@@ -179,9 +159,7 @@ def test_scene_two_robot_certificate_draws_ellipses(ray_fleet):
 
 def test_scene_cone_certificate_draws_wedge(ray_fleet):
     cert = snapshot_lower_bound(ray_fleet(5), d=1.0, n=5)
-    doc = to_document(cert)
-    spec, entities = scene_for_document(doc)
-    svg = render(spec, entities)
+    svg = render(to_document(cert))
     assert svg.count("<polygon") == 1  # the empty cone
     assert svg.count("<circle") == 5
 
@@ -189,13 +167,11 @@ def test_scene_cone_certificate_draws_wedge(ray_fleet):
 def test_scene_degenerate_certificate_says_unbounded():
     parked = Fleet((Polyline(((0.0, 0.0), (0.0, 0.0), (1e-15, 0.0))),))
     cert = snapshot_lower_bound(parked, d=1.0, n=1, origin_tol=1e-6)
-    doc = to_document(cert)
-    spec, entities = scene_for_document(doc)
-    svg = render(spec, entities)
+    svg = render(to_document(cert))
     assert "unbounded" in svg
     assert "<polygon" not in svg
 
 
 def test_scene_unknown_schema():
     with pytest.raises(ValueError, match="schema"):
-        scene_for_document({"schema": "mystery/v9"})
+        render({"schema": "mystery/v9"})

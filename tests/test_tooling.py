@@ -101,3 +101,21 @@ def test_tracer_bindings_exist():
                for mod, attr, *_ in tracer.Tracer(modules)._targets()
                if not callable(getattr(mod, attr, None))}
     assert missing == STALE_TRACER_BINDINGS
+
+
+def test_a_failing_property_reports_its_falsifying_example(tmp_path):
+    # pyproject.toml turns warnings into errors; a warning the hypothesis
+    # plugin raises while reporting a failure must not become an INTERNALERROR
+    # that hides the example and stops the session
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_small(x):\n"
+        "    assert x < 5\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         "test_property.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Falsifying example" in proc.stdout
