@@ -213,12 +213,17 @@ def empty_cone(
     if origin_tol is None:
         origin_tol = 1e-9 * d
     angles, _ = _snapshot_angles(fleet, d, origin_tol)
+    return _cone_in_gap(angles, target_half_angle, gamma)
+
+
+def _cone_in_gap(angles: list[float], half_angle: float, gamma: float) -> Cone | None:
+    """A cone of the half-angle, gamma clear of every direction, or None."""
     if not angles:
         return Cone(0.0, math.pi)  # degenerate: unbounded CR
     gap, bisector = max_angular_gap(angles)
-    if gap + GAP_SLACK < 2.0 * target_half_angle + 2.0 * gamma:
+    if gap + GAP_SLACK < 2.0 * half_angle + 2.0 * gamma:
         return None
-    return Cone(bisector, target_half_angle)
+    return Cone(bisector, half_angle)
 
 
 def _rot(theta: float) -> np.ndarray:
@@ -263,13 +268,13 @@ def snapshot_lower_bound(
         half = math.pi / n - gamma
         if not 0.0 < half <= math.pi / 4.0:
             raise ValueError("gamma leaves no usable cone half-angle")
-        cone = empty_cone(fleet, d, half, gamma, origin_tol)
+        cone = _cone_in_gap(angles, half, gamma)
         if cone is None:  # pigeonhole over <= n directions; cannot happen
             raise AssertionError("empty cone must exist for n robots")
         witness = Line(cone.bisector, d * (1.0 + eps) * math.cos(half))
         bound, limit = 1.0 / math.cos(half), 1.0 / math.cos(math.pi / n)
     elif n == 3:
-        cone = empty_cone(fleet, d, math.pi / 3.0, 0.0, origin_tol)
+        cone = _cone_in_gap(angles, math.pi / 3.0, 0.0)
         if cone is None:
             raise AssertionError("empty cone must exist for 3 robots")
         witness = Line(cone.bisector, d * (1.0 / SQRT3 + eps))

@@ -99,7 +99,7 @@ def load_fleet_config(path: str) -> tuple[Fleet, list[dict], dict]:
         )
     except ValueError as exc:
         raise ConfigError(f"config {path}: {exc}") from exc
-    evaluation = doc.get("evaluation") or {}
+    evaluation = doc.get("evaluation", {})  # only a missing key means no block
     if not isinstance(evaluation, dict):
         raise ConfigError(f"config {path}: evaluation must be an object")
     where = f"config {path}: evaluation"

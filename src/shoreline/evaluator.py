@@ -31,9 +31,10 @@ inside a cell (h is convex there), so the leading candidates are finished
 in closed form: the earliest time any one robot's support, taken as linear
 on the cell, exceeds L.
 
-``evaluate_cr`` runs either sweep in t order over tiles that hold every
-direction for a run of samples; the running maximum, the previous sample and
-the best line so far carry from tile to tile.
+``evaluate_cr`` runs one sweep for both, in t order over tiles that hold
+every direction for a run of cells.  A tile hands each sample over with the
+one before it, so besides the best line so far only the running maximum
+carries from tile to tile.
 """
 
 from __future__ import annotations
@@ -56,10 +57,9 @@ POLISH_TOP = 8
 # rounding, not a record: supports that are equal in exact arithmetic (two
 # robots at mirror points, a parked robot) can differ in the last bits.
 TIE_MARGIN = 2e-12
-# Most cells in one tile of either sweep: a grid tile holds every direction
-# over a run of at least two time samples; an event tile holds every
-# direction over a run of at least one cell between breakpoints, with one
-# support difference per pair of robots and up to as many samples per cell.
+# Most cells in one tile of the sweep: a tile holds every direction over a
+# run of at least one cell; with crossings, also one support difference per
+# pair of robots and up to as many samples per cell.
 # Small enough that a tile's temporaries stay in cache on 200k-step spiral
 # grids, and that a long polyline never needs all its events at once.
 TILE_CELLS = 1 << 15
@@ -115,72 +115,57 @@ def _distinct(ts: np.ndarray) -> np.ndarray:
     return ts[np.diff(ts, prepend=-math.inf) > 0.0]
 
 
-def _grid_sweep(fleet: Fleet, normals: np.ndarray, ts: np.ndarray,
-                best: _BestLine) -> None:
-    """Sweep the support of every direction over the time grid into `best`.
+def _sweep(fleet: Fleet, normals: np.ndarray, ts: np.ndarray, best: _BestLine,
+           crossings: bool) -> None:
+    """Sweep every direction over the cells between consecutive times into `best`.
 
-    A tile is every direction over a run of at least two time samples, its
-    support one product per robot: BLAS rounds products of other shapes (one
-    sample, or fewer directions) differently, and the support must not
-    depend on where tiles fall.
+    A tile is every direction over a run of cells, its supports one product
+    per robot over at least two times: BLAS rounds products of other shapes
+    (one time, or fewer directions) differently, and the support must not
+    depend on where tiles fall.  Each cell yields its end, after its start.
+
+    With crossings, the times are breakpoints, where every robot's support
+    is linear.  Two robots' supports cross inside a cell where their
+    difference changes sign, at the fraction d0 / (d0 - d1) of its values
+    d0, d1 at the cell's ends.  The cell then yields, per direction, as many
+    samples as the direction in its tile with the most crossings there: its
+    crossings in t order, then its end.  Directions with fewer crossings
+    repeat the cell's start, a sample that never sets a record.
     """
     paths = [positions(robot, ts) for robot in fleet.robots]
-    n = normals.shape[1]
-    cols = max(2, min(len(ts), TILE_CELLS // n))
-    bounds = [*range(0, len(ts) - 1, cols), len(ts)]  # a lone last sample joins in
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for c0, c1 in zip(bounds, bounds[1:]):
-            support = paths[0][c0:c1] @ normals
-            for path in paths[1:]:
-                np.maximum(support, path[c0:c1] @ normals, out=support)
-            best.add(c0, support.T, ts[c0:c1])
-
-
-def _event_sweep(fleet: Fleet, normals: np.ndarray, horizon: float,
-                 best: _BestLine) -> None:
-    """Sweep every direction over its events into `best`; exact, no time grid.
-
-    A cell runs between two consecutive breakpoints of the fleet, where
-    every robot's support is linear.  Two robots' supports cross inside it
-    where their difference changes sign, at the fraction d0 / (d0 - d1) of
-    its values d0, d1 at the cell's ends.  Each cell yields, per direction,
-    as many samples as the direction in its tile with the most crossings
-    there: its crossings in t order, then the cell's end.  Directions with
-    fewer crossings repeat the cell's start, a sample that never sets a
-    record.  A tile is every direction over a run of cells, its supports one
-    product per robot over at least two breakpoints, as in the grid sweep.
-    """
-    ts = np.concatenate([np.array([0.0, horizon])]
-                        + [breakpoints(robot) for robot in fleet.robots])
-    ts = _distinct(ts[ts <= horizon])
-    paths = [positions(robot, ts) for robot in fleet.robots]
-    a, b = np.triu_indices(len(paths), 1)
+    a, b = np.triu_indices(len(paths) if crossings else 0, 1)
     n = normals.shape[1]
     width = max(1, TILE_CELLS // (n * (2 * len(a) + 1)))
-    sample = 1  # sample 0 is t = 0, where every support is 0: the start state
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k0 in range(0, len(ts) - 1, width):
             k1 = min(k0 + width, len(ts) - 1)
-            s = np.stack([path[k0:k1 + 1] @ normals for path in paths])
-            s_lo, ds = s[:, :-1], np.diff(s, axis=1)  # robot, cell, direction
-            d = s[a] - s[b]
-            d0, d1 = d[:, :-1], d[:, 1:]
-            cross = (d0 < 0.0) & (d1 > 0.0) | (d0 > 0.0) & (d1 < 0.0)
-            frac = np.where(cross, d0 / (d0 - d1), 0.0)
-            frac.sort(axis=0)  # the crossings last, in t order
-            most = int(np.count_nonzero(frac, axis=0).max(initial=0))
-            frac = frac[len(frac) - most:]
-            hx = s_lo[0] + frac * ds[0]  # the fleet's support at each crossing
-            for r in range(1, len(paths)):
-                np.maximum(hx, s_lo[r] + frac * ds[r], out=hx)
-            tx = ts[k0:k1, None] + frac * np.diff(ts[k0:k1 + 1])[:, None]
-            h = np.concatenate((hx, s[:, 1:].max(axis=0)[None]))
-            t = np.concatenate((tx, np.broadcast_to(ts[k0 + 1:k1 + 1, None],
-                                                    (1, k1 - k0, n))))
-            # (sample in cell, cell, direction) -> direction, then t order
-            h = h.transpose(2, 1, 0).reshape(n, -1)
-            best.add(sample, h, t.transpose(2, 1, 0).reshape(n, -1))
-            sample += h.shape[1]
+            s = [path[k0:k1 + 1] @ normals for path in paths]  # robot: t, direction
+            # direction, t: a contiguous row per direction for the reduction
+            h, t = s[0].T.copy(), ts[k0:k1 + 1]
+            for sr in s[1:]:
+                np.maximum(h, sr.T, out=h)
+            if len(a):
+                s = np.array(s)
+                s_lo, ds = s[:, :-1], np.diff(s, axis=1)
+                d = s[a] - s[b]
+                d0, d1 = d[:, :-1], d[:, 1:]
+                cross = (d0 < 0.0) & (d1 > 0.0) | (d0 > 0.0) & (d1 < 0.0)
+                frac = np.where(cross, d0 / (d0 - d1), 0.0)
+                frac.sort(axis=0)  # the crossings last, in t order
+                most = int(np.count_nonzero(frac, axis=0).max(initial=0))
+                frac = frac[len(frac) - most:]
+                hx = s_lo[0] + frac * ds[0]  # the fleet's support at each crossing
+                for r in range(1, len(paths)):
+                    np.maximum(hx, s_lo[r] + frac * ds[r], out=hx)
+                tx = t[:-1, None] + frac * np.diff(t)[:, None]
+                hx = np.concatenate((hx, h.T[None, 1:]))  # then each cell's end
+                tx = np.concatenate((tx, np.broadcast_to(t[None, 1:, None], (1, k1 - k0, n))))
+                # (sample in cell, cell, direction) -> direction, then t order,
+                # after the tile's first time
+                h = np.concatenate((h[:, :1], hx.transpose(2, 1, 0).reshape(n, -1)), axis=1)
+                t = np.concatenate((np.full((n, 1), t[0]),
+                                    tx.transpose(2, 1, 0).reshape(n, -1)), axis=1)
+            best.add(h[:, :-1], h[:, 1:], t[..., :-1], t[..., 1:])
 
 
 class _BestLine:
@@ -192,55 +177,40 @@ class _BestLine:
     and precedes every pair, and the first maximum wins: within a tile by
     argmax, across tiles by a strict >.  On a time grid the boundary
     record's value must also lie at or below hi: there a secant across a
-    cell that leaps over the whole window is no measurement.  The first
-    sample is never a candidate: nothing is known before it.  On a grid
-    starting at t0 > 0, lo is raised to t0, so offsets at or below t0 go
-    unmeasured: each larger one, at unit speed, is first reached after t0.
+    cell that leaps over the whole window is no measurement.  The sweep's
+    first time is only ever a predecessor: nothing is known before it.  lo
+    is raised to that time, so on a grid starting at t0 > 0 offsets at or
+    below t0 go unmeasured: each larger one, at unit speed, is first reached
+    after t0.
 
-    Column 0 of the buffers carries each direction's last sample and the
-    running max up to it, which starts at 0 and ends as its coverage.
+    Besides the best line, only the running max carries from tile to tile:
+    it starts at 0 and ends as each direction's coverage.
     """
 
     def __init__(self, n: int, epsilon: float, window: tuple[float, float] | None,
-                 t0: np.ndarray, exact: bool):
-        self.lo, self.hi = epsilon, math.inf
+                 t0: float, exact: bool):
+        self.lo, self.hi = max(epsilon, t0), math.inf
         if window is not None:
-            self.lo, self.hi = max(epsilon, window[0]), window[1]
-        if not exact:  # at unit speed no support exceeds t0 before the grid starts
-            self.lo = max(self.lo, float(t0))
+            self.lo, self.hi = max(self.lo, window[0]), window[1]
         self.exact = exact
         self.ratio = np.full(n, -np.inf)  # stays -inf without a record in [lo, hi]
-        self.cell = np.zeros(n, dtype=np.intp)  # sample index of the numerator
+        self.cell = np.zeros((2, n))  # the numerator's predecessor and sample times
         self.time = np.zeros(n)
         self.level = np.zeros(n)  # max(prev, lo): the offset its break time beat
-        self.hbuf, self.rbuf, self.t_last = np.zeros((n, 1)), np.zeros((n, 1)), t0
+        self.coverage = np.zeros(n)  # the running max
 
-    @property
-    def coverage(self) -> np.ndarray:
-        return self.rbuf[:, 0]
+    def add(self, h_lo: np.ndarray, h: np.ndarray, t_lo: np.ndarray, t: np.ndarray) -> None:
+        """Reduce the next samples h at times t, each after h_lo at t_lo.
 
-    def add(self, c0: int, h: np.ndarray, t: np.ndarray) -> None:
-        """Reduce samples c0, c0 + 1, ... of every direction.
-
-        h holds one row per direction; t is one row of times for every
-        direction (a grid) or one row per direction (events).
+        h and h_lo hold one row per direction, each row in t order; t and
+        t_lo are one row for every direction (a grid) or one per direction.
         """
         lo, hi = self.lo, self.hi
-        w = h.shape[1]
-        if self.hbuf.shape[1] <= w:
-            self.hbuf, self.rbuf = (np.concatenate((buf[:, :1], np.empty((len(h), w))),
-                                                   axis=1) for buf in (self.hbuf, self.rbuf))
-        self.hbuf[:, 1:w + 1] = h
-        h, h_lo = self.hbuf[:, 1:w + 1], self.hbuf[:, :w]
-        run, prev = self.rbuf[:, 1:w + 1], self.rbuf[:, :w]
-        np.fmax.accumulate(h, axis=1, out=run)  # = maximum on finite supports, faster
-        np.maximum(run, prev[:, :1], out=run)
-        t_lo = np.concatenate((self.t_last[..., None], t[..., :-1]), axis=-1)
-        self.t_last = t[..., -1]
+        prev = np.fmax.accumulate(h_lo, axis=1)  # = maximum on finite supports, faster
+        np.maximum(prev, self.coverage[:, None], out=prev)
+        self.coverage = np.maximum(prev[:, -1], h[:, -1])
         rec = h > prev * (1.0 + TIE_MARGIN)
         cand = rec & (h >= lo)
-        if c0 == 0:
-            cand[:, 0] = False
         if hi < math.inf:
             cand &= prev <= hi
             if not self.exact:
@@ -259,9 +229,9 @@ class _BestLine:
         k = np.arange(len(h))
         k = k[ratio[k, j] > self.ratio]
         j = j[k]
-        self.ratio[k], self.cell[k] = ratio[k, j], c0 + j
-        self.time[k], self.level[k] = brk[k, j], np.maximum(prev[k, j], lo)
-        self.hbuf[:, 0], self.rbuf[:, 0] = h[:, -1], run[:, -1]
+        self.ratio[k], self.time[k] = ratio[k, j], brk[k, j]
+        self.level[k] = np.maximum(prev[k, j], lo)
+        self.cell[:, k] = [x[j] if x.ndim == 1 else x[k, j] for x in (t_lo, t)]
 
     @property
     def found(self) -> np.ndarray:
@@ -328,16 +298,14 @@ def evaluate_cr(
     thetas = np.arange(theta_steps) * (2.0 * math.pi / theta_steps)
     normals = np.stack([np.cos(thetas), np.sin(thetas)])
     exact = all(piecewise_linear(robot) for robot in fleet.robots)
-    if exact:
-        best = _BestLine(theta_steps, epsilon, window, np.zeros(theta_steps), True)
-        _event_sweep(fleet, normals, horizon, best)
-    else:
-        kinks = np.concatenate([breakpoints(robot) for robot in fleet.robots])
-        kinks = kinks[(kinks > ts[0]) & (kinks < ts[-1])]
-        if kinks.size:
-            ts = _distinct(np.concatenate((ts, kinks)))
-        best = _BestLine(theta_steps, epsilon, window, ts[0], False)
-        _grid_sweep(fleet, normals, ts, best)
+    if exact:  # sampled at t = 0, the horizon and every breakpoint, plus crossings
+        ts = np.array([0.0, horizon])
+    kinks = np.concatenate([breakpoints(robot) for robot in fleet.robots])
+    kinks = kinks[(kinks > ts[0]) & (kinks < ts[-1])]
+    if kinks.size:
+        ts = _distinct(np.concatenate((ts, kinks)))
+    best = _BestLine(theta_steps, epsilon, window, float(ts[0]), exact)
+    _sweep(fleet, normals, ts, best, crossings=exact)
     coverage = best.coverage
 
     bad = (coverage < epsilon) | ~best.found
@@ -359,9 +327,9 @@ def evaluate_cr(
     best_ratio, best_j, best_time = -math.inf, 0, 0.0
     # stable on -ratio: ties keep grid order, the first direction wins a tie
     for j in np.argsort(-best.ratio, kind="stable")[:1 if exact else POLISH_TOP]:
-        time, g = float(best.time[j]), int(best.cell[j])
+        time = float(best.time[j])
         if not exact:
-            hit = _first_crossing(fleet, ts[g - 1:g + 1], normals[:, j],
+            hit = _first_crossing(fleet, best.cell[:, j], normals[:, j],
                                   float(best.level[j]))
             time = hit if hit < math.inf else time
         ratio = time / float(best.level[j])

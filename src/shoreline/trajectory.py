@@ -230,8 +230,9 @@ def first_hit_time(
     """First time the path reaches the line, or None within the horizon.
 
     Grid scan for a sign change of support - delta, then bisection down to
-    tol.  The scan can miss a crossing narrower than horizon/scan_steps; use
-    more steps for wiggly paths.
+    tol, or to the float spacing where that is coarser.  The scan can miss a
+    crossing narrower than horizon/scan_steps; use more steps for wiggly
+    paths.
     """
     if horizon <= 0.0:
         raise ValueError("horizon must be positive")
@@ -247,6 +248,8 @@ def first_hit_time(
     lo, hi = ts[k - 1], ts[k]
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         pm = positions(spec, np.array([mid]))[0]
         if pm @ u >= line.delta:
             hi = mid

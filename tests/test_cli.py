@@ -212,6 +212,19 @@ def test_config_rejects_non_finite_bearings(tmp_path, capsys, command, robot, me
     assert err == f"error: config {p}: {message}\n"
 
 
+@pytest.mark.parametrize("command", [["evaluate", "--horizon", "5"],
+                                     ["certify", "--d", "1"]])
+@pytest.mark.parametrize("block", ["[]", "0", "false", '""', "null"])
+def test_config_rejects_non_object_evaluation(tmp_path, capsys, command, block):
+    # only a missing key means no block; each of these used to pass as one
+    p = tmp_path / "f.json"
+    p.write_text('{"version": 1, "robots": [{"kind": "ray", "angle": 0.0}], '
+                 f'"evaluation": {block}}}')
+    assert main([command[0], str(p), *command[1:]]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: config {p}: evaluation must be an object\n"
+
+
 def test_config_invalid_json(tmp_path, capsys):
     p = tmp_path / "f.json"
     p.write_text("{not json")

@@ -504,6 +504,20 @@ def test_tile_size_never_changes_the_report(walks, window):
                                horizon=12.0, theta_steps=24, window=window)
 
 
+@given(walk=st.lists(_point, min_size=1, max_size=5))
+@settings(max_examples=10, deadline=None)
+def test_tile_size_never_changes_mixed_grid_fleet(walk):
+    # a spiral puts the diamond and the walk on the time grid too, so tile
+    # edges fall at the start state at t_start, among the merged polyline
+    # breakpoints and inside the cells the polish reads: a tile of one to
+    # 41 cells (TILE_CELLS // 24 directions)
+    fleet = Fleet((LogSpiral(growth=0.4), DIAMOND, path(*walk)))
+    with pytest.MonkeyPatch.context() as mp:
+        _assert_tile_invariant(mp, fleet, (1, 7, 64, 1000), horizon=12.0,
+                               theta_steps=24, t_steps=300, window=(0.5, 3.0),
+                               spacing="geometric", t_start=0.3)
+
+
 def test_record_sweep_overflow_stays_silent():
     # a robot drifting 5e-324 sideways makes the support step between two
     # samples subnormal in some directions, so an off-record secant fraction
@@ -516,7 +530,7 @@ def test_record_sweep_overflow_stays_silent():
 
 
 def test_tile_size_never_changes_windowed_spiral(monkeypatch):
-    # a spiral takes the time grid, whose tiles hold TILE_CELLS // 6 samples
+    # a spiral takes the time grid, whose tiles hold TILE_CELLS // 6 cells
     fleet = Fleet((LogSpiral(growth=0.3),))
     _assert_tile_invariant(monkeypatch, fleet, (5, 64, 1000, 3000), t_steps=3001,
                            horizon=2000.0, theta_steps=6, epsilon=5.0,

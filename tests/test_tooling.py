@@ -88,19 +88,45 @@ def test_reproduce_spiral_bounds_finds_both_optima(tmp_path):
 STALE_TRACER_BINDINGS = {("optimizer", "evaluate_cr")}
 
 
-def test_tracer_bindings_exist():
-    # perfbench/tracer.py wraps program functions by name and silently skips
-    # any that has gone, which would zero its per-layer metrics unnoticed
+def _tracer():
+    """A Tracer from the benchmark's own tracer.py over the program's modules."""
     spec = importlib.util.spec_from_file_location(
         "tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     modules = {name: importlib.import_module(f"shoreline.{name}")
                for name in ("cli", "evaluator", "optimizer", "certifier", "report")}
+    return tracer.Tracer(modules)
+
+
+def test_tracer_bindings_exist():
+    # perfbench/tracer.py wraps program functions by name and silently skips
+    # any that has gone, which would zero its per-layer metrics unnoticed
     missing = {(mod.__name__.split(".")[-1], attr)
-               for mod, attr, *_ in tracer.Tracer(modules)._targets()
+               for mod, attr, *_ in _tracer()._targets()
                if not callable(getattr(mod, attr, None))}
     assert missing == STALE_TRACER_BINDINGS
+
+
+def test_traced_commands_feed_the_counters(tmp_path, capsys):
+    # the tracer's hooks read evaluate_cr's theta_steps, t_steps, horizon and
+    # t_start, positions' ts and omb_oracle's grid by name: a renamed
+    # argument fails only traced runs, with a KeyError
+    fleets = ROOT / "fleets"
+    tracer = _tracer()
+    tracer.start_pass()
+    with tracer.installed():
+        for argv in (["evaluate", str(fleets / "rays-5.json"), "--theta-steps", "24"],
+                     ["evaluate", str(fleets / "spiral-1.json"), "--t-steps", "2000"],
+                     ["certify", str(fleets / "rays-5.json"), "--d", "1"],
+                     ["lemmas", "--suite", "omb", "--grid", "10"],
+                     ["optimize", "--n", "1"]):
+            tracer.begin_op()
+            assert tracer.modules["cli"].main([*argv, "--out", str(tmp_path / "out")]) == 0
+    metrics = tracer.pass_metrics(tracer.spans)
+    for name in ("evaluator.directions", "trajectory.positions.points",
+                 "certifier.omb_oracle.cells", "optimizer.objective_evals"):
+        assert metrics[name] > 0, name
 
 
 def test_a_failing_property_reports_its_falsifying_example(tmp_path):

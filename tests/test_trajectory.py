@@ -179,6 +179,13 @@ def test_first_hit_time_already_beyond():
     assert first_hit_time(p, Line(0.0, 0.0), horizon=1.0) == 0.0
 
 
+def test_first_hit_time_stops_at_the_float_spacing():
+    # near 5e19 adjacent floats lie 8192 apart, far above tol: the bisection
+    # must stop once no float is left between its ends
+    t = first_hit_time(Ray(0.0), Line(0.0, 5e19), horizon=1e20)
+    assert t == pytest.approx(5e19, rel=1e-12)
+
+
 @given(n=st.integers(2, 10), d=st.floats(0.5, 5.0), theta=st.floats(0.0, 6.28))
 @settings(max_examples=40, deadline=None)
 def test_ray_fleet_hits_within_projection_bound(n, d, theta):
