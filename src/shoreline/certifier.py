@@ -19,8 +19,10 @@ fleet regardless of grid choices.  Three constructions, by fleet size:
   y = -(1/2 + zeta)d is unvisited.  Bound (3/2 + zeta)/(1/2 + zeta) -> 3.
 
 The reflection inequality and the ellipse geometry are verified separately
-by brute-force oracles (omb_oracle, discriminant_sweep), run together by
-lemma_suite, so the per-fleet certificates can lean on them.
+by sweeps (omb_oracle, discriminant_sweep), run together by lemma_suite, so
+the per-fleet certificates can lean on them.  omb_oracle scans grid
+positions of K along MB and takes the exact nearest L on OB, the orthogonal
+projection of K, which always lands inside the segment.
 """
 
 from __future__ import annotations
@@ -84,29 +86,17 @@ class ConeCertificate:
     robot_positions: tuple[tuple[float, float], ...] = ()
 
 
-def omb_excess(phi: float, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """OK + KL - OB over the right triangle with apex angle phi, OB = 1.
-
-    O is the origin, M = (cos phi, 0) the foot of the altitude, B = (cos phi,
-    sin phi).  K = M + s(B - M) runs along MB and L = vB along OB; s down the
-    rows, v across the columns of the result.
-    """
-    s = np.asarray(s, dtype=float)
-    v = np.asarray(v, dtype=float)
-    cphi, sphi = math.cos(phi), math.sin(phi)
-    kx = cphi
-    ky = s * sphi
-    ok = np.hypot(kx, ky)
-    dx = kx - v[None, :] * cphi
-    dy = ky[:, None] - v[None, :] * sphi
-    kl = np.hypot(dx, dy)
-    return ok[:, None] + kl - 1.0
-
-
 def omb_oracle(
     phi: float, grid: int = DEFAULT_GRID, *, allow_beyond_hypothesis: bool = False
 ) -> tuple[float, tuple[Point2, Point2]]:
-    """Brute-force minimum of OK + KL - OB and its argmin (K, L).
+    """Minimum of OK + KL - OB over the right triangle with apex angle phi.
+
+    O is the origin, M = (cos phi, 0) the foot of the altitude and B =
+    (cos phi, sin phi), so OB = 1.  K = M + s(B - M) is scanned at grid
+    values of s in [0, 1]; for each K the nearest L on OB is exact.  It is
+    the orthogonal projection L = vB with v = cos^2 phi + s sin^2 phi, which
+    lies in [cos^2 phi, 1], inside the segment, at distance
+    KL = cos phi sin phi (1 - s).  Returns the minimum and its (K, L).
 
     The inequality OK + KL >= OB needs phi <= pi/4; larger apex angles are
     rejected unless allow_beyond_hypothesis is set (they make a useful
@@ -119,14 +109,13 @@ def omb_oracle(
     if grid < 2:
         raise ValueError("grid must be at least 2")
     s = np.linspace(0.0, 1.0, grid)
-    v = np.linspace(0.0, 1.0, grid)
-    ex = omb_excess(phi, s, v)
-    flat = int(np.argmin(ex))
-    i, j = divmod(flat, grid)
     cphi, sphi = math.cos(phi), math.sin(phi)
+    ex = np.hypot(cphi, s * sphi) + cphi * sphi * (1.0 - s) - 1.0
+    i = int(np.argmin(ex))
+    v = 1.0 - (1.0 - s[i]) * sphi * sphi  # cos^2 + s sin^2, exactly 1 at s = 1
     k = Point2(cphi, s[i] * sphi)
-    l = Point2(v[j] * cphi, v[j] * sphi)
-    return float(ex[i, j]), (k, l)
+    l = Point2(v * cphi, v * sphi)
+    return float(ex[i]), (k, l)
 
 
 def cone_exit_objective(lam: float) -> float:
@@ -497,7 +486,7 @@ def lemma_suite(
     suites: tuple[str, ...] = LEMMA_SUITES,
     negative_control: bool = False,
 ) -> list[dict]:
-    """Brute-force checks of the lemmas the certificates lean on.
+    """Numerical checks of the lemmas the certificates lean on.
 
     One result per suite, in LEMMA_SUITES order, each carrying its extremal
     value and whether it passed; negative_control appends two controls that

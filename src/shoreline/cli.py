@@ -7,8 +7,8 @@ search), plot (SVG rendering of a report).  Outputs are files plus a
 one-line summary on stdout.
 
 Exit codes: 0 ok, 1 usage/config error (including any flag value the
-library rejects), 2 uncovered direction, 3 lemma violation, 4
-non-convergence.
+library rejects and an --out the command cannot write), 2 uncovered
+direction, 3 lemma violation, 4 non-convergence.
 
 Fleet configs are JSON:
 
@@ -117,6 +117,13 @@ def _reject_unknown_keys(doc: dict, known, where: str) -> None:
         raise ConfigError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _pick(cli_value, config: dict, key: str, default=None):
     if cli_value is not None:
         return cli_value
@@ -152,7 +159,7 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(str(exc)) from exc
     text = report.emit_report(rep, fleet=robot_docs)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
     print(f"cr_estimate={rep.cr_estimate:.9f} witness_theta={rep.witness.theta:.6f} "
           f"witness_delta={rep.witness.delta:.6g} coverage={rep.coverage_radius:.6g}"
           + (f" -> {args.out}" if args.out else ""))
@@ -172,7 +179,7 @@ def cmd_certify(args) -> int:
         raise ConfigError(str(exc)) from exc
     text = report.emit_report(cert, fleet=robot_docs)
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
     if cert.degenerate:
         print(f"degenerate: unbounded CR (all robots at the origin at "
               f"d={cert.snapshot_time:g})" + (f" -> {args.out}" if args.out else ""))
@@ -197,7 +204,7 @@ def cmd_lemmas(args) -> int:
         print(f"{status} {r['suite']}: {r['lemma']} | extremal={r['extremal']:.6g}")
     if args.out:
         doc = {"results": results, "all_passed": ok}
-        Path(args.out).write_text(report.emit_report(doc))
+        _write_out(args.out, report.emit_report(doc))
     if not ok:
         failed = ", ".join(r["suite"] for r in results if not r["passed"])
         print(f"lemma violation in: {failed}", file=sys.stderr)
@@ -215,7 +222,7 @@ def cmd_optimize(args) -> int:
         raise ConfigError(str(exc)) from exc
     text = report.emit_report(result, extra={"n": args.n})
     if args.out:
-        Path(args.out).write_text(text)
+        _write_out(args.out, text)
     if not result.converged:
         print(f"non-convergence: bracket {result.bracket} wider than tol "
               f"{args.tol:g} after {result.evaluations} evaluations",
@@ -246,7 +253,7 @@ def cmd_plot(args) -> int:
     except TypeError as exc:
         raise ConfigError(f"report {args.report} is malformed: {exc}") from exc
     out = args.out or str(Path(args.report).with_suffix(".svg"))
-    Path(out).write_text(svg)
+    _write_out(out, svg)
     print(f"wrote {out}")
     return EXIT_OK
 

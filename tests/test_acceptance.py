@@ -117,8 +117,9 @@ def test_criterion_07_triangle_inequality_sweep():
     worst = suite_result(results, "omb")["extremal"]
     control = suite_result(results, "omb-negative-control")["extremal"]
     ok = worst >= -1e-9 and control < 0.0
-    record(7, ok, f"min excess {worst:.3g} >= -1e-9 on 1000^2 grids; negative "
-                  f"control at 0.3 pi gives {control:.3g} < 0")
+    record(7, ok, f"min excess {worst:.3g} >= -1e-9 at 1000 K positions with "
+                  f"the exact nearest L; negative control at 0.3 pi gives "
+                  f"{control:.3g} < 0")
 
 
 def test_criterion_08_cone_exit_minimum():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from shoreline.certifier import (
     ConeCertificate,
     EllipseRegion,
+    OMB_PHIS,
     cone_exit_objective,
     discriminant,
     discriminant_sweep,
@@ -18,7 +20,6 @@ from shoreline.certifier import (
     empty_cone,
     lemma_suite,
     min_cone_exit,
-    omb_excess,
     omb_oracle,
     reach_oracle,
     snapshot_lower_bound,
@@ -30,6 +31,25 @@ SQRT3 = math.sqrt(3.0)
 
 
 # -------------------------------------------------------- triangle lemma
+
+
+def omb_excess(phi: float, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """OK + KL - OB on the full (s, v) grid, the reference omb_oracle must beat.
+
+    O is the origin, M = (cos phi, 0) the foot of the altitude, B = (cos phi,
+    sin phi).  K = M + s(B - M) runs along MB and L = vB along OB; s down the
+    rows, v across the columns of the result.
+    """
+    s = np.asarray(s, dtype=float)
+    v = np.asarray(v, dtype=float)
+    cphi, sphi = math.cos(phi), math.sin(phi)
+    kx = cphi
+    ky = s * sphi
+    ok = np.hypot(kx, ky)
+    dx = kx - v[None, :] * cphi
+    dy = ky[:, None] - v[None, :] * sphi
+    kl = np.hypot(dx, dy)
+    return ok[:, None] + kl - 1.0
 
 
 def test_omb_excess_zero_at_far_corner():
@@ -57,6 +77,34 @@ def test_omb_oracle_nonnegative_up_to_quarter_turn(phi):
     assert k.x == pytest.approx(math.cos(phi), abs=1e-9)
     assert k.y == pytest.approx(math.sin(phi), abs=1e-9)
     assert (k.x, k.y) == (l.x, l.y)
+
+
+@pytest.mark.parametrize("phi", [*OMB_PHIS, 0.3 * math.pi])
+def test_omb_oracle_matches_the_2d_grid(phi):
+    # the exact nearest L is at or below every sampled L of the same K row
+    grid = 300
+    s = np.linspace(0.0, 1.0, grid)
+    reference = float(np.min(omb_excess(phi, s, s)))
+    m, (k, l) = omb_oracle(phi, grid, allow_beyond_hypothesis=True)
+    assert m <= reference + 1e-15
+    assert m == pytest.approx(reference, abs=1e-5)
+    b = Point2(math.cos(phi), math.sin(phi))
+    v = l.x / b.x
+    assert 0.0 <= v <= 1.0 and l.y == pytest.approx(v * b.y, abs=1e-15)
+    s_k = k.y / b.y
+    kl = math.hypot(k.x - l.x, k.y - l.y)
+    assert kl == pytest.approx(b.x * b.y * (1.0 - s_k), abs=1e-12)
+
+
+def test_omb_oracle_memory_is_linear_in_the_grid():
+    # grid positions of K, not grid^2 (K, L) cells, which need over 20 MB here
+    tracemalloc.start()
+    try:
+        lemma_suite(grid=1000, suites=("omb",), negative_control=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_omb_oracle_rejects_wide_apex():

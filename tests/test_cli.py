@@ -373,6 +373,26 @@ def test_bad_arguments_exit_without_traceback(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize("command", ["evaluate", "certify", "lemmas", "optimize",
+                                     "plot"])
+def test_unwritable_out_exits_without_traceback(tmp_path, capsys, command, target):
+    cfg = ray_config(tmp_path / "rays.json", 4, horizon=10.0, theta_steps=16)
+    argv = {
+        "evaluate": ["evaluate", cfg],
+        "certify": ["certify", cfg, "--d", "1"],
+        "lemmas": ["lemmas", "--suite", "cone-exit", "--grid", "10"],
+        "optimize": ["optimize", "--n", "1"],
+        "plot": ["plot", str(certificate_file(tmp_path))],
+    }[command]
+    out = tmp_path / "no" / "such" / "x.json" if target == "missing-dir" else tmp_path
+    capsys.readouterr()
+    assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ")
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------------- plot
 
 
