@@ -4,6 +4,10 @@
 Runs the growth-rate search for the single spiral (n=1) and the antipodal
 pair (n=2) and prints the optimum of each: expect CR* near 13.8111 and
 5.2644.  The objective is closed form, so each search takes milliseconds.
+Then evaluates the shipped configs fleets/spiral-1.json and
+fleets/double-spiral-2.json, which sample each spiral at its support
+extrema, and prints each one's relative gap to the closed form at its own
+growth rate: expect at most 1e-12.  A larger gap exits 5.
 """
 
 import argparse
@@ -13,8 +17,26 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from shoreline.optimizer import optimize_spiral  # noqa: E402
+from shoreline.cli import load_fleet_config  # noqa: E402
+from shoreline.evaluator import evaluate_cr  # noqa: E402
+from shoreline.optimizer import optimize_spiral, steady_state_cr  # noqa: E402
 from shoreline.report import emit_report  # noqa: E402
+
+FLEETS = Path(__file__).resolve().parent.parent / "fleets"
+GAP_TOL = 1e-12
+
+
+def evaluated_gap(name: str, n: int) -> float:
+    """Relative gap between the evaluator and the closed form on a shipped config."""
+    fleet, _, ev = load_fleet_config(str(FLEETS / f"{name}.json"))
+    ev = dict(ev)
+    if "window" in ev:
+        ev["window"] = tuple(ev["window"])
+    rep = evaluate_cr(fleet, **ev)
+    closed = steady_state_cr(n, fleet.robots[0].growth)
+    print(f"{name}: evaluated cr={rep.cr_estimate:.12f} closed form "
+          f"{closed:.12f} gap {rep.cr_estimate / closed - 1.0:.3g}")
+    return abs(rep.cr_estimate / closed - 1.0)
 
 
 def main() -> int:
@@ -40,6 +62,11 @@ def main() -> int:
             print(f"  warning: bracket {res.bracket} did not reach tol",
                   file=sys.stderr)
             return 4
+    gaps = [evaluated_gap(name, n) for name, n in (("spiral-1", 1), ("double-spiral-2", 2))]
+    if max(gaps) > GAP_TOL:
+        print(f"  error: evaluator and closed form differ by more than {GAP_TOL}",
+              file=sys.stderr)
+        return 5
     return 0
 
 

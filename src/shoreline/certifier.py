@@ -46,33 +46,6 @@ DEFAULT_ZETA = 1e-6
 DEFAULT_GRID = 1000
 
 
-@dataclass(frozen=True)
-class EllipseRegion:
-    """Points reachable in unit time by a robot that ends delta from the origin.
-
-    Foci at the origin and at (delta*cos(theta), delta*sin(theta)), string
-    length 1: center offset h = delta/2 along the axis, semi-major 1/2,
-    semi-minor b = sqrt(1 - delta^2)/2.
-    """
-
-    delta: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.delta <= 1.0:
-            raise ValueError("delta must lie in [0, 1]")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError("theta must lie in [0, pi]")
-
-    @property
-    def h(self) -> float:
-        return 0.5 * self.delta
-
-    @property
-    def b(self) -> float:
-        return 0.5 * math.sqrt(max(0.0, 1.0 - self.delta * self.delta))
-
-
 @dataclass
 class ConeCertificate:
     cone: Cone
@@ -294,25 +267,17 @@ def snapshot_lower_bound(
     )
 
 
-def ellipse_q(x: float, y: float, region: EllipseRegion) -> float:
-    """Quadratic form negative inside the unit-time reachable ellipse.
-
-    q = 4(cos(t)x + sin(t)y - h)^2 + ((-sin(t)x + cos(t)y)/b)^2 - 1 with
-    h = delta/2 and b = sqrt(1 - delta^2)/2.
-    """
-    if region.delta >= 1.0:
-        raise ValueError("degenerate ellipse: delta = 1 has zero minor axis")
-    c, s = math.cos(region.theta), math.sin(region.theta)
-    axial = c * x + s * y - region.h
-    trans = -s * x + c * y
-    b2 = region.b * region.b
-    return 4.0 * axial * axial + trans * trans / b2 - 1.0
-
-
 def ellipse_q_grid(
     x: np.ndarray, y: np.ndarray, delta: np.ndarray, theta: np.ndarray
 ) -> np.ndarray:
-    """Vectorized ellipse_q for property sweeps (all arrays broadcast)."""
+    """Quadratic form negative inside the unit-time reachable ellipse.
+
+    The robot ends delta from the origin at bearing theta; the ellipse has
+    foci at the origin and there, string length 1, so center offset
+    h = delta/2 along the axis, semi-axes 1/2 and b = sqrt(1 - delta^2)/2:
+    q = 4(cos(t)x + sin(t)y - h)^2 + ((-sin(t)x + cos(t)y)/b)^2 - 1.  All
+    arrays broadcast.
+    """
     c, s = np.cos(theta), np.sin(theta)
     axial = c * x + s * y - 0.5 * delta
     trans = -s * x + c * y
@@ -323,7 +288,7 @@ def ellipse_q_grid(
 def ellipse_boundary(delta: float, theta: float, samples: int = 512) -> np.ndarray:
     """(samples, 2) points with q = 0, counterclockwise from the far vertex.
 
-    The ellipse of EllipseRegion(delta, theta), but theta may be any bearing.
+    The ellipse of ellipse_q_grid; theta may be any bearing.
     """
     t = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
     u = np.array([math.cos(theta), math.sin(theta)])
@@ -332,49 +297,10 @@ def ellipse_boundary(delta: float, theta: float, samples: int = 512) -> np.ndarr
     return 0.5 * delta * u + 0.5 * np.outer(np.cos(t), u) + b * np.outer(np.sin(t), v)
 
 
-def reach_oracle(p: Point2, robot_end: Point2, time_budget: float) -> bool:
-    """Whether a unit-speed robot from the origin can visit p and end at robot_end."""
-    if time_budget <= 0.0:
-        raise ValueError("time_budget must be positive")
-    trip = p.norm() + math.hypot(p.x - robot_end.x, p.y - robot_end.y)
-    return trip <= time_budget
-
-
 def _discriminant_closed(delta, theta, zeta):
     num = delta * delta + 2.0 * delta * (2.0 * zeta + 1.0) * np.sin(theta)
     num = num + 4.0 * zeta * (zeta + 1.0)
     return -16.0 * num / (1.0 - delta * delta)
-
-
-def discriminant(delta: float, theta: float, zeta: float) -> float:
-    """Discriminant in x of q(x, -1/2 - zeta) for the ellipse at (delta, theta).
-
-    Negative means the horizontal line y = -1/2 - zeta misses the ellipse.
-    Returns the closed form -16(d^2 + 2d(2z+1)sin(t) + 4z(z+1))/(1 - d^2),
-    cross-checked on every call against B^2 - 4AC of the expanded quadratic;
-    zeta = 0 is admitted as the tangency diagnostic.
-    """
-    if not 0.0 <= delta < 1.0 - 1e-9:
-        raise ValueError("delta must lie in [0, 1 - 1e-9)")
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError("theta must lie in [0, pi]")
-    if zeta < 0.0:
-        raise ValueError("zeta must be non-negative")
-    closed = float(_discriminant_closed(delta, theta, zeta))
-    y0 = -0.5 - zeta
-    c, s = math.cos(theta), math.sin(theta)
-    k = 4.0 / (1.0 - delta * delta)  # 1/b^2
-    # q(x, y0) = A x^2 + B x + C
-    a = 4.0 * c * c + k * s * s
-    b = 8.0 * c * (s * y0 - 0.5 * delta) - 2.0 * k * s * c * y0
-    cc = 4.0 * (s * y0 - 0.5 * delta) ** 2 + k * c * c * y0 * y0 - 1.0
-    expanded = b * b - 4.0 * a * cc
-    if abs(expanded - closed) > 1e-9 * max(1.0, abs(closed)):
-        raise RuntimeError(
-            f"discriminant cross-check failed at delta={delta}, theta={theta}, "
-            f"zeta={zeta}: closed={closed!r} expanded={expanded!r}"
-        )
-    return closed
 
 
 def discriminant_sweep(

@@ -268,11 +268,12 @@ def build_parser() -> _Parser:
     pe.add_argument("config")
     pe.add_argument("--horizon", type=float)
     pe.add_argument("--theta-steps", type=int, dest="theta_steps")
-    pe.add_argument("--t-steps", type=int, dest="t_steps")
+    pe.add_argument("--t-steps", type=int, dest="t_steps",
+                    help="validated and echoed; every fleet is sampled at its events")
     pe.add_argument("--epsilon", type=float)
     pe.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"))
-    pe.add_argument("--spacing", choices=("uniform", "geometric"))
-    pe.add_argument("--t-start", type=float, dest="t_start")
+    pe.add_argument("--spacing", choices=("uniform", "geometric"), help="as --t-steps")
+    pe.add_argument("--t-start", type=float, dest="t_start", help="as --t-steps")
     pe.add_argument("--out")
     pe.set_defaults(func=cmd_evaluate)
 

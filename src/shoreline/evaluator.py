@@ -2,39 +2,24 @@
 
 The worst-case line for a fleet can be found direction by direction.  Fix a
 direction theta and let h(t) be the running maximum, over robots and over
-time, of the support reached in that direction.  A line at offset delta in
-direction theta is first hit when h crosses delta, so along each direction
-the adversary's best offsets sit just past the values where h set a new
-record: place the line at delta = m + 0 for a record value m and the fleet
-pays the time of the *next* record divided by m.
+time, of the support reached in that direction.  A line at offset L is
+first hit when h passes L, at T(L), and the adversary picks the worst
+T(L) / L over [lo, hi]: lo is epsilon (a start inside it trivializes the
+ratio) or a window's lower end, hi its upper end or infinity.
 
-Each direction is sampled in t order.  Every sample i carries h[i] and
-prev[i], the running maximum before i; it is a record when h[i] beats
-prev[i] by more than rounding (TIE_MARGIN).  Offsets below epsilon are
-excluded (any start inside radius epsilon trivializes the ratio), so a
-record pays against the level L = max(prev[i], epsilon): the line at L + 0
-is first crossed between samples i - 1 and i, and the record's ratio is the
-time where the secant of h between them reaches L, over L.
-
-On a fleet of rays, polylines and their antipodes (no spiral) every robot
-moves in a straight line between its breakpoints (``trajectory.breakpoints``),
-so its support is linear there, and the fleet's support gains extra kinks
-only where two robots' supports cross.  Such a fleet is sampled at exactly
-these events: t = 0, the horizon, every robot's breakpoints and, per
-direction, every crossing of two robots' supports.  Between two events one
-robot leads and h is linear, so every secant break time is exact and the
-result does not depend on the time grid.
-
-A fleet with a spiral is sampled on a time grid that also holds every
-polyline breakpoint.  The secant is then early where robots take turns
-inside a cell (h is convex there), so the leading candidates are finished
-in closed form: the earliest time any one robot's support, taken as linear
-on the cell, exceeds L.
-
-``evaluate_cr`` runs one sweep for both, in t order over tiles that hold
-every direction for a run of cells.  A tile hands each sample over with the
-one before it, so besides the best line so far only the running maximum
-carries from tile to tile.
+Every fleet is sampled at its events, per direction: t = 0, the horizon,
+every robot's breakpoints and spiral support extrema (``trajectory``), every
+time two straight robots' supports cross and, in record cells only, every
+time a spiral and another robot swap places above the running max.  Every
+support is monotone between two samples, so the running max is exact at
+each, and the robots that pass it keep their order.  A sample is a record
+when it beats the running max prev before it by more than rounding
+(TIE_MARGIN).  Along one robot's rising piece T(L) / L is monotone
+(straight) or falls, then rises (spiral), so a record cell's worst line is
+the one just above max(prev, lo) or the one just below min(h, hi).  Each is
+paid when the first robot passes it: in closed form on a straight piece,
+bisected to the float spacing on a spiral piece.  One sweep runs in t
+order over tiles of every direction, carrying only the running maximum.
 """
 
 from __future__ import annotations
@@ -45,24 +30,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Line
-from .trajectory import Fleet, breakpoints, piecewise_linear, positions
+from .trajectory import Fleet, breakpoints, piecewise_linear, positions, support_extrema
 
 DEFAULT_THETA_STEPS = 720
 DEFAULT_T_STEPS = 4096
 # Fraction of the horizon below which adversary offsets are ignored.
 DEFAULT_EPSILON_FACTOR = 1e-3
-# How many leading grid-sweep candidates get their break time in closed form.
-POLISH_TOP = 8
 # A rise of at most this fraction above the running max is a tie up to
 # rounding, not a record: supports that are equal in exact arithmetic (two
-# robots at mirror points, a parked robot) can differ in the last bits.
+# robots at mirror points, a parked robot) can differ in the last bits.  The
+# same fraction separates a cell's two lines, equal on a ray, and two robots
+# that stay level with each other.
 TIE_MARGIN = 2e-12
 # Most cells in one tile of the sweep: a tile holds every direction over a
-# run of at least one cell; with crossings, also one support difference per
-# pair of robots and up to as many samples per cell.
-# Small enough that a tile's temporaries stay in cache on 200k-step spiral
-# grids, and that a long polyline never needs all its events at once.
+# run of at least one cell, a support difference per pair of straight robots
+# and a support per row (see _sweep) at up to as many samples per cell.
 TILE_CELLS = 1 << 15
+# Most parts of one cell in which two robots are searched for a swap at once;
+# only robots that run level to within a hair of each other need more.
+SWAP_PARTS = 64
 
 
 class UncoveredDirectionError(ValueError):
@@ -92,7 +78,8 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _time_grid(horizon: float, t_steps: int, spacing: str, t_start: float) -> np.ndarray:
+def _check_time_grid(horizon: float, t_steps: int, spacing: str, t_start: float) -> None:
+    """Validate the time-grid arguments, which no longer change the result."""
     _check_positive("horizon", horizon)
     if not math.isfinite(t_start):
         raise ValueError(f"t_start must be finite, got {t_start!r}")
@@ -100,159 +87,248 @@ def _time_grid(horizon: float, t_steps: int, spacing: str, t_start: float) -> np
         raise ValueError(f"t_start must lie in [0, horizon), got {t_start!r}")
     if t_steps < 2:
         raise ValueError("t_steps must be at least 2")
-    if spacing == "uniform":
-        return np.linspace(t_start, horizon, t_steps)
-    if spacing == "geometric":
-        if t_start <= 0.0:
-            raise ValueError("geometric spacing needs t_start > 0")
-        return np.geomspace(t_start, horizon, t_steps)
-    raise ValueError(f"unknown spacing {spacing!r}")
+    if spacing not in ("uniform", "geometric"):
+        raise ValueError(f"unknown spacing {spacing!r}")
+    if spacing == "geometric" and t_start <= 0.0:
+        raise ValueError("geometric spacing needs t_start > 0")
 
 
-def _distinct(ts: np.ndarray) -> np.ndarray:
-    """The times in increasing order, one sample per time."""
-    ts = np.sort(ts)
-    return ts[np.diff(ts, prepend=-math.inf) > 0.0]
+def _support(robot, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The robot's support at times ts, each in its own direction u = (cos, sin)."""
+    p = positions(robot, ts.ravel())
+    return p[:, 0].reshape(ts.shape) * u[0] + p[:, 1].reshape(ts.shape) * u[1]
 
 
-def _sweep(fleet: Fleet, normals: np.ndarray, ts: np.ndarray, best: _BestLine,
-           crossings: bool) -> None:
-    """Sweep every direction over the cells between consecutive times into `best`.
+def _rise_time(robot, u: np.ndarray, level: np.ndarray, t0: np.ndarray,
+               t1: np.ndarray) -> np.ndarray:
+    """When a support rising through each cell [t0, t1] passes level: the
+    later end, once bisection leaves no float between the two."""
+    t0, t1 = t0.copy(), t1.copy()
+    while True:
+        mid = 0.5 * (t0 + t1)
+        live = (t0 < mid) & (mid < t1)
+        if not live.any():
+            return t1
+        up = _support(robot, mid, u) > level
+        t1 = np.where(live & up, mid, t1)
+        t0 = np.where(live & ~up, mid, t0)
 
-    A tile is every direction over a run of cells, its supports one product
-    per robot over at least two times: BLAS rounds products of other shapes
-    (one time, or fewer directions) differently, and the support must not
-    depend on where tiles fall.  Each cell yields its end, after its start.
 
-    With crossings, the times are breakpoints, where every robot's support
-    is linear.  Two robots' supports cross inside a cell where their
-    difference changes sign, at the fraction d0 / (d0 - d1) of its values
-    d0, d1 at the cell's ends.  The cell then yields, per direction, as many
-    samples as the direction in its tile with the most crossings there: its
-    crossings in t order, then its end.  Directions with fewer crossings
-    repeat the cell's start, a sample that never sets a record.
+def _swaps(robots, normals: np.ndarray, s: np.ndarray, t: np.ndarray,
+           floor: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Fractions of each cell at which robots ra[p] and rb[p] swap places above floor.
+
+    floor is, per cell, the running max at its start or lo.  Only robots
+    that both end a cell above it can change which passes a line there
+    first; both then rise, so on a part [u, v] of the cell their difference
+    lies in [a(u) - b(v), a(v) - b(u)].  A part is dropped once that
+    excludes zero or one ends it at or below the floor; else it is halved
+    until no float lies inside, the two tie at both ends (TIE_MARGIN of
+    the floor) or its (pair, direction, cell) has more than SWAP_PARTS
+    parts left, robots that close being level; a sign change then marks a
+    swap at its end.  Returns (swap, cell, direction): each cell's swaps as
+    fractions of it, 0 past the last.
     """
-    paths = [positions(robot, ts) for robot in fleet.robots]
-    a, b = np.triu_indices(len(paths) if crossings else 0, 1)
+    end = s[:, 1:] > floor
+    p, c0, j0 = np.nonzero(end[ra] & end[rb])
+    ra, rb, j, lvl = ra[p], rb[p], j0, floor[c0, j0]
+    u, v = t[c0, j0], t[c0 + 1, j0]
+    au, av, bu, bv = s[ra, c0, j0], s[ra, c0 + 1, j0], s[rb, c0, j0], s[rb, c0 + 1, j0]
+    e = np.arange(len(p))  # the (pair, direction, cell) each part belongs to
+    hits, when = [e[:0]], [u[:0]]
+    while len(e):
+        flip = np.sign(au - bu) != np.sign(av - bv)
+        tie = np.maximum(np.abs(au - bu), np.abs(av - bv)) <= TIE_MARGIN * lvl
+        live = (au <= bv) & (bu <= av) & (np.minimum(av, bv) > lvl)
+        mid = 0.5 * (u + v)
+        split = live & ~tie & (u < mid) & (mid < v)
+        split &= np.bincount(e[split], minlength=len(p))[e] <= SWAP_PARTS
+        last = live & ~split & flip
+        hits.append(e[last])
+        when.append(v[last])
+        e, ra, rb, j, lvl, u, v, mid, au, av, bu, bv = (
+            x[split] for x in (e, ra, rb, j, lvl, u, v, mid, au, av, bu, bv))
+        am, bm = np.empty_like(mid), np.empty_like(mid)
+        for r in np.unique(np.concatenate((ra, rb))):
+            for m, out in ((ra == r, am), (rb == r, bm)):
+                out[m] = _support(robots[r], mid[m], normals[:, j[m]])
+        e, ra, rb, j, lvl, u, v, au, av, bu, bv = (np.concatenate(x) for x in (
+            (e, e), (ra, ra), (rb, rb), (j, j), (lvl, lvl), (u, mid), (mid, v),
+            (au, am), (am, av), (bu, bm), (bm, bv)))
+    hits, when = np.concatenate(hits), np.concatenate(when)
+    c, j = c0[hits], j0[hits]
+    frac = (when - t[c, j]) / (t[c + 1, j] - t[c, j])
+    key = c * floor.shape[1] + j
+    order = np.argsort(key)
+    key, c, j, frac = key[order], c[order], j[order], frac[order]
+    rank = np.arange(len(key)) - np.searchsorted(key, key)  # within its cell
+    out = np.zeros((rank.max(initial=-1) + 1,) + floor.shape)
+    out[rank, c, j] = frac
+    return out
+
+
+def _sweep(fleet: Fleet, normals: np.ndarray, ts: np.ndarray, epsilon: float,
+           window: tuple[float, float] | None) -> _BestLine:
+    """Sweep every direction over the cells between consecutive times.
+
+    ts is one row of times for every direction, or one row per direction.
+    A tile is every direction over a run of cells.  On one row the supports
+    are one product per robot over at least two times: BLAS rounds products
+    of other shapes (one time, or fewer directions) differently, and the
+    support must not depend on where tiles fall.
+
+    Two straight robots cross inside a cell where their difference changes
+    sign, at the fraction d0 / (d0 - d1) of its values at the cell's ends;
+    _swaps finds the rest.  A cell yields, per direction, as many samples
+    as the direction in its tile with the most crossings there: its
+    crossings in t order (fewer repeat the cell's start, never a record),
+    then its end.  A straight robot's support at a crossing is interpolated.
+    Lines are passed on a robot's own support only where it is a spiral: a
+    fleet of straight robots hands over its upper envelope alone.
+    """
+    robots = fleet.robots
+    straight = np.array([piecewise_linear(robot) for robot in robots])
+    rows = 1 if straight.all() else len(robots)
+    best = _BestLine(robots, straight[:rows], normals, epsilon, window)
     n = normals.shape[1]
-    width = max(1, TILE_CELLS // (n * (2 * len(a) + 1)))
+    shared = ts.ndim == 1
+    if shared:
+        paths = [positions(robot, ts) for robot in robots]
+        ts = ts[:, None]
+    else:  # t, direction
+        ts = ts.T
+        s_all = np.array([_support(robot, ts, normals[:, None]) for robot in robots])
+    a, b = np.triu_indices(len(robots), 1)
+    bent = ~(straight[a] & straight[b])
+    (a, b), (ca, cb) = (a[~bent], b[~bent]), (a[bent], b[bent])
+    width = max(1, TILE_CELLS // (n * (2 * len(a) + rows)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k0 in range(0, len(ts) - 1, width):
             k1 = min(k0 + width, len(ts) - 1)
-            s = [path[k0:k1 + 1] @ normals for path in paths]  # robot: t, direction
-            # direction, t: a contiguous row per direction for the reduction
-            h, t = s[0].T.copy(), ts[k0:k1 + 1]
-            for sr in s[1:]:
-                np.maximum(h, sr.T, out=h)
-            if len(a):
-                s = np.array(s)
-                s_lo, ds = s[:, :-1], np.diff(s, axis=1)
-                d = s[a] - s[b]
-                d0, d1 = d[:, :-1], d[:, 1:]
-                cross = (d0 < 0.0) & (d1 > 0.0) | (d0 > 0.0) & (d1 < 0.0)
-                frac = np.where(cross, d0 / (d0 - d1), 0.0)
-                frac.sort(axis=0)  # the crossings last, in t order
-                most = int(np.count_nonzero(frac, axis=0).max(initial=0))
-                frac = frac[len(frac) - most:]
-                hx = s_lo[0] + frac * ds[0]  # the fleet's support at each crossing
-                for r in range(1, len(paths)):
-                    np.maximum(hx, s_lo[r] + frac * ds[r], out=hx)
-                tx = t[:-1, None] + frac * np.diff(t)[:, None]
-                hx = np.concatenate((hx, h.T[None, 1:]))  # then each cell's end
-                tx = np.concatenate((tx, np.broadcast_to(t[None, 1:, None], (1, k1 - k0, n))))
-                # (sample in cell, cell, direction) -> direction, then t order,
-                # after the tile's first time
-                h = np.concatenate((h[:, :1], hx.transpose(2, 1, 0).reshape(n, -1)), axis=1)
-                t = np.concatenate((np.full((n, 1), t[0]),
-                                    tx.transpose(2, 1, 0).reshape(n, -1)), axis=1)
-            best.add(h[:, :-1], h[:, 1:], t[..., :-1], t[..., 1:])
+            t = ts[k0:k1 + 1]
+            s = (np.array([path[k0:k1 + 1] @ normals for path in paths]) if shared
+                 else s_all[:, k0:k1 + 1])  # robot, t, direction
+            s_lo, ds, dt = s[:, :-1], np.diff(s, axis=1), np.diff(t, axis=0)
+            d = s[a] - s[b]
+            d0, d1 = d[:, :-1], d[:, 1:]
+            cross = (d0 < 0.0) & (d1 > 0.0) | (d0 > 0.0) & (d1 < 0.0)
+            frac = np.where(cross, d0 / (d0 - d1), 0.0)  # pair, cell, direction
+            if len(ca):
+                floor = np.fmax.accumulate(s.max(axis=0)[:-1], axis=0)
+                floor = np.maximum(floor, np.maximum(best.coverage, best.lo))
+                frac = np.concatenate((frac, _swaps(robots, normals, s, t, floor, ca, cb)))
+            frac.sort(axis=0)  # the crossings last, in t order
+            most = int(np.count_nonzero(frac, axis=0).max(initial=0))
+            frac = frac[len(frac) - most:]
+            tx = t[:-1] + frac * dt
+            sx = (s_lo[r] + frac * ds[r] if straight[r]
+                  else _support(robot, tx, normals[:, None, None])
+                  for r, robot in enumerate(robots))
+            if rows == 1:  # the envelope, one robot at a time
+                hx = next(sx)
+                for row in sx:
+                    np.maximum(hx, row, out=hx)
+                sx, s = hx[None], s.max(axis=0, keepdims=True)
+            else:
+                sx = np.array(list(sx))
+            # (row, sample in cell, cell, direction) -> row, direction, then
+            # t order: each cell's crossings, then its end, after the tile's
+            # first time
+            sx = np.concatenate((sx, s[:, None, 1:]), axis=1)
+            tx = np.concatenate((tx, np.broadcast_to(t[None, 1:], (1, k1 - k0, n))))
+            s = np.concatenate((s[:, :1].transpose(0, 2, 1),
+                                sx.transpose(0, 3, 2, 1).reshape(rows, n, -1)), axis=-1)
+            t = np.concatenate((np.broadcast_to(t[:1].T, (n, 1)),
+                                tx.transpose(2, 1, 0).reshape(n, -1)), axis=1)
+            best.add(s[..., :-1], s[..., 1:], t[:, :-1], t[:, 1:])
+    best.finish()
+    return best
 
 
 class _BestLine:
     """Each direction's worst line so far, reduced tile by tile in t order.
 
-    Candidates are the pair numerators (records whose prev lies in [lo, hi])
-    and the boundary: the first record at or above lo, which, records being
-    increasing, is the one whose prev lies below lo.  It pays against lo
-    and precedes every pair, and the first maximum wins: within a tile by
-    argmax, across tiles by a strict >.  On a time grid the boundary
-    record's value must also lie at or below hi: there a secant across a
-    cell that leaps over the whole window is no measurement.  The sweep's
-    first time is only ever a predecessor: nothing is known before it.  lo
-    is raised to that time, so on a grid starting at t0 > 0 offsets at or
-    below t0 go unmeasured: each larger one, at unit speed, is first reached
-    after t0.
-
-    Besides the best line, only the running max carries from tile to tile:
-    it starts at 0 and ends as each direction's coverage.
+    Every record offers the line just above max(prev, lo); the first
+    maximum wins.  The line just below min(h, hi) of a record is beaten by
+    the next record's, which waits at least as long for the same offset, so
+    only each direction's last record offers it, once the sweep is done
+    (finish), and it must beat the best line by more than TIE_MARGIN: on a
+    ray the two are equal up to rounding.
     """
 
-    def __init__(self, n: int, epsilon: float, window: tuple[float, float] | None,
-                 t0: float, exact: bool):
-        self.lo, self.hi = max(epsilon, t0), math.inf
+    def __init__(self, robots, straight: np.ndarray, normals: np.ndarray, epsilon: float,
+                 window: tuple[float, float] | None):
+        self.robots, self.straight, self.normals = robots, straight, normals
+        self.lo, self.hi = epsilon, math.inf
         if window is not None:
             self.lo, self.hi = max(self.lo, window[0]), window[1]
-        self.exact = exact
+        n = normals.shape[1]
         self.ratio = np.full(n, -np.inf)  # stays -inf without a record in [lo, hi]
-        self.cell = np.zeros((2, n))  # the numerator's predecessor and sample times
         self.time = np.zeros(n)
-        self.level = np.zeros(n)  # max(prev, lo): the offset its break time beat
-        self.coverage = np.zeros(n)  # the running max
+        self.level = np.zeros(n)  # the witness offset
+        self.coverage = np.zeros(n)  # the running max, carried from tile to tile
+        self.high, self.high_time = np.ones(n), np.full(n, -np.inf)  # the last record's
 
-    def add(self, h_lo: np.ndarray, h: np.ndarray, t_lo: np.ndarray, t: np.ndarray) -> None:
-        """Reduce the next samples h at times t, each after h_lo at t_lo.
+    def _pass_time(self, s_lo, s, t_lo, t, level, k) -> np.ndarray:
+        """Earliest time in each cell at which a row ending it above level passes it.
 
-        h and h_lo hold one row per direction, each row in t order; t and
-        t_lo are one row for every direction (a grid) or one per direction.
+        s_lo and s hold each row's support at the cells' ends, one column
+        per cell, t_lo and t their times, k their directions; the cell's
+        end where no row ends above the level.
         """
+        when = np.subtract(level, s_lo)  # straight: the closed form
+        np.divide(when, s - s_lo, out=when)
+        np.multiply(when, t - t_lo, out=when)
+        np.add(when, t_lo, out=when)
+        if self.straight.all():  # one row, the upper envelope: it rises
+            return when[0]  # through every record, garbage elsewhere
+        rise = s > level
+        when = np.where(rise & self.straight[:, None], when, t).min(axis=0)
+        for r in np.flatnonzero(~self.straight):
+            m = rise[r]
+            if m.any():
+                bent = _rise_time(self.robots[r], self.normals[:, k[m]], level[m],
+                                  t_lo[m], t[m])
+                when[m] = np.minimum(when[m], bent)
+        return when
+
+    def add(self, s_lo: np.ndarray, s: np.ndarray, t_lo: np.ndarray, t: np.ndarray) -> None:
+        """Reduce the next samples s at times t, each after s_lo at t_lo: one
+        support per row, one time per direction, each direction in t order."""
         lo, hi = self.lo, self.hi
+        h_lo, h = (s_lo[0], s[0]) if len(s) == 1 else (s_lo.max(axis=0), s.max(axis=0))
         prev = np.fmax.accumulate(h_lo, axis=1)  # = maximum on finite supports, faster
         np.maximum(prev, self.coverage[:, None], out=prev)
         self.coverage = np.maximum(prev[:, -1], h[:, -1])
-        rec = h > prev * (1.0 + TIE_MARGIN)
-        cand = rec & (h >= lo)
-        if hi < math.inf:
-            cand &= prev <= hi
-            if not self.exact:
-                cand &= (prev >= lo) | (h <= hi)
+        cand = (h > prev * (1.0 + TIE_MARGIN)) & (h >= lo) & (prev <= hi)
         level = np.maximum(prev, lo)
-        # On a candidate h >= level >= prev >= h_lo and h > h_lo, so the
-        # secant fraction lies in [0, 1]; elsewhere it is garbage (0/0, x/0
-        # or overflow) that the mask drops.
-        brk = np.subtract(level, h_lo)
-        np.divide(brk, h - h_lo, out=brk)
-        np.multiply(brk, t - t_lo, out=brk)
-        np.add(brk, t_lo, out=brk)
-        # the ratios overwrite the levels: one tile-sized temporary fewer
-        ratio = np.where(cand, np.divide(brk, level, out=level), -np.inf)
+        e = cand.shape[1] - 1 - cand[:, ::-1].argmax(axis=1)  # each direction's last
+        d = np.flatnonzero(cand[np.arange(len(h)), e])        # record in the tile
+        e = e[d]
+        high, t_high = np.minimum(h[d, e], hi), t[d, e]
+        cut = np.flatnonzero(h[d, e] > hi)  # it passes hi: a root there
+        dc, ec = d[cut], e[cut]
+        # the records' lines, every spiral bisected in one go
+        k, i = np.nonzero(cand)
+        kk, ii = np.concatenate((k, dc)), np.concatenate((i, ec))
+        when = self._pass_time(s_lo[:, kk, ii], s[:, kk, ii], t_lo[kk, ii], t[kk, ii],
+                               np.concatenate((level[k, i], high[cut])), kk)
+        brk, ratio = np.zeros_like(level), np.full(level.shape, -np.inf)
+        brk[k, i], t_high[cut] = when[:len(k)], when[len(k):]
+        ratio[k, i] = brk[k, i] / level[k, i]
+        self.high[d], self.high_time[d] = high, t_high
         j = ratio.argmax(axis=1)
         k = np.arange(len(h))
         k = k[ratio[k, j] > self.ratio]
         j = j[k]
         self.ratio[k], self.time[k] = ratio[k, j], brk[k, j]
         self.level[k] = np.maximum(prev[k, j], lo)
-        self.cell[:, k] = [x[j] if x.ndim == 1 else x[k, j] for x in (t_lo, t)]
 
-    @property
-    def found(self) -> np.ndarray:
-        return self.ratio > -np.inf
-
-
-def _first_crossing(fleet: Fleet, cell: np.ndarray, u: np.ndarray, level: float) -> float:
-    """Earliest time in the cell [t0, t1] at which a robot's support exceeds level.
-
-    Each support is taken as linear on the cell: exact for rays, polylines
-    and their antipodes, the chord for a spiral.  inf if no robot rises to
-    above level.  A robot that starts the cell at the level only crosses it
-    if it rises: one parked there set the level, whatever the last bit says.
-    """
-    t = math.inf
-    for robot in fleet.robots:
-        s_lo, s_hi = positions(robot, cell) @ u
-        if s_hi > max(level, s_lo):
-            frac = max(level - s_lo, 0.0) / (s_hi - s_lo)
-            t = min(t, float(cell[0] + frac * (cell[1] - cell[0])))
-    return t
+    def finish(self) -> None:
+        """Offer each direction's line just below its last record."""
+        ratio = self.high_time / self.high
+        up = ratio > self.ratio * (1.0 + TIE_MARGIN)
+        self.ratio[up], self.time[up], self.level[up] = ratio[up], self.high_time[up], self.high[up]
 
 
 def evaluate_cr(
@@ -268,22 +344,18 @@ def evaluate_cr(
 ) -> CRReport:
     """Competitive-ratio estimate: max adversary ratio over a theta grid.
 
-    On a fleet without a spiral (rays, polylines and their antipodes) every
-    direction is sampled at its events, so the ratio in each grid direction
-    is exact; t_steps, spacing and t_start are validated but do not change
-    the result.  A fleet with a spiral is sampled on the time grid of
-    t_steps samples from t_start, plus every robot's breakpoints in
-    (t_start, horizon), and its leading candidates get their break time in
-    closed form; offsets at or below t_start go unmeasured.  The report's
-    t_steps is the requested count, and the reported witness satisfies
-    cr_estimate = witness_time / witness.delta.
+    Every direction is sampled at its events (see the module docstring), so
+    the ratio in each grid direction is exact up to rounding, and the
+    reported witness satisfies cr_estimate = witness_time / witness.delta.
+    No fleet is sampled on a time grid: t_steps, spacing and t_start are
+    validated and echoed in the report, but do not change the result.
 
     Raises UncoveredDirectionError for the first direction, in grid order,
     whose coverage stays below epsilon (the fleet does not solve the problem
     within the horizon) or, failing that, whose records all fall outside
     the measurement window.
     """
-    ts = _time_grid(horizon, t_steps, spacing, t_start)
+    _check_time_grid(horizon, t_steps, spacing, t_start)
     if theta_steps < 1:
         raise ValueError("theta_steps must be at least 1")
     if epsilon is None:
@@ -297,18 +369,17 @@ def evaluate_cr(
 
     thetas = np.arange(theta_steps) * (2.0 * math.pi / theta_steps)
     normals = np.stack([np.cos(thetas), np.sin(thetas)])
-    exact = all(piecewise_linear(robot) for robot in fleet.robots)
-    if exact:  # sampled at t = 0, the horizon and every breakpoint, plus crossings
-        ts = np.array([0.0, horizon])
     kinks = np.concatenate([breakpoints(robot) for robot in fleet.robots])
-    kinks = kinks[(kinks > ts[0]) & (kinks < ts[-1])]
-    if kinks.size:
-        ts = _distinct(np.concatenate((ts, kinks)))
-    best = _BestLine(theta_steps, epsilon, window, float(ts[0]), exact)
-    _sweep(fleet, normals, ts, best, crossings=exact)
+    ts = np.unique(np.concatenate(([0.0, horizon], kinks[kinks < horizon])))
+    turns = np.concatenate([support_extrema(robot, thetas, epsilon, horizon)
+                            for robot in fleet.robots], axis=1)
+    if turns.size:  # one row of times per direction
+        ts = np.sort(np.concatenate((np.broadcast_to(ts, (theta_steps, len(ts))), turns),
+                                    axis=1), axis=1)
+    best = _sweep(fleet, normals, ts, epsilon, window)
     coverage = best.coverage
 
-    bad = (coverage < epsilon) | ~best.found
+    bad = (coverage < epsilon) | (best.ratio == -np.inf)
     if bad.any():
         j = int(np.argmax(bad))
         theta = float(thetas[j])
@@ -324,22 +395,12 @@ def evaluate_cr(
             theta,
         )
 
-    best_ratio, best_j, best_time = -math.inf, 0, 0.0
-    # stable on -ratio: ties keep grid order, the first direction wins a tie
-    for j in np.argsort(-best.ratio, kind="stable")[:1 if exact else POLISH_TOP]:
-        time = float(best.time[j])
-        if not exact:
-            hit = _first_crossing(fleet, best.cell[:, j], normals[:, j],
-                                  float(best.level[j]))
-            time = hit if hit < math.inf else time
-        ratio = time / float(best.level[j])
-        if ratio > best_ratio:
-            best_ratio, best_j, best_time = ratio, j, time
-
+    j = int(np.argmax(best.ratio))  # the first direction wins a tie
+    time, level = float(best.time[j]), float(best.level[j])
     return CRReport(
-        cr_estimate=best_ratio,
-        witness=Line(float(thetas[best_j]), float(best.level[best_j])),
-        witness_time=best_time,
+        cr_estimate=time / level,
+        witness=Line(float(thetas[j]), level),
+        witness_time=time,
         coverage_radius=float(coverage.min()),
         horizon=float(horizon),
         theta_steps=theta_steps,

@@ -87,19 +87,6 @@ class Cone:
         object.__setattr__(self, "half_angle", half)
 
 
-def support(p: Point2, theta: float) -> float:
-    """Signed extent of p in direction theta.
-
-    1-Lipschitz along any unit-speed path, which is what makes running
-    maxima of support usable as hit certificates.
-    """
-    return p.x * math.cos(theta) + p.y * math.sin(theta)
-
-
-def distance_point_line(p: Point2, line: Line) -> float:
-    return abs(support(p, line.theta) - line.delta)
-
-
 def max_angular_gap(angles: list[float]) -> tuple[float, float]:
     """Largest circular gap between consecutive directions.
 

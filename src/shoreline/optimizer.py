@@ -76,14 +76,15 @@ def golden_section(
 
 
 def spiral_eval_params(n: int, b: float) -> dict:
-    """Horizon, window, and grid spacing for measuring steady-state CR.
+    """Horizon and window for measuring steady-state CR.
 
     The pattern repeats when the spiral (or the pair) turns far enough to
     cover the same directions again: a full turn for one robot, half a turn
     for the antipodal pair.  The window keeps one full turn of guard on each
     side per the periodicity of the ratio in log offset, and the outer
     radius leaves room for the final crossing.  A spiral from the origin
-    reaches radius r at time (c/b) * r, which sets the horizon.
+    reaches radius r at time (c/b) * r, which sets the horizon.  The grid
+    keys only keep the shipped configs as they are: no result depends on them.
     """
     c = math.hypot(1.0, b)
     period = 2.0 * math.pi if n == 1 else math.pi

@@ -17,8 +17,6 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import Line, Point2
-
 
 @dataclass(frozen=True)
 class Ray:
@@ -171,6 +169,43 @@ def piecewise_linear(spec: TrajectorySpec) -> bool:
     return not isinstance(spec, LogSpiral)
 
 
+# Most support extrema one spiral may have over all directions of a sweep: a
+# nearly circular spiral turns about horizon / radius times on its way out.
+MAX_EXTREMA = 1 << 22
+
+
+def support_extrema(spec: TrajectorySpec, thetas: np.ndarray, radius: float,
+                    horizon: float) -> np.ndarray:
+    """Times in [t_r, horizon] at which a spiral's support peaks or troughs.
+
+    One row per direction theta; t_r is when the path reaches `radius`, its
+    support staying below it until then, and rows may repeat either end.
+    With psi = phi(t) - theta and alpha = arctan(growth) the support has
+    derivative sin(alpha - psi) (ccw) or sin(alpha + psi) (cw): it turns
+    where psi = +alpha or -alpha (mod pi), a geometric sequence with ratio
+    exp(pi * growth).  An antipode has its inner robot's; rays and
+    polylines have none (no column).
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if isinstance(spec, AntipodalOf):
+        return support_extrema(spec.inner, thetas, radius, horizon)
+    if not isinstance(spec, LogSpiral):
+        return np.empty((len(thetas), 0))
+    b = spec.growth
+    c_b = math.hypot(1.0, b) / b  # t = (c / b) r
+    t_r, log_cb = min(c_b * radius, horizon), math.log(c_b)
+    turn = math.atan(b) + (thetas - spec.start_phase) * (
+        1.0 if spec.chirality == "ccw" else -1.0)
+    # log t = log(c / b) + b (turn + k pi) at the k-th extremum
+    k_lo = math.floor(((math.log(t_r) - log_cb) / b - turn.max()) / math.pi)
+    k_hi = math.ceil(((math.log(horizon) - log_cb) / b - turn.min()) / math.pi)
+    if len(thetas) * (k_hi - k_lo + 1) > MAX_EXTREMA:
+        raise ValueError(f"log spiral of growth {b!r} turns {k_hi - k_lo + 1} times "
+                         f"between radius {radius!r} and the horizon; use a larger epsilon")
+    k = np.arange(k_lo, k_hi + 1) * math.pi
+    return np.clip(np.exp(log_cb + b * (turn[:, None] + k)), t_r, horizon)
+
+
 def positions(spec: TrajectorySpec, ts: np.ndarray) -> np.ndarray:
     """Positions at the given times as an (N, 2) array. Times must be >= 0."""
     ts = np.asarray(ts, dtype=float)
@@ -200,59 +235,3 @@ def positions(spec: TrajectorySpec, ts: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown trajectory spec {type(spec).__name__}")
 
 
-def position(spec: TrajectorySpec, t: float) -> Point2:
-    if t < 0.0:
-        raise ValueError("negative time")
-    p = positions(spec, np.array([float(t)]))
-    return Point2(float(p[0, 0]), float(p[0, 1]))
-
-
-def speed_check(spec: TrajectorySpec, horizon: float, samples: int = 10_000) -> float:
-    """Max chord speed over a uniform sampling; should be ~1 for valid specs."""
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    if samples < 2:
-        raise ValueError("need at least two samples")
-    ts = np.linspace(0.0, horizon, samples)
-    p = positions(spec, ts)
-    step = np.diff(p, axis=0)
-    dt = ts[1] - ts[0]
-    return float(np.max(np.hypot(step[:, 0], step[:, 1])) / dt)
-
-
-def first_hit_time(
-    spec: TrajectorySpec,
-    line: Line,
-    horizon: float,
-    tol: float = 1e-9,
-    scan_steps: int = 4096,
-) -> float | None:
-    """First time the path reaches the line, or None within the horizon.
-
-    Grid scan for a sign change of support - delta, then bisection down to
-    tol, or to the float spacing where that is coarser.  The scan can miss a
-    crossing narrower than horizon/scan_steps; use more steps for wiggly
-    paths.
-    """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
-    u = np.array([math.cos(line.theta), math.sin(line.theta)])
-    ts = np.linspace(0.0, horizon, scan_steps + 1)
-    s = positions(spec, ts) @ u - line.delta
-    hits = np.nonzero(s >= 0.0)[0]
-    if hits.size == 0:
-        return None
-    k = int(hits[0])
-    if k == 0:
-        return 0.0
-    lo, hi = ts[k - 1], ts[k]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        pm = positions(spec, np.array([mid]))[0]
-        if pm @ u >= line.delta:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)

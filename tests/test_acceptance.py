@@ -7,25 +7,28 @@ so the whole file stays deterministic.
 
 import math
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shoreline.certifier import (
-    EllipseRegion,
     discriminant_sweep,
-    ellipse_q,
     ellipse_q_grid,
     lemma_suite,
-    reach_oracle,
     snapshot_lower_bound,
 )
+from shoreline.cli import load_fleet_config
 from shoreline.evaluator import evaluate_cr
 from shoreline.geometry import Point2
 from shoreline.optimizer import optimize_spiral
 from shoreline.trajectory import Fleet, Polyline, Ray
 
+from reference import EllipseRegion, ellipse_q, reach_oracle
+
 SQRT3 = math.sqrt(3.0)
+FLEETS = Path(__file__).resolve().parents[1] / "fleets"
 
 
 def record(num: int, ok: bool, detail: str) -> None:
@@ -207,15 +210,24 @@ def test_criterion_10_certificates_never_exceed_measured_cr():
 
 
 def test_criterion_10_estimates_do_not_depend_on_the_t_grid():
-    # polyline fleets are sampled at their events, not on the time grid, so
-    # the measured CRs that criterion 10 compares against are the same to
-    # the last bit when the grid gets 16 times finer
+    # every fleet is sampled at its events, not on the time grid, so the
+    # measured CRs that criterion 10 compares against are the same to the
+    # last bit when the grid gets 16 times finer; so are both shipped
+    # spirals' reports, from 2 or 200 000 steps and from t_start 0.05 or 1
     worst, differ = 0.0, 0
     for fleet, _ in criterion_10_draws():
         coarse = evaluate_cr(fleet, horizon=16.0, theta_steps=180, t_steps=1024)
         fine = evaluate_cr(fleet, horizon=16.0, theta_steps=180, t_steps=16384)
         worst = max(worst, abs(coarse.cr_estimate / fine.cr_estimate - 1.0))
         differ += coarse.cr_estimate != fine.cr_estimate
-    record(10, differ == 0, f"{differ} of 50 random polyline fleets change their CR "
-                            f"from 1024 to 16384 t-steps (max relative change "
-                            f"{worst:.3g})")
+    for name in ("spiral-1", "double-spiral-2"):
+        fleet, _, ev = load_fleet_config(str(FLEETS / f"{name}.json"))
+        kwargs = {k: ev[k] for k in ("horizon", "theta_steps", "epsilon", "spacing")}
+        kwargs["window"] = tuple(ev["window"])
+        shipped = evaluate_cr(fleet, t_steps=200_000, t_start=0.05, **kwargs)
+        for grid in ({"t_steps": 2, "t_start": 0.05}, {"t_steps": 200_000, "t_start": 1.0}):
+            rep = evaluate_cr(fleet, **grid, **kwargs)
+            differ += replace(rep, t_steps=shipped.t_steps) != shipped
+    record(10, differ == 0, f"{differ} of 50 random polyline fleets and 2 shipped "
+                            f"spirals change their report with the t grid (max "
+                            f"relative change {worst:.3g} from 1024 to 16384 t-steps)")

@@ -9,23 +9,21 @@ from hypothesis import strategies as st
 
 from shoreline.certifier import (
     ConeCertificate,
-    EllipseRegion,
     OMB_PHIS,
     cone_exit_objective,
-    discriminant,
     discriminant_sweep,
     ellipse_boundary,
-    ellipse_q,
     ellipse_q_grid,
     empty_cone,
     lemma_suite,
     min_cone_exit,
     omb_oracle,
-    reach_oracle,
     snapshot_lower_bound,
 )
-from shoreline.geometry import Point2, support
-from shoreline.trajectory import Fleet, LogSpiral, Polyline, Ray, position
+from shoreline.geometry import Point2
+from shoreline.trajectory import Fleet, LogSpiral, Polyline, Ray
+
+from reference import EllipseRegion, discriminant, ellipse_q, position, reach_oracle, support
 
 SQRT3 = math.sqrt(3.0)
 

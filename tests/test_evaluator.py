@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -156,12 +158,20 @@ def test_records_to_ratio_uncovered():
 
 
 def test_records_to_ratio_record_jumping_over_window():
-    # a spiral on two grid samples, x = 0 and then about 9.7: the record
-    # leaps from below the window to above it, so no record value and no
-    # pair offset lies inside, and a secant across the leap measures nothing
-    with pytest.raises(UncoveredDirectionError, match="measurement window"):
-        one_direction(LogSpiral(growth=10.0), horizon=10.0, t_steps=2, epsilon=0.1,
-                      window=(1.0, 5.0))
+    # a spiral of growth 10 runs almost straight out: along theta = 0 its
+    # support rises from below the window to about 9.7 with no extremum in
+    # between, so T(L) / L grows over the whole window and the worst line is
+    # the one at its upper end, passed where r cos(ln(r) / 10) = 5 at
+    # t = (c / b) r.  Its root is bisected, not read off a time grid
+    b, c = 10.0, math.hypot(1.0, 10.0)
+    r0, r1 = 1.0, 10.0
+    while r0 < (mid := 0.5 * (r0 + r1)) < r1:
+        r0, r1 = (r0, mid) if mid * math.cos(math.log(mid) / b) > 5.0 else (mid, r1)
+    rep = one_direction(LogSpiral(growth=b), horizon=10.0, t_steps=2, epsilon=0.1,
+                        window=(1.0, 5.0))
+    assert rep.witness.delta == 5.0
+    assert rep.witness_time == pytest.approx(c / b * r1, rel=1e-12)
+    assert rep.cr_estimate == pytest.approx(c / b * r1 / 5.0, rel=1e-12)
     # a ray's support is linear between its events, so the line at the
     # window's lower end is measured exactly, however coarse the grid
     rep = one_direction(Ray(0.0), horizon=10.0, t_steps=2, epsilon=0.1,
@@ -349,15 +359,16 @@ def test_evaluate_cr_more_robots_never_hurt(ray_fleet):
 FLEETS = Path(__file__).resolve().parents[1] / "fleets"
 
 # cr_estimate, witness theta, witness delta, witness_time, coverage_radius of
-# every shipped config at its own grid (rays: 720 directions, sampled at
-# their events, so every witness is the boundary line at epsilon), and of
-# four ray fleets turned by half a theta step; a bare float is the theta of
-# an UncoveredDirectionError.
+# every shipped config at its own grid (rays: 720 directions, every witness
+# the boundary line at epsilon; spirals: six directions that pay the same
+# ratio up to rounding, which picks the witness), and of four ray fleets
+# turned by half a theta step; a bare float is the theta of an
+# UncoveredDirectionError.  Every fleet is sampled at its events.
 PINNED = {
     "all-at-origin": 0.0,
     "double-spiral-2": (
-        5.2644286496457315, 2.0943951023931953, 273.8358061710916,
-        1441.5890633059298, 469617.6186364259,
+        5.264428640053252, 4.1887902047863905, 1060.5629335024864,
+        5583.257881709382, 469617.6195450498,
     ),
     "rays-10": (
         1.0514622242382674, 0.3141592653589793, 0.01,
@@ -401,8 +412,8 @@ PINNED = {
     ),
     "single-ray": 1.5707963267948966,
     "spiral-1": (
-        13.811135403376294, 1.0471975511965976, 18.454245017291985,
-        254.8740767009019, 170.81638857155338,
+        13.811135312070979, 2.0943951023931953, 87.61925596190184,
+        1210.1214000328082, 170.8163887449654,
     ),
     "rays-3-half-step": (
         1.9850171814445097, 5.235987755982989, 0.01,
@@ -507,13 +518,15 @@ def test_tile_size_never_changes_the_report(walks, window):
 @given(walk=st.lists(_point, min_size=1, max_size=5))
 @settings(max_examples=10, deadline=None)
 def test_tile_size_never_changes_mixed_grid_fleet(walk):
-    # a spiral puts the diamond and the walk on the time grid too, so tile
-    # edges fall at the start state at t_start, among the merged polyline
-    # breakpoints and inside the cells the polish reads: a tile of one to
-    # 41 cells (TILE_CELLS // 24 directions)
+    # a spiral puts every robot on per-direction times, its extrema among
+    # the polyline breakpoints, and its swaps with the others into record
+    # cells: tile edges fall among them and inside the cells whose roots
+    # are bisected, in tiles of 1, 2, 5 and every cell (TILE_CELLS // (24
+    # directions x (2 straight pairs + 3 robots)) = TILE_CELLS // 120).  The
+    # time grid it once took is still passed and ignored
     fleet = Fleet((LogSpiral(growth=0.4), DIAMOND, path(*walk)))
     with pytest.MonkeyPatch.context() as mp:
-        _assert_tile_invariant(mp, fleet, (1, 7, 64, 1000), horizon=12.0,
+        _assert_tile_invariant(mp, fleet, (1, 240, 600, 1 << 20), horizon=12.0,
                                theta_steps=24, t_steps=300, window=(0.5, 3.0),
                                spacing="geometric", t_start=0.3)
 
@@ -530,9 +543,10 @@ def test_record_sweep_overflow_stays_silent():
 
 
 def test_tile_size_never_changes_windowed_spiral(monkeypatch):
-    # a spiral takes the time grid, whose tiles hold TILE_CELLS // 6 cells
+    # a lone spiral is sampled at its extrema, per direction, in tiles of
+    # TILE_CELLS // 6 cells: here 1, 2, 5 and every cell
     fleet = Fleet((LogSpiral(growth=0.3),))
-    _assert_tile_invariant(monkeypatch, fleet, (5, 64, 1000, 3000), t_steps=3001,
+    _assert_tile_invariant(monkeypatch, fleet, (6, 12, 30, 3000), t_steps=3001,
                            horizon=2000.0, theta_steps=6, epsilon=5.0,
                            window=(5.0, 300.0), spacing="geometric", t_start=0.05)
 
@@ -597,14 +611,16 @@ _anchor = st.one_of(
        window=st.sampled_from([None, (0.3, 2.0)]))
 @settings(max_examples=100, deadline=None)
 def test_witness_replays(anchor, extra, window):
-    # the fleet reaches a line just past the witness at the reported time:
-    # the estimate is a ratio the fleet really pays, not a grid artefact
+    # the fleet reaches a line just past the witness, or, where the witness
+    # is the line just below a record's end, a line just short of it, at
+    # the reported time: the estimate is a ratio the fleet really pays, not
+    # a grid artefact
     fleet = Fleet(anchor + tuple(extra))
     horizon = 12.0
     rep = evaluate_cr(fleet, horizon, theta_steps=24, t_steps=97, window=window)
-    hit = _first_hit(fleet, rep.witness.theta, rep.witness.delta * (1.0 + 1e-12),
-                     horizon)
-    assert hit == pytest.approx(rep.witness_time, rel=0.0, abs=1e-9 * horizon)
+    hits = [_first_hit(fleet, rep.witness.theta, rep.witness.delta * side, horizon)
+            for side in (1.0 + 1e-12, 1.0 - 1e-12)]
+    assert min(abs(hit - rep.witness_time) for hit in hits) <= 1e-9 * horizon
 
 
 # ----------------------------------------------------------- exact events
@@ -614,9 +630,11 @@ def _oracle_cr(fleet, horizon, theta_steps, lo, hi):
     """Worst first-hit ratio over the grid directions, one direction at a time.
 
     Each robot's support is interpolated between its knots.  The events are
-    every knot plus every time two robots' supports cross between knots;
-    the offsets are lo and each value the running max of the support takes
-    at an event, inside [lo, hi].  Each offset pays its exact first hit.
+    every knot plus every time two robots' supports cross between knots.
+    The lines are those just past lo and just past each value the running
+    max takes at an event, each paying its exact first hit; the line just
+    below each record value, first reached at its event; and the line at
+    hi, where the running max passes it.  Only offsets in [lo, hi] count.
     """
     knots = [_knots(robot, horizon) for robot in fleet.robots]
     times = np.unique(np.concatenate([ts for ts, _ in knots] + [[horizon]]))
@@ -639,6 +657,10 @@ def _oracle_cr(fleet, horizon, theta_steps, lo, hi):
             hit = _first_hit(fleet, theta, delta * (1.0 + 1e-12), horizon)
             if hit <= horizon:
                 worst = max(worst, hit / delta)
+        rec = (h[1:] > run[:-1] * (1.0 + 1e-9)) & (h[1:] >= lo) & (h[1:] <= hi)
+        worst = max(worst, *(ev[1:][rec] / h[1:][rec]), -math.inf)
+        if run[-1] > hi:
+            worst = max(worst, _first_hit(fleet, theta, hi, horizon) / hi)
     return worst
 
 
@@ -668,25 +690,197 @@ def test_piecewise_linear_fleets_ignore_the_time_grid(anchor, extra, window):
         assert replace(rep, t_steps=want.t_steps, spacing=want.spacing) == want
 
 
-def test_t_start_leaves_offsets_below_its_support_unmeasured():
+def test_t_start_changes_nothing_on_a_spiral_already_past_epsilon():
     # the spiral points along theta = 0 at t = 1, its support there already
-    # past epsilon: nothing is known before the first sample, so the
-    # offsets below it go unmeasured instead of paying t_start / epsilon
+    # past epsilon.  No fleet is sampled on the time grid, so a grid from
+    # t_start = 1 leaves the report as it is, offsets below that support
+    # included, and the ratio is the closed form's
     b = 0.3
     r1 = b / math.sqrt(1.0 + b * b)
     spiral = Fleet((LogSpiral(growth=b, start_phase=-math.log(r1) / b),))
-    rep = evaluate_cr(spiral, horizon=200.0, theta_steps=1, t_steps=4096,
-                      epsilon=0.01, t_start=1.0)
-    assert rep.witness.delta >= r1 and rep.witness_time > 1.0
-    assert rep.cr_estimate == pytest.approx(steady_state_cr(1, b), rel=1e-3)
+    kwargs = {"horizon": 200.0, "theta_steps": 1, "t_steps": 4096, "epsilon": 0.01}
+    rep = evaluate_cr(spiral, t_start=1.0, **kwargs)
+    assert rep == evaluate_cr(spiral, **kwargs)
+    assert rep.witness.delta < r1
+    assert rep.cr_estimate == pytest.approx(steady_state_cr(1, b), rel=1e-12)
 
 
-def test_t_start_leaves_offsets_at_or_below_it_unmeasured():
+def test_t_start_changes_nothing_on_a_six_direction_spiral():
     # at t = 1 the spiral's support in some of the six directions has fallen
-    # below offsets it passed earlier; a line beyond t_start cannot have been
-    # reached before it at unit speed, so the grid measures only those
+    # below offsets it passed earlier; those offsets are measured whatever
+    # t_start says
     spiral = Fleet((LogSpiral(growth=0.3),))
-    rep = evaluate_cr(spiral, horizon=200.0, theta_steps=6, t_steps=4096,
-                      epsilon=0.01, t_start=1.0)
-    assert rep.witness.delta >= 1.0
-    assert rep.cr_estimate == pytest.approx(steady_state_cr(1, 0.3), rel=1e-3)
+    kwargs = {"horizon": 200.0, "theta_steps": 6, "t_steps": 4096, "epsilon": 0.01}
+    rep = evaluate_cr(spiral, t_start=1.0, **kwargs)
+    assert rep == evaluate_cr(spiral, **kwargs)
+    assert rep.cr_estimate == pytest.approx(steady_state_cr(1, 0.3), rel=1e-12)
+
+
+def test_the_line_just_below_a_direction_coverage_is_measured():
+    # the diamond's support along theta = 10 * 2pi / 64 rises 0.5556 ->
+    # 0.8315 over t in [1, 1 + sqrt 2] and never passes 0.8315 again: the
+    # line just below it is first reached at 1 + sqrt 2, a ratio of 2.9036,
+    # while every line from epsilon up pays at most 1.80 before it.  The
+    # diamond is turned so that this direction is theta = 0.
+    theta = 10.0 * 2.0 * math.pi / 64.0
+    c, s = math.cos(theta), math.sin(theta)
+    turned = Polyline(tuple((c * x + s * y, c * y - s * x) for x, y in DIAMOND.vertices))
+    rep = one_direction(turned, horizon=12.0)
+    assert rep.cr_estimate == pytest.approx((1.0 + math.sqrt(2.0)) / s, rel=1e-12)
+    assert rep.witness.delta == pytest.approx(s, rel=1e-12)
+    assert rep.witness_time == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)
+
+
+# ------------------------------------------------------------------- spirals
+
+
+def test_a_nearly_circular_spiral_is_refused_not_swept():
+    # growth 1e-7 turns some 4e7 times between radius epsilon = 1e-9 and
+    # the horizon: too many events to hold, so the input is refused
+    fleet = Fleet((LogSpiral(growth=1e-7), Ray(0.0), Ray(2.1), Ray(4.2)))
+    with pytest.raises(ValueError, match="turns 43976140 times"):
+        evaluate_cr(fleet, horizon=1e4, theta_steps=8, epsilon=1e-9)
+
+
+def test_a_spiral_sweep_stays_small():
+    # events, not a 200 000-step time grid: a few dozen samples per direction
+    fleet, horizon, kwargs = _shipped("spiral-1")
+    tracemalloc.start()
+    try:
+        evaluate_cr(fleet, horizon, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _spiral_support(spiral, theta, t):
+    """Support of a LogSpiral in direction theta, from its closed form."""
+    b = spiral.growth
+    r = b * t / math.hypot(1.0, b)
+    turn = math.log(r) / b if r > 0.0 else 0.0
+    phi = spiral.start_phase + (turn if spiral.chirality == "ccw" else -turn)
+    return r * math.cos(phi - theta)
+
+
+def _track(robot, theta, lo, horizon):
+    """(times, support, straight): the robot's support in direction theta,
+    monotone between consecutive times and below lo before the first."""
+    if isinstance(robot, AntipodalOf):
+        ts, f, straight = _track(robot.inner, theta, lo, horizon)
+        return ts, (lambda t: -f(t)), straight
+    if isinstance(robot, LogSpiral):
+        # peaks and troughs where phi - theta is +alpha (ccw) or -alpha (cw)
+        # modulo pi, alpha = arctan b: log r = b (alpha +- (theta - phi0) + k pi)
+        b, c = robot.growth, math.hypot(1.0, robot.growth)
+        sign = 1.0 if robot.chirality == "ccw" else -1.0
+        x0 = math.atan(b) + sign * (theta - robot.start_phase)
+        start = min(c * lo / b, horizon)  # radius lo
+        ts = [start]
+        k = math.floor((math.log(b * start / c) / b - x0) / math.pi)
+        while (t := c / b * math.exp(b * (x0 + k * math.pi))) < horizon:
+            if t > start:
+                ts.append(t)
+            k += 1
+        ts.append(horizon)
+        return ts, (lambda t: _spiral_support(robot, theta, t)), False
+    knots, pts = _knots(robot, horizon)
+    s = pts @ np.array([math.cos(theta), math.sin(theta)])
+    return list(knots), (lambda t: float(np.interp(t, knots, s))), True
+
+
+def _bisect(g, t0, t1):
+    """The later end once no float lies between: g(t0) <= 0 < g(t1)."""
+    while t0 < (mid := 0.5 * (t0 + t1)) < t1:
+        t0, t1 = (t0, mid) if g(mid) > 0.0 else (mid, t1)
+    return t1
+
+
+def _pass(track, level):
+    """Exact first time a robot's support exceeds level, inf if never."""
+    ts, f, straight = track
+    for t0, t1 in zip(ts, ts[1:]):
+        f0, f1 = f(t0), f(t1)
+        if f1 > level:
+            if straight:
+                return t0 + (level - f0) / (f1 - f0) * (t1 - t0)
+            return _bisect(lambda t: f(t) - level, t0, t1)
+    return math.inf
+
+
+def _scalar_oracle(fleet, horizon, theta_steps, lo, hi):
+    """Each grid direction's worst ratio, -inf without a line, one robot at a time.
+
+    Events are every robot's knots and support extrema, and every time two
+    robots' supports change order between events: sign changes of their
+    difference at nine points per interval, bisected.  The lines are those
+    just past lo and just past each running-max value at an event, and the
+    line at hi, each paying the minimum over robots of their exact first
+    hits; and the line just below each record value, reached at its event.
+    """
+    worst = []
+    for theta in np.arange(theta_steps) * (2.0 * math.pi / theta_steps):
+        tracks = [_track(robot, float(theta), lo, horizon) for robot in fleet.robots]
+        events = {0.0, horizon}.union(*(ts for ts, _, _ in tracks))
+        for (ta, fa, _), (tb, fb, _) in itertools.combinations(tracks, 2):
+            cuts = sorted(set(ta) | set(tb))
+            for u, v in zip(cuts, cuts[1:]):
+                grid = np.linspace(u, v, 9)
+                d = [fa(t) - fb(t) for t in grid]
+                for k in range(8):
+                    if (d[k] < 0.0) != (d[k + 1] < 0.0):
+                        sign = 1.0 if d[k] < 0.0 else -1.0
+                        events.add(_bisect(lambda t: sign * (fa(t) - fb(t)),
+                                           grid[k], grid[k + 1]))
+        events = sorted(events)
+        h = [max(f(t) for _, f, _ in tracks) for t in events]
+        run = np.maximum.accumulate(h)
+
+        def first(level):
+            return min(_pass(track, level) for track in tracks)
+
+        lines = [(lo, first(lo * (1.0 + 1e-12)))]
+        lines += [(m, first(m * (1.0 + 1e-12))) for m in set(run) if lo <= m <= hi]
+        lines += [(v, t) for t, v, m in zip(events[1:], h[1:], run[:-1])
+                  if v > m * (1.0 + 1e-9) and lo <= v <= hi]
+        if run[-1] > hi:
+            lines.append((hi, first(hi)))
+        worst.append(max([-math.inf] + [t / level for level, t in lines if t <= horizon]))
+    return worst
+
+
+_spiral = st.builds(LogSpiral, growth=st.floats(0.2, 1.0),
+                    start_phase=st.floats(0.0, 2.0 * math.pi),
+                    chirality=st.sampled_from(["ccw", "cw"]))
+
+
+@given(spiral=_spiral,
+       partner=st.one_of(st.just(()), st.just("antipode"), _spiral.map(lambda s: (s,))),
+       extra=st.lists(_robot, max_size=3), window=st.sampled_from([None, (0.3, 2.0)]))
+@settings(max_examples=30, deadline=None)
+def test_mixed_fleets_match_a_scalar_oracle(spiral, partner, extra, window):
+    # a spiral (its own anchor: it turns through every direction), maybe
+    # its antipode or a second spiral, plus rays, walks and antipodal walks
+    partner = (AntipodalOf(spiral),) if partner == "antipode" else partner
+    fleet = Fleet((spiral,) + partner + tuple(extra))
+    horizon, steps = 12.0, 4
+    lo, hi = window or (0.0, math.inf)
+    want = _scalar_oracle(fleet, horizon, steps, max(lo, 1e-3 * horizon), hi)
+    try:
+        rep = evaluate_cr(fleet, horizon, theta_steps=steps, window=window)
+    except UncoveredDirectionError as err:  # a direction with no line inside
+        assert want[round(err.theta / (2.0 * math.pi / steps))] == -math.inf
+        return
+    assert rep.cr_estimate == pytest.approx(max(want), rel=1e-9)
+
+
+def test_a_spiral_and_a_walk_swapping_places_in_one_cell():
+    # along theta = 0 the spiral and the walk out to (0.8, 3.73) both rise
+    # through the running max inside one cell and change places there; the
+    # sweep must sample the swap, or it reports 4.77 instead of 6.60
+    fleet = Fleet((LogSpiral(growth=0.44, start_phase=3.06),
+                   path((-1.0, -3.6)), path((0.8, 3.73), (1.04, -0.73))))
+    rep = evaluate_cr(fleet, 12.0, theta_steps=4)
+    want = _scalar_oracle(fleet, 12.0, 4, rep.epsilon, math.inf)
+    assert rep.cr_estimate == pytest.approx(max(want), rel=1e-9)
+    assert rep.cr_estimate == pytest.approx(6.6014, abs=1e-4)

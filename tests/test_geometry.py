@@ -8,11 +8,11 @@ from shoreline.geometry import (
     Cone,
     Line,
     Point2,
-    distance_point_line,
     max_angular_gap,
     normalize_angle,
-    support,
 )
+
+from reference import distance_point_line, support
 
 TWO_PI = 2.0 * math.pi
 

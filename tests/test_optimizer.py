@@ -27,16 +27,16 @@ def spiral_fleet(n: int, b: float, start_phase: float = 0.0) -> Fleet:
     raise ValueError(f"unsupported spiral fleet size {n}")
 
 
-def windowed_cr(n: int, b: float, start_phase: float = 0.0,
-                t_steps: int = 200_000) -> float:
+def windowed_cr(n: int, b: float, start_phase: float = 0.0) -> float:
     """The evaluator's windowed sweep of the spiral fleet at growth b.
 
     The numeric reference for the closed form: six directions suffice,
     because the steady-state record pattern is the same in every direction
-    up to a time rescaling.
+    up to a time rescaling.  The sweep samples the spirals at their support
+    extrema, so it is exact up to rounding.
     """
     p = spiral_eval_params(n, b)
-    rep = evaluate_cr(spiral_fleet(n, b, start_phase), p["horizon"], 6, t_steps,
+    rep = evaluate_cr(spiral_fleet(n, b, start_phase), p["horizon"], 6,
                       epsilon=p["epsilon"], window=p["window"],
                       spacing=p["spacing"], t_start=p["t_start"])
     return rep.cr_estimate
@@ -114,24 +114,20 @@ def test_steady_state_cr_slow_spiral_pays_heavily():
 
 def test_steady_state_cr_independent_of_start_phase():
     # the closed form has no start phase; the windowed measurement agrees
-    # with it whatever bearing the spirals cross radius 1 at (measured
-    # worst +2.5e-8 over start phases 0 to 4, so the bound leaves a 2x margin)
+    # with it whatever bearing the spirals cross radius 1 at
     exact = steady_state_cr(2, 0.6465)
     for phase in (0.0, 2.0):
-        measured = windowed_cr(2, 0.6465, start_phase=phase, t_steps=60_000)
-        assert measured == pytest.approx(exact, rel=5e-8)
+        assert windowed_cr(2, 0.6465, start_phase=phase) == pytest.approx(exact, rel=1e-12)
 
 
 def test_steady_state_cr_near_known_optimum():
     assert steady_state_cr(2, 0.6465) == pytest.approx(5.26443, abs=1e-5)
 
 
-# Measured, the windowed reference reads high by at most +7.5e-8 (b = 0.05,
-# n = 1) and by +2.6e-9 at b = 1.0; the bound is about twice the worst case.
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("b", [0.05, 0.1, 0.2125, 0.3, 0.5, 0.6465, 1.0])
 def test_steady_state_cr_matches_windowed_reference(n, b):
-    assert steady_state_cr(n, b) == pytest.approx(windowed_cr(n, b), rel=1.5e-7)
+    assert steady_state_cr(n, b) == pytest.approx(windowed_cr(n, b), rel=1e-12)
 
 
 @pytest.mark.parametrize("n,name", [(1, "spiral-1"), (2, "double-spiral-2")])
@@ -141,7 +137,7 @@ def test_shipped_spiral_configs_match_the_closed_form(n, name):
                       epsilon=ev["epsilon"], window=tuple(ev["window"]),
                       spacing=ev["spacing"], t_start=ev["t_start"])
     b = fleet.robots[0].growth
-    assert rep.cr_estimate == pytest.approx(steady_state_cr(n, b), abs=2e-7)
+    assert rep.cr_estimate == pytest.approx(steady_state_cr(n, b), rel=1e-12)
 
 
 def test_steady_state_cr_rejects_bad_inputs():

@@ -80,6 +80,11 @@ def test_reproduce_spiral_bounds_finds_both_optima(tmp_path):
         doc = json.loads((tmp_path / f"spiral-{n}-optimum.json").read_text())
         assert doc["n"] == n and doc["converged"]
         assert lo <= doc["value"] <= hi
+    # both shipped spiral configs, evaluated, agree with the closed form
+    gaps = {line.split(":")[0]: float(line.rsplit(" gap ", 1)[1])
+            for line in proc.stdout.splitlines() if " gap " in line}
+    assert set(gaps) == {"spiral-1", "double-spiral-2"}
+    assert all(abs(gap) <= 1e-12 for gap in gaps.values()), gaps
 
 
 # Bindings the benchmark's tracer still names although the program dropped

@@ -5,20 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shoreline.geometry import Line, support
+from shoreline.geometry import Line
 from shoreline.trajectory import (
     AntipodalOf,
     Fleet,
     LogSpiral,
     Polyline,
     Ray,
-    first_hit_time,
-    position,
     positions,
     spec_from_dict,
     spec_to_dict,
-    speed_check,
+    support_extrema,
 )
+
+from reference import first_hit_time, position, speed_check, support
 
 
 def test_ray_position():
@@ -273,3 +273,37 @@ def test_support_consistency_with_geometry_helper():
     assert support(p, 0.9) == pytest.approx(
         p.x * math.cos(0.9) + p.y * math.sin(0.9), abs=1e-15
     )
+
+
+@given(spec=st.one_of(_spiral, st.builds(AntipodalOf, _spiral)),
+       radius=st.floats(0.01, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_support_extrema_split_the_support_into_monotone_pieces(spec, radius):
+    # between two consecutive times the support in each direction is
+    # monotone, and it turns at every time strictly inside the range
+    horizon = 40.0
+    thetas = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
+    turns = support_extrema(spec, thetas, radius, horizon)
+    base = spec.inner if isinstance(spec, AntipodalOf) else spec
+    start = min(math.hypot(1.0, base.growth) / base.growth * radius, horizon)
+    assert turns.min() == pytest.approx(start, rel=1e-15) and turns.max() == horizon
+    for theta, row in zip(thetas, turns):
+        u = np.array([math.cos(theta), math.sin(theta)])
+        assert np.all(np.diff(row) >= 0.0)
+        for t0, t1 in zip(row, row[1:]):
+            if t1 == t0:
+                continue
+            ts = np.linspace(t0, t1, 257)
+            step = np.diff(positions(spec, ts) @ u)
+            slack = 1e-9 * t1 * (ts[1] - ts[0])
+            assert np.all(step >= -slack) or np.all(step <= slack)
+        inner = row[(row > start) & (row < horizon)]
+        s = positions(spec, np.concatenate((inner * (1 - 1e-4), inner, inner * (1 + 1e-4))))
+        before, at, after = (s @ u).reshape(3, -1)
+        assert np.all(np.sign(at - before) == np.sign(at - after))
+
+
+def test_support_extrema_of_straight_paths_are_empty():
+    thetas = np.linspace(0.0, 1.0, 3)
+    for spec in (Ray(0.3), Polyline(((0.0, 0.0), (1.0, 2.0))), AntipodalOf(Ray(1.0))):
+        assert support_extrema(spec, thetas, 0.1, 10.0).shape == (3, 0)
