@@ -417,15 +417,18 @@ def lemma_suite(
     One result per suite, in LEMMA_SUITES order, each carrying its extremal
     value and whether it passed; negative_control appends two controls that
     must come out violated (omb beyond pi/4) or tangent (zeta = 0).  grid
-    sizes the omb and cone-exit sweeps, samples and seed the random
-    ellipse-equivalence check.  Each suite frees its arrays before the next
-    one runs.
+    sizes the omb and cone-exit sweeps and must be at least 3 when cone-exit
+    runs, else 2; samples and seed size the random ellipse-equivalence
+    check.  Each suite frees its arrays before the next one runs.
     """
     unknown = set(suites) - set(LEMMA_SUITES)
     if unknown:
         raise ValueError(f"unknown lemma suites {sorted(unknown)}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    least = 3 if "cone-exit" in suites else 2  # min_cone_exit's and omb_oracle's floors
+    if grid < least:
+        raise ValueError(f"grid must be at least {least}")
     runs = {
         "omb": lambda: _omb_suite(grid),
         "cone-exit": lambda: _cone_exit_suite(grid),

@@ -32,6 +32,7 @@ bearing at which it crosses radius 1.  A key not shown here is an error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -235,6 +236,9 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    out = args.out or str(Path(args.report).with_suffix(".svg"))
+    if Path(out).resolve() == Path(args.report).resolve():
+        raise ConfigError(f"{out} would overwrite the report; pass another --out")
     try:
         with open(args.report) as fh:
             doc = json.load(fh)
@@ -252,13 +256,14 @@ def cmd_plot(args) -> int:
         raise ConfigError(f"report {args.report} lacks the field {exc}") from exc
     except TypeError as exc:
         raise ConfigError(f"report {args.report} is malformed: {exc}") from exc
-    out = args.out or str(Path(args.report).with_suffix(".svg"))
     _write_out(out, svg)
     print(f"wrote {out}")
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The shoreline parser, built on first use and shared by every main call."""
     p = _Parser(prog="shoreline",
                 description="Simulate, certify, and optimize multi-robot "
                             "shoreline search.")
@@ -302,7 +307,7 @@ def build_parser() -> _Parser:
     po = sub.add_parser("optimize", help="search the spiral growth rate")
     po.add_argument("--n", type=int, required=True)
     po.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"),
-                    default=list(optimizer.DEFAULT_BRACKET))
+                    default=optimizer.DEFAULT_BRACKET)
     po.add_argument("--tol", type=float, default=optimizer.DEFAULT_B_TOL)
     po.add_argument("--prescan", type=int, default=optimizer.DEFAULT_PRESCAN)
     po.add_argument("--out")

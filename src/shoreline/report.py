@@ -162,7 +162,9 @@ def render(doc: dict, *, canvas: int = DEFAULT_CANVAS,
         return 0.5 * canvas + x * scale, 0.5 * canvas - y * scale
 
     def outline(tag: str, pts, style: str) -> str:
-        coords = " ".join("{:.2f},{:.2f}".format(*pixel(p[0], p[1])) for p in pts)
+        # pixel for every point at once; y * -scale rounds as -(y * scale)
+        xy = 0.5 * canvas + np.asarray(pts, dtype=float) * (scale, -scale)
+        coords = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         return f'<{tag} points="{coords}" {_STYLES[style]}/>'
 
     parts = [

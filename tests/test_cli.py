@@ -12,9 +12,11 @@ from shoreline.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_UNCOVERED,
+    build_parser,
     load_fleet_config,
     main,
 )
+from shoreline.optimizer import DEFAULT_BRACKET
 
 FLEETS = Path(__file__).resolve().parent.parent / "fleets"
 
@@ -332,6 +334,25 @@ def test_lemmas_negative_controls(capsys):
     assert "discriminant-zeta-zero" in out
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--grid", "1"], "grid must be at least 3"),
+    (["--grid", "2"], "grid must be at least 3"),
+    (["--suite", "cone-exit", "--grid", "2"], "grid must be at least 3"),
+    (["--suite", "omb", "--grid", "1"], "grid must be at least 2"),
+    (["--suite", "ellipses", "--grid", "1"], "grid must be at least 2"),
+])
+def test_lemmas_grid_floor_follows_the_suites_run(capsys, flags, message):
+    # one message per floor: the cone-exit sweep needs 3 points, omb 2
+    assert main(["lemmas", *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
+def test_lemmas_omb_runs_at_its_floor(capsys):
+    assert main(["lemmas", "--suite", "omb", "--grid", "2"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("PASS omb")
+
+
 # ---------------------------------------------------------------- optimize
 
 
@@ -442,6 +463,19 @@ def test_plot_malformed_report(tmp_path, capsys, doc, message):
     assert message in err
 
 
+def test_plot_never_writes_over_its_report(tmp_path, capsys):
+    # the default output swaps the suffix for .svg, which is the report's own
+    # path when the report is already called *.svg
+    rep = certificate_file(tmp_path).rename(tmp_path / "cert.svg")
+    before = rep.read_bytes()
+    capsys.readouterr()
+    for argv in (["plot", str(rep)], ["plot", str(rep), "--out", str(rep)]):
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "would overwrite the report" in err
+        assert rep.read_bytes() == before
+
+
 def test_plot_missing_file(tmp_path, capsys):
     assert main(["plot", str(tmp_path / "no.json")]) == EXIT_CONFIG
 
@@ -545,6 +579,76 @@ PARITY_DIGESTS = {
 def test_certificates_and_pictures_are_pinned(tmp_path, capsys, stem):
     digest = hashlib.sha256(parity_outputs(stem, tmp_path)).hexdigest()
     assert digest == PARITY_DIGESTS[stem]
+
+
+# A diamond loop plus the antipode of a random-looking walk: every direction
+# is covered, and both robots draw 512-sample polylines with corners.
+POLYLINE_PICTURE_ROBOTS = [
+    {"kind": "polyline",
+     "vertices": [[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [1, 0]]},
+    {"kind": "antipodal_of", "inner": {"kind": "polyline",
+                                       "vertices": [[0, 0], [0.7, -0.3], [1.9, 1.1],
+                                                    [-0.4, 2.6]]}},
+]
+
+
+def trajectory_picture_outputs(config: str, work: Path) -> bytes:
+    """A report on `config` and its picture at both views parity_outputs uses."""
+    rep = work / "report.json"
+    runs = [(["evaluate", config], rep),
+            (["plot", str(rep)], rep.with_suffix(".svg")),
+            (["plot", str(rep), "--size", "200", "--world-radius", "3"],
+             work / "report.small.svg")]
+    for argv, out in runs:
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+    return b"".join(out.read_bytes() for _, out in runs)
+
+
+# sha256 of trajectory_picture_outputs: the 512-sample trajectory outlines
+# that plot draws for spiral and polyline reports, which PARITY_DIGESTS (ray
+# reports only) leaves unpinned.  The values depend on the platform's libm.
+TRAJECTORY_PICTURE_DIGESTS = {
+    "spiral-1": "fe5fed67b65c86b8450198a195376fe677791598667dcefd29d4c5bcdc695792",
+    "double-spiral-2": "b2dfba7eda4a827a48cedb45e87d2258c4a59c02eb6c129064653298ae6aed0a",
+    "polyline": "7db21a1c41b6368b3d1c7edccba55e7893d680eaafd6d6a453cf55a8b494f080",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORY_PICTURE_DIGESTS))
+def test_trajectory_pictures_are_pinned(tmp_path, capsys, name):
+    if name == "polyline":
+        config = write_config(tmp_path / "polyline.json", POLYLINE_PICTURE_ROBOTS,
+                              {"horizon": 12.0, "theta_steps": 24})
+    else:
+        config = str(FLEETS / f"{name}.json")
+    digest = hashlib.sha256(trajectory_picture_outputs(config, tmp_path)).hexdigest()
+    assert digest == TRAJECTORY_PICTURE_DIGESTS[name]
+
+
+# ----------------------------------------------------------- shared parser
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    cfg = ray_config(tmp_path / "f.json", 3)
+    certify = ["certify", cfg, "--d", "1", "--out"]
+    build_parser.cache_clear()
+    assert main([*certify, str(tmp_path / "fresh.json")]) == EXIT_OK
+    fresh = (tmp_path / "fresh.json").read_bytes()
+
+    build_parser.cache_clear()
+    assert main(["frobnicate"]) == EXIT_CONFIG  # usage error
+    assert main(["certify", str(tmp_path / "missing.json"), "--d", "1"]) == EXIT_CONFIG
+    assert main([*certify, str(tmp_path / "shared.json")]) == EXIT_OK
+    assert build_parser.cache_info().misses == 1
+    assert (tmp_path / "shared.json").read_bytes() == fresh
+
+
+def test_bracket_default_is_an_immutable_tuple():
+    # the parser is shared, so a mutable default would be shared by every call
+    first = build_parser().parse_args(["optimize", "--n", "1"]).bracket
+    second = build_parser().parse_args(["optimize", "--n", "2"]).bracket
+    assert first == second == DEFAULT_BRACKET
+    assert isinstance(first, tuple)
 
 
 # -------------------------------------------------------------- exit codes

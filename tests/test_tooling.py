@@ -1,9 +1,10 @@
-"""Repository-level guards: module layering, the shipped fleet configs and
-the spiral reproduction script."""
+"""Repository-level guards: module layering, the shipped fleet configs, the
+spiral reproduction script and the cost of importing the CLI."""
 
 import ast
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,18 @@ def test_reproduce_spiral_bounds_finds_both_optima(tmp_path):
             for line in proc.stdout.splitlines() if " gap " in line}
     assert set(gaps) == {"spiral-1", "double-spiral-2"}
     assert all(abs(gap) <= 1e-12 for gap in gaps.values()), gaps
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built on the first main call, so importing costs nothing
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import shoreline.cli as cli; print(cli.build_parser.cache_info().currsize)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 # Bindings the benchmark's tracer still names although the program dropped
