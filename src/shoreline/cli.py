@@ -8,7 +8,8 @@ one-line summary on stdout.
 
 Exit codes: 0 ok, 1 usage/config error (including any flag value the
 library rejects and an --out the command cannot write), 2 uncovered
-direction, 3 lemma violation, 4 non-convergence.
+direction, 3 lemma violation, 4 non-convergence (including an optimize
+bracket in which every steady-state CR overflows).
 
 Fleet configs are JSON:
 
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -224,6 +226,10 @@ def cmd_optimize(args) -> int:
     text = report.emit_report(result, extra={"n": args.n})
     if args.out:
         _write_out(args.out, text)
+    if result.value == math.inf:
+        print(f"non-convergence: no finite CR in bracket {tuple(args.bracket)}; every "
+              f"steady-state CR evaluated overflows", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     if not result.converged:
         print(f"non-convergence: bracket {result.bracket} wider than tol "
               f"{args.tol:g} after {result.evaluations} evaluations",

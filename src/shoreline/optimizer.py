@@ -113,8 +113,16 @@ def steady_state_cr(n: int, b: float) -> float:
     (P - pi/2 - alpha, P).  Arc length from the origin, where
     trajectory.LogSpiral starts, is (c/b) * radius with c = sqrt(1 + b^2), so
     the ratio is (c^2 / b) * exp(b*psi), the same at every scale and in every
-    direction.  psi is bisected until the interval stops shrinking; a ratio
-    beyond the float range is inf.
+    direction.  psi is the upper end of the bracket bisection would leave
+    on the log-root test g(psi) < 0, g(psi) = b*psi + log|cos(psi + alpha)|
+    + log(c^2) / 2: g rises there, and so does its rounded value, so the end
+    is the first float past the root.  Newton steps on g'(psi) =
+    b - tan(psi + alpha), taken in log(psi - edge) for the bracket's lower
+    end edge, where log|cos| has its singularity and is nearly a line in
+    that variable, reach it in a few tests.  Once a step stalls within w
+    floats of the last point x, x +- w floats is tested toward the root,
+    w doubling while the test keeps its side; the midpoint is tested where
+    a step misses the bracket.  A ratio beyond the float range is inf.
     """
     if n not in (1, 2):
         raise ValueError(f"unsupported fleet size n={n}; only 1 or 2 spiral robots")
@@ -124,15 +132,30 @@ def steady_state_cr(n: int, b: float) -> float:
     period = 2.0 * math.pi if n == 1 else math.pi
     log_c2 = math.log1p(b * b)  # log c^2 = -2 log cos(alpha)
     lo, hi = period - 0.5 * math.pi - alpha, period
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        # the root equation in logs, so no exp overflows for large b
-        if b * mid + math.log(abs(math.cos(mid + alpha))) < -0.5 * log_c2:
-            lo = mid
+    edge, x, below, step, w = lo, math.nan, False, math.nan, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        p = x - step
+        gap = w * math.ulp(x)
+        slow = abs(step) <= gap
+        if slow:
+            p = x + gap if below else x - gap
+        if not lo < p < hi:
+            p = mid
+        # the root test in logs, so no exp overflows for large b
+        g = b * p + math.log(abs(math.cos(p + alpha)))
+        w = 2.0 * w if slow and (g < -0.5 * log_c2) == below else 1.0
+        below = g < -0.5 * log_c2
+        if below:
+            lo = p
         else:
-            hi = mid
+            hi = p
+        # Newton in log(psi - edge), where log|cos| is nearly a line
+        d = p - edge
+        try:
+            step = -d * math.expm1(-(g + 0.5 * log_c2) / ((b - math.tan(p + alpha)) * d))
+        except (OverflowError, ZeroDivisionError):
+            step = math.nan
+        x = p
     try:
         return math.exp(log_c2 - math.log(b) + b * hi)
     except OverflowError:
@@ -150,7 +173,7 @@ def optimize_spiral(
 
     Log-spaced pre-scan of the bracket defends the unimodality assumption,
     then golden-section refines between the pre-scan neighbors of the best
-    point.
+    point.  Where every CR it evaluates overflows, it has not converged.
     """
     lo, hi = bracket
     if not 0.0 < lo < hi:
@@ -171,4 +194,5 @@ def optimize_spiral(
     g_hi = bs[min(i + 1, prescan - 1)]
     result = golden_section(objective, g_lo, g_hi, tol=tol)
     result.evaluations += prescan
+    result.converged &= result.value < math.inf  # no finite CR: no optimum
     return result

@@ -180,6 +180,7 @@ def support_extrema(spec: TrajectorySpec, thetas: np.ndarray, radius: float,
 
     One row per direction theta; t_r is when the path reaches `radius`, its
     support staying below it until then, and rows may repeat either end.
+    A spiral that reaches `radius` only at or after the horizon has none.
     With psi = phi(t) - theta and alpha = arctan(growth) the support has
     derivative sin(alpha - psi) (ccw) or sin(alpha + psi) (cw): it turns
     where psi = +alpha or -alpha (mod pi), a geometric sequence with ratio
@@ -193,12 +194,19 @@ def support_extrema(spec: TrajectorySpec, thetas: np.ndarray, radius: float,
         return np.empty((len(thetas), 0))
     b = spec.growth
     c_b = math.hypot(1.0, b) / b  # t = (c / b) r
-    t_r, log_cb = min(c_b * radius, horizon), math.log(c_b)
+    t_r = c_b * radius
+    if not t_r < horizon:  # inside radius up to the horizon: no turn counts
+        return np.empty((len(thetas), 0))
+    log_cb = math.log(c_b)
     turn = math.atan(b) + (thetas - spec.start_phase) * (
         1.0 if spec.chirality == "ccw" else -1.0)
     # log t = log(c / b) + b (turn + k pi) at the k-th extremum
-    k_lo = math.floor(((math.log(t_r) - log_cb) / b - turn.max()) / math.pi)
-    k_hi = math.ceil(((math.log(horizon) - log_cb) / b - turn.min()) / math.pi)
+    k_lo = ((math.log(t_r) - log_cb) / b - turn.max()) / math.pi
+    k_hi = ((math.log(horizon) - log_cb) / b - turn.min()) / math.pi
+    if not max(-k_lo, k_hi) < 2.0 ** 53:
+        raise ValueError(f"log spiral of growth {b!r} and start phase {spec.start_phase!r} "
+                         f"numbers its turns past 2**53, where floats skip integers")
+    k_lo, k_hi = math.floor(k_lo), math.ceil(k_hi)
     if len(thetas) * (k_hi - k_lo + 1) > MAX_EXTREMA:
         raise ValueError(f"log spiral of growth {b!r} turns {k_hi - k_lo + 1} times "
                          f"between radius {radius!r} and the horizon; use a larger epsilon")
@@ -235,3 +243,22 @@ def positions(spec: TrajectorySpec, ts: np.ndarray) -> np.ndarray:
     raise TypeError(f"unknown trajectory spec {type(spec).__name__}")
 
 
+def velocities(spec: TrajectorySpec, ts: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """d/dt of positions as an (N, 2) array, for a log spiral or an antipode
+    of one at positive times ts, where it is at points = positions(spec, ts).
+
+    A log spiral crosses every radius at the same angle, so its velocity
+    follows from its position p = r (cos phi, sin phi) with no further log,
+    cos or sin: v = (p +- J p / b) / t, J the quarter turn ccw and the upper
+    sign ccw; that is (b cos phi -+ sin phi, b sin phi +- cos phi) / c, a
+    unit vector.  In direction theta the support therefore changes at
+    sin(alpha - psi) (ccw) or sin(alpha + psi) (cw), zero at the times
+    support_extrema lists.  An antipode moves the other way.
+    """
+    if isinstance(spec, AntipodalOf):
+        return -velocities(spec.inner, ts, -points)
+    if not isinstance(spec, LogSpiral):
+        raise TypeError(f"no closed-form velocity for {type(spec).__name__}")
+    k = (1.0 if spec.chirality == "ccw" else -1.0) / spec.growth
+    x, y = points[:, 0], points[:, 1]
+    return np.stack([x - k * y, y + k * x], axis=1) / np.asarray(ts, dtype=float)[:, None]

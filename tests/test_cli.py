@@ -94,6 +94,23 @@ def test_evaluate_non_finite_t_start_is_a_config_error(tmp_path, capsys, value):
     assert "uncovered" not in err
 
 
+@pytest.mark.parametrize("robot,code,message", [
+    # never reaches radius epsilon = 1 within the horizon: no direction covered
+    ({"kind": "log_spiral", "growth": 1e-300}, EXIT_UNCOVERED, "uncovered: "),
+    # a phase so large that floats cannot number its turns
+    ({"kind": "log_spiral", "growth": 0.3, "start_phase": 1e308}, EXIT_CONFIG,
+     "error: robots[0]: log spiral"),
+])
+def test_evaluate_extreme_spirals_exit_without_traceback(tmp_path, capsys, robot, code,
+                                                         message):
+    cfg = write_config(tmp_path / "spiral.json", [robot],
+                       {"horizon": 1000.0, "theta_steps": 8})
+    assert main(["evaluate", cfg]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
 def test_evaluate_t_start_does_not_inflate_a_ray_fleet(tmp_path):
     # a ray fleet is sampled at its events, not on the time grid: a later
     # grid start no longer makes every direction pay t_start / epsilon
@@ -366,6 +383,17 @@ def test_optimize_quick(tmp_path, capsys):
     assert doc["schema"] == "optimize_result/v1"
     assert doc["value"] == pytest.approx(5.2644, abs=5e-3)
     assert doc["n"] == 2
+
+
+def test_optimize_without_a_finite_cr_is_non_convergence(tmp_path, capsys):
+    # every steady-state CR of one spiral in this bracket overflows
+    out = tmp_path / "opt.json"
+    code = main(["optimize", "--n", "1", "--bracket", "400", "500", "--out", str(out)])
+    assert code == EXIT_NO_CONVERGENCE
+    err = capsys.readouterr().err
+    assert "no finite CR" in err and "Traceback" not in err
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is False and doc["value"] is None
 
 
 def test_optimize_rejects_n3(capsys):

@@ -20,7 +20,9 @@ from shoreline.evaluator import (
     evaluate_cr,
 )
 from shoreline.optimizer import steady_state_cr
-from shoreline.trajectory import AntipodalOf, Fleet, LogSpiral, Polyline, Ray
+from shoreline.trajectory import AntipodalOf, Fleet, LogSpiral, Polyline, Ray, support_extrema
+
+from reference import rise_time_bisection
 
 # all four vertices visited by t = 1 + 3 sqrt(2), so every direction covered
 DIAMOND = Polyline(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
@@ -162,7 +164,7 @@ def test_records_to_ratio_record_jumping_over_window():
     # support rises from below the window to about 9.7 with no extremum in
     # between, so T(L) / L grows over the whole window and the worst line is
     # the one at its upper end, passed where r cos(ln(r) / 10) = 5 at
-    # t = (c / b) r.  Its root is bisected, not read off a time grid
+    # t = (c / b) r.  Its root is found to the float, not read off a time grid
     b, c = 10.0, math.hypot(1.0, 10.0)
     r0, r1 = 1.0, 10.0
     while r0 < (mid := 0.5 * (r0 + r1)) < r1:
@@ -884,3 +886,82 @@ def test_a_spiral_and_a_walk_swapping_places_in_one_cell():
     want = _scalar_oracle(fleet, 12.0, 4, rep.epsilon, math.inf)
     assert rep.cr_estimate == pytest.approx(max(want), rel=1e-9)
     assert rep.cr_estimate == pytest.approx(6.6014, abs=1e-4)
+
+
+# ------------------------------------------------------------ spiral roots
+
+
+def _rise_time_calls(name, **change):
+    """The arguments of every root search in the sweep of a shipped config."""
+    calls, rise = [], evaluator._rise_time
+    fleet, horizon, kwargs = _shipped(name)
+    kwargs.update(change)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "_rise_time", lambda *a: calls.append(a) or rise(*a))
+        evaluate_cr(fleet, horizon, **kwargs)
+    return calls
+
+
+@pytest.mark.parametrize("name,columns", [("spiral-1", 28), ("double-spiral-2", 30)])
+def test_spiral_roots_match_bisection_on_the_shipped_spirals(monkeypatch, name, columns):
+    # every record column, bit for bit, in at most 16 support evaluations
+    # per search; bisection makes 53 or 54
+    calls = _rise_time_calls(name)
+    assert sum(len(level) for _, _, level, *_ in calls) == columns
+    evaluations, positions = [], evaluator.positions
+    monkeypatch.setattr(evaluator, "positions",
+                        lambda *a: evaluations.append(1) or positions(*a))
+    for robot, u, level, t0, t1, s0, s1 in calls:
+        evaluations.clear()
+        got = evaluator._rise_time(robot, u, level, t0, t1, s0, s1)
+        assert len(evaluations) <= 16
+        assert np.array_equal(got, rise_time_bisection(robot, u, level, t0, t1))
+
+
+def test_many_spiral_roots_are_bisected():
+    # 72 directions give 327 record columns in one search, past
+    # NEWTON_COLUMNS: bisection is cheaper there
+    (call,) = _rise_time_calls("spiral-1", theta_steps=72)
+    robot, u, level, t0, t1, s0, s1 = call
+    assert len(level) == 327 > evaluator.NEWTON_COLUMNS
+    got = evaluator._rise_time(robot, u, level, t0, t1, s0, s1)
+    assert np.array_equal(got, rise_time_bisection(robot, u, level, t0, t1))
+
+
+_level = st.one_of(st.floats(0.0, 1.0), st.just("start"), st.integers(1, 4))
+
+
+@given(growth=st.floats(0.05, 2.0), phase=st.floats(-10.0, 10.0),
+       chirality=st.sampled_from(["ccw", "cw"]), antipodal=st.booleans(),
+       columns=st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi), st.integers(0, 50), _level),
+                        min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_spiral_roots_match_bisection(growth, phase, chirality, antipodal, columns):
+    # a level inside one rising piece of the support, between two support
+    # extrema: somewhere inside, at the piece's start or a few floats above
+    # it, where rounding blurs which float passes it first
+    spec = LogSpiral(growth, phase, chirality)
+    spec = AntipodalOf(spec) if antipodal else spec
+    t0, t1, thetas, levels = [], [], [], []
+    for theta, piece, level in columns:
+        u = np.array([[math.cos(theta)], [math.sin(theta)]])
+        ts = np.unique(support_extrema(spec, np.array([theta]), 1.0, 1e4))
+        s = evaluator._support(spec, ts, u)
+        rising = np.flatnonzero(s[1:] > s[:-1])
+        k = rising[piece % len(rising)]
+        lo, hi = s[k], s[k + 1]
+        if level == "start":
+            level = lo
+        elif isinstance(level, int):
+            level = lo + level * abs(np.spacing(lo))
+        else:
+            level = lo + level * (hi - lo)
+        t0.append(ts[k])
+        t1.append(ts[k + 1])
+        thetas.append(theta)
+        levels.append(min(level, np.nextafter(hi, -np.inf)))
+    t0, t1, level = np.array(t0), np.array(t1), np.array(levels)
+    u = np.stack((np.cos(thetas), np.sin(thetas)))
+    s0, s1 = evaluator._support(spec, t0, u), evaluator._support(spec, t1, u)
+    got = evaluator._rise_time(spec, u, level, t0, t1, s0, s1)
+    assert np.array_equal(got, rise_time_bisection(spec, u, level, t0, t1))

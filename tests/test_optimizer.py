@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from shoreline.cli import load_fleet_config
@@ -13,6 +14,8 @@ from shoreline.optimizer import (
     steady_state_cr,
 )
 from shoreline.trajectory import AntipodalOf, Fleet, LogSpiral
+
+from reference import steady_state_cr_bisection
 
 FLEETS = Path(__file__).resolve().parents[1] / "fleets"
 
@@ -149,10 +152,24 @@ def test_steady_state_cr_rejects_bad_inputs():
 
 
 def test_steady_state_cr_steep_spirals_do_not_overflow():
-    # the root is bisected in logs, so only a ratio beyond the float range
+    # the root is found in logs, so only a ratio beyond the float range
     # becomes inf; the pair's ratio grows only linearly in b
     assert steady_state_cr(1, 300.0) == math.inf
     assert 1e3 < steady_state_cr(2, 500.0) < 1e4
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_steady_state_cr_matches_bisection(n):
+    # Newton stops at the float bisection stops at, on a log grid of growth
+    # rates from nearly circular to steeper than any finite n = 1 ratio
+    for b in np.geomspace(0.01, 600.0, 400):
+        assert steady_state_cr(n, float(b)) == steady_state_cr_bisection(n, float(b))
+
+
+def test_optimize_spiral_without_a_finite_ratio_has_not_converged():
+    # every steady-state ratio of one spiral overflows at these growth rates
+    res = optimize_spiral(1, bracket=(400.0, 500.0))
+    assert res.value == math.inf and not res.converged
 
 
 @pytest.mark.parametrize("n,value,evaluations", [(1, 13.811135, 47),
