@@ -226,13 +226,10 @@ def cmd_optimize(args) -> int:
     text = report.emit_report(result, extra={"n": args.n})
     if args.out:
         _write_out(args.out, text)
-    if result.value == math.inf:
-        print(f"non-convergence: no finite CR in bracket {tuple(args.bracket)}; every "
-              f"steady-state CR evaluated overflows", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     if not result.converged:
-        print(f"non-convergence: bracket {result.bracket} wider than tol "
-              f"{args.tol:g} after {result.evaluations} evaluations",
+        why = (f"bracket {result.bracket} wider than tol {args.tol:g}"
+               if result.value < math.inf else "no finite CR in the bracket")
+        print(f"non-convergence: {why} after {result.evaluations} evaluations",
               file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     print(f"b={result.parameter:.6f} cr={result.value:.6f} "

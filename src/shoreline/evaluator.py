@@ -18,10 +18,8 @@ when it beats the running max prev before it by more than rounding
 (straight) or falls, then rises (spiral), so a record cell's worst line is
 the one just above max(prev, lo) or the one just below min(h, hi).  Each is
 paid when the first robot passes it: in closed form on a straight piece,
-on a spiral piece at the float where bisection on the support would stop,
-found by Newton steps on the closed-form slope and checked against every
-point that bisection tests.  One sweep runs in t order over tiles of every
-direction, carrying only the running maximum.
+bisected to the float spacing on a spiral piece.  One sweep runs in t
+order over tiles of every direction, carrying only the running maximum.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Line
-from .trajectory import (Fleet, breakpoints, piecewise_linear, positions, support_extrema,
-                         velocities)
+from .trajectory import (AntipodalOf, Fleet, breakpoints, piecewise_linear, positions,
+                         support_extrema)
 
 DEFAULT_THETA_STEPS = 720
 DEFAULT_T_STEPS = 4096
@@ -52,17 +50,6 @@ TILE_CELLS = 1 << 15
 # Most parts of one cell in which two robots are searched for a swap at once;
 # only robots that run level to within a hair of each other need more.
 SWAP_PARTS = 64
-# A spiral's root search stops once every Newton step is this many floats
-# long or shorter (rounding blurs the root on that scale) or is expected to
-# land within that many floats of the root, or after NEWTON_STEPS tests.
-NEWTON_TOL = 4.0
-NEWTON_STEPS = 16
-# Floats either side of the last Newton proposal tested to place the root.
-NEWTON_WINDOW = 8
-# Most columns of one spiral root search by Newton; bisection costs fewer
-# support evaluations per column and, on more columns than this, less time
-# (break-even near 500 on a 2-CPU host).
-NEWTON_COLUMNS = 256
 
 
 class UncoveredDirectionError(ValueError):
@@ -113,95 +100,19 @@ def _support(robot, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
     return p[:, 0].reshape(ts.shape) * u[0] + p[:, 1].reshape(ts.shape) * u[1]
 
 
-def _newton_guess(robot, u, level, lo, hi, f_lo, f_hi) -> np.ndarray:
-    """The float in each bracket [lo, hi] just past the root of
-    f = support - level, f(lo) <= 0 < f(hi), as far as the floats near it
-    tell.
-
-    The first point tested is the bracket's secant point, the next ones
-    Newton steps on the closed-form slope (trajectory.velocities), or
-    secant points where a step leaves the bracket; the end on the point's
-    side moves there.  Newton's error squares from step to step, so a step
-    of a floats after one of b is expected to land within a^3 / b^2 floats
-    of the root.  Once the search stops (NEWTON_TOL), the NEWTON_WINDOW
-    floats either side of each last proposal are tested in one go; the
-    guess is the one after the last that fails.
-    """
-    x, before = lo - f_lo * ((hi - lo) / (f_hi - f_lo)), 0.0
-    for _ in range(NEWTON_STEPS):
-        pts = positions(robot, x)
-        f = pts[:, 0] * u[0] + pts[:, 1] * u[1] - level
-        up = f > 0.0
-        lo, f_lo = np.where(up, lo, x), np.where(up, f_lo, f)
-        hi, f_hi = np.where(up, x, hi), np.where(up, f, f_hi)
-        v = velocities(robot, x, pts)
-        p = x - f / (v[:, 0] * u[0] + v[:, 1] * u[1])
-        inside = (lo < p) & (p < hi)
-        if not inside.all():
-            p = np.where(inside, p, lo - f_lo * ((hi - lo) / (f_hi - f_lo)))
-        step = np.abs(p - x) / np.spacing(x)  # in floats
-        if ((step <= NEWTON_TOL) | (step ** 3 <= NEWTON_TOL * before ** 2)).all():
-            break
-        x, before = p, step
-    window = p[:, None] + np.spacing(p)[:, None] * np.arange(-NEWTON_WINDOW, NEWTON_WINDOW + 1)
-    window = np.clip(window, lo[:, None], hi[:, None])
-    down = _support(robot, window, u[:, :, None]) <= level[:, None]
-    after = np.where(down.any(axis=1), len(window[0]) - down[:, ::-1].argmax(axis=1), 0)
-    guess = window[np.arange(len(p)), np.minimum(after, 2 * NEWTON_WINDOW)]
-    return np.clip(guess, np.nextafter(lo, np.inf), hi)
-
-
-def _rise_time(robot, u: np.ndarray, level: np.ndarray, t0: np.ndarray, t1: np.ndarray,
-               s0: np.ndarray, s1: np.ndarray) -> np.ndarray:
-    """When a support rising through each cell [t0, t1], from s0 <= level to
-    s1 > level, passes level: the end that bisection on support > level
-    returns, the later of two with no float between.
-
-    Rounding makes that test flicker within a few floats of the root, so
-    which end bisection returns depends on the points it tests.
-    _newton_guess guesses the end; every point bisection would test, were
-    the test to switch at the guess alone, is then tested in one go.  Where
-    all agree, bisection walks that path; a column that disagrees somewhere
-    is bisected on from bisection's bracket at its first disagreement.  So
-    every column costs at least as many tests as bisection, and the saving
-    is in numpy calls: past NEWTON_COLUMNS columns, they are bisected.
-    """
-    lo, hi, j = t0, t1.copy(), np.arange(len(level))
-    if len(level) <= NEWTON_COLUMNS:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            guess = _newton_guess(robot, u, level, t0, t1, s0 - level, s1 - level)
-        # once no float lies inside a bracket, its steps repeat an end
-        lo, path = t0.copy(), []
-        while len(path) < 2 or (path[-1] != path[-2]).any():
-            for _ in range(8):
-                mid = lo + hi
-                mid *= 0.5
-                np.copyto(hi, mid, where=mid >= guess)
-                np.copyto(lo, mid, where=mid < guess)
-                path.append(mid)
-        path = np.array(path)  # step, column
-        above = path >= guess
-        wrong = (_support(robot, path, u[:, None]) > level) != above
-        wrong &= (path != t0) & (path != t1)  # bisection tests neither end
-        j = np.flatnonzero(wrong.any(axis=0))
-        if not len(j):
-            return hi
-        k = wrong[:, j].argmax(axis=0)  # the first disagreement: bisect on from there
-        earlier = np.arange(len(path))[:, None] < k
-        below = np.where(earlier & ~above[:, j], path[:, j], -np.inf).max(axis=0)
-        over = np.where(earlier & above[:, j], path[:, j], np.inf).min(axis=0)
-        mid, up = path[k, j], ~above[k, j]  # the test there, which the guess got wrong
-        lo = np.where(up, np.maximum(t0[j], below), mid)
-        hi[j] = np.where(up, mid, np.minimum(t1[j], over))
-    hi_j, u, level = hi[j], u[:, j], level[j]
+def _rise_time(robot, u: np.ndarray, level: np.ndarray, t0: np.ndarray,
+               t1: np.ndarray) -> np.ndarray:
+    """When a support rising through each cell [t0, t1] passes level: the
+    later end, once bisection leaves no float between the two."""
+    t0, t1 = t0.copy(), t1.copy()
     while True:
-        mid = 0.5 * (lo + hi_j)
-        live = (lo < mid) & (mid < hi_j)
+        mid = 0.5 * (t0 + t1)
+        live = (t0 < mid) & (mid < t1)
         if not live.any():
-            hi[j] = hi_j
-            return hi
-        up = live & (_support(robot, mid, u) > level)
-        lo, hi_j = np.where(live & ~up, mid, lo), np.where(up, mid, hi_j)
+            return t1
+        up = _support(robot, mid, u) > level
+        t1 = np.where(live & up, mid, t1)
+        t0 = np.where(live & ~up, mid, t0)
 
 
 def _swaps(robots, normals: np.ndarray, s: np.ndarray, t: np.ndarray,
@@ -374,12 +285,21 @@ class _BestLine:
             return when[0]  # through every record, garbage elsewhere
         rise = s > level
         when = np.where(rise & self.straight[:, None], when, t).min(axis=0)
+        # an antipode's support is its twin's in the opposite direction, so
+        # one search serves a spiral and all of its antipodes
+        twins = {}
         for r in np.flatnonzero(~self.straight):
-            m = rise[r]
-            if m.any():
-                bent = _rise_time(self.robots[r], self.normals[:, k[m]], level[m],
-                                  t_lo[m], t[m], s_lo[r, m], s[r, m])
-                when[m] = np.minimum(when[m], bent)
+            robot, sign = self.robots[r], 1.0
+            while isinstance(robot, AntipodalOf):
+                robot, sign = robot.inner, -sign
+            m = np.flatnonzero(rise[r])
+            twins.setdefault(robot, []).append((m, sign * self.normals[:, k[m]]))
+        for robot, rows in twins.items():
+            cols, dirs = zip(*rows)
+            m = np.concatenate(cols)
+            if len(m):
+                bent = _rise_time(robot, np.concatenate(dirs, axis=1), level[m], t_lo[m], t[m])
+                np.minimum.at(when, m, bent)
         return when
 
     def add(self, s_lo: np.ndarray, s: np.ndarray, t_lo: np.ndarray, t: np.ndarray) -> None:
@@ -398,7 +318,7 @@ class _BestLine:
         high, t_high = np.minimum(h[d, e], hi), t[d, e]
         cut = np.flatnonzero(h[d, e] > hi)  # it passes hi: a root there
         dc, ec = d[cut], e[cut]
-        # the records' lines, every spiral's roots found in one go
+        # the records' lines, every spiral bisected in one go
         k, i = np.nonzero(cand)
         kk, ii = np.concatenate((k, dc)), np.concatenate((i, ec))
         when = self._pass_time(s_lo[:, kk, ii], s[:, kk, ii], t_lo[kk, ii], t[kk, ii],

@@ -219,7 +219,7 @@ def positions(spec: TrajectorySpec, ts: np.ndarray) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     if ts.ndim != 1:
         raise ValueError("ts must be one-dimensional")
-    if ts.size and float(np.min(ts)) < 0.0:
+    if ts.size and ts.min() < 0.0:
         raise ValueError("negative time")
     if isinstance(spec, Ray):
         u = np.array([math.cos(spec.angle), math.sin(spec.angle)])
@@ -231,7 +231,12 @@ def positions(spec: TrajectorySpec, ts: np.ndarray) -> np.ndarray:
         # at r = 0 the phase is irrelevant: leave it at phi0, not -inf
         dphi = np.log(r, out=np.zeros_like(r), where=r > 0.0) / b
         phi = spec.start_phase + (dphi if spec.chirality == "ccw" else -dphi)
-        return np.stack([r * np.cos(phi), r * np.sin(phi)], axis=1)
+        # written in place: a spiral root search makes ~54 calls on ~30
+        # times each, where np.stack would cost more than the trigonometry
+        out = np.empty((len(ts), 2))
+        np.multiply(r, np.cos(phi), out=out[:, 0])
+        np.multiply(r, np.sin(phi), out=out[:, 1])
+        return out
     if isinstance(spec, AntipodalOf):
         return -positions(spec.inner, ts)
     if isinstance(spec, Polyline):
@@ -241,24 +246,3 @@ def positions(spec: TrajectorySpec, ts: np.ndarray) -> np.ndarray:
         y = np.interp(s, cum, verts[:, 1])
         return np.stack([x, y], axis=1)
     raise TypeError(f"unknown trajectory spec {type(spec).__name__}")
-
-
-def velocities(spec: TrajectorySpec, ts: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """d/dt of positions as an (N, 2) array, for a log spiral or an antipode
-    of one at positive times ts, where it is at points = positions(spec, ts).
-
-    A log spiral crosses every radius at the same angle, so its velocity
-    follows from its position p = r (cos phi, sin phi) with no further log,
-    cos or sin: v = (p +- J p / b) / t, J the quarter turn ccw and the upper
-    sign ccw; that is (b cos phi -+ sin phi, b sin phi +- cos phi) / c, a
-    unit vector.  In direction theta the support therefore changes at
-    sin(alpha - psi) (ccw) or sin(alpha + psi) (cw), zero at the times
-    support_extrema lists.  An antipode moves the other way.
-    """
-    if isinstance(spec, AntipodalOf):
-        return -velocities(spec.inner, ts, -points)
-    if not isinstance(spec, LogSpiral):
-        raise TypeError(f"no closed-form velocity for {type(spec).__name__}")
-    k = (1.0 if spec.chirality == "ccw" else -1.0) / spec.growth
-    x, y = points[:, 0], points[:, 1]
-    return np.stack([x - k * y, y + k * x], axis=1) / np.asarray(ts, dtype=float)[:, None]

@@ -1,8 +1,8 @@
 """Scalar reference helpers the tests measure the package against.
 
 None of these has a caller inside the package: point positions, chord
-speeds, scanned first hits, point supports and distances, the bisections
-whose ends the package's spiral root searches must return, and the
+speeds, scanned first hits, point supports and distances, the bisection
+whose end the package's steady-state root search must return, and the
 unit-time reachable ellipse with its travel-budget oracle and scalar
 discriminant.
 """
@@ -91,23 +91,6 @@ def first_hit_time(
         else:
             lo = mid
     return float(hi)
-
-
-def rise_time_bisection(spec: TrajectorySpec, u: np.ndarray, level: np.ndarray,
-                        t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """The evaluator's spiral root before Newton: bisect each cell [t0, t1]
-    on support > level, the support read off positions, until no float
-    lies between the ends; return the later end."""
-    t0, t1 = t0.copy(), t1.copy()
-    while True:
-        mid = 0.5 * (t0 + t1)
-        live = (t0 < mid) & (mid < t1)
-        if not live.any():
-            return t1
-        p = positions(spec, mid)
-        up = p[:, 0] * u[0] + p[:, 1] * u[1] > level
-        t1 = np.where(live & up, mid, t1)
-        t0 = np.where(live & ~up, mid, t0)
 
 
 def steady_state_cr_bisection(n: int, b: float) -> float:

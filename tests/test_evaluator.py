@@ -20,9 +20,7 @@ from shoreline.evaluator import (
     evaluate_cr,
 )
 from shoreline.optimizer import steady_state_cr
-from shoreline.trajectory import AntipodalOf, Fleet, LogSpiral, Polyline, Ray, support_extrema
-
-from reference import rise_time_bisection
+from shoreline.trajectory import AntipodalOf, Fleet, LogSpiral, Polyline, Ray
 
 # all four vertices visited by t = 1 + 3 sqrt(2), so every direction covered
 DIAMOND = Polyline(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
@@ -164,7 +162,7 @@ def test_records_to_ratio_record_jumping_over_window():
     # support rises from below the window to about 9.7 with no extremum in
     # between, so T(L) / L grows over the whole window and the worst line is
     # the one at its upper end, passed where r cos(ln(r) / 10) = 5 at
-    # t = (c / b) r.  Its root is found to the float, not read off a time grid
+    # t = (c / b) r.  Its root is bisected, not read off a time grid
     b, c = 10.0, math.hypot(1.0, 10.0)
     r0, r1 = 1.0, 10.0
     while r0 < (mid := 0.5 * (r0 + r1)) < r1:
@@ -888,80 +886,33 @@ def test_a_spiral_and_a_walk_swapping_places_in_one_cell():
     assert rep.cr_estimate == pytest.approx(6.6014, abs=1e-4)
 
 
+
 # ------------------------------------------------------------ spiral roots
 
 
-def _rise_time_calls(name, **change):
-    """The arguments of every root search in the sweep of a shipped config."""
+def test_a_spiral_and_its_antipode_share_one_root_search(monkeypatch):
+    # double-spiral-2's 15 record columns per robot, searched as one
     calls, rise = [], evaluator._rise_time
-    fleet, horizon, kwargs = _shipped(name)
-    kwargs.update(change)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluator, "_rise_time", lambda *a: calls.append(a) or rise(*a))
-        evaluate_cr(fleet, horizon, **kwargs)
-    return calls
-
-
-@pytest.mark.parametrize("name,columns", [("spiral-1", 28), ("double-spiral-2", 30)])
-def test_spiral_roots_match_bisection_on_the_shipped_spirals(monkeypatch, name, columns):
-    # every record column, bit for bit, in at most 16 support evaluations
-    # per search; bisection makes 53 or 54
-    calls = _rise_time_calls(name)
-    assert sum(len(level) for _, _, level, *_ in calls) == columns
-    evaluations, positions = [], evaluator.positions
-    monkeypatch.setattr(evaluator, "positions",
-                        lambda *a: evaluations.append(1) or positions(*a))
-    for robot, u, level, t0, t1, s0, s1 in calls:
-        evaluations.clear()
-        got = evaluator._rise_time(robot, u, level, t0, t1, s0, s1)
-        assert len(evaluations) <= 16
-        assert np.array_equal(got, rise_time_bisection(robot, u, level, t0, t1))
-
-
-def test_many_spiral_roots_are_bisected():
-    # 72 directions give 327 record columns in one search, past
-    # NEWTON_COLUMNS: bisection is cheaper there
-    (call,) = _rise_time_calls("spiral-1", theta_steps=72)
-    robot, u, level, t0, t1, s0, s1 = call
-    assert len(level) == 327 > evaluator.NEWTON_COLUMNS
-    got = evaluator._rise_time(robot, u, level, t0, t1, s0, s1)
-    assert np.array_equal(got, rise_time_bisection(robot, u, level, t0, t1))
-
-
-_level = st.one_of(st.floats(0.0, 1.0), st.just("start"), st.integers(1, 4))
+    monkeypatch.setattr(evaluator, "_rise_time", lambda *a: calls.append(a) or rise(*a))
+    fleet, horizon, kwargs = _shipped("double-spiral-2")
+    evaluate_cr(fleet, horizon, **kwargs)
+    ((robot, u, level, t0, t1),) = calls
+    assert robot == fleet.robots[0] and len(level) == 30
 
 
 @given(growth=st.floats(0.05, 2.0), phase=st.floats(-10.0, 10.0),
-       chirality=st.sampled_from(["ccw", "cw"]), antipodal=st.booleans(),
-       columns=st.lists(st.tuples(st.floats(0.0, 2.0 * math.pi), st.integers(0, 50), _level),
-                        min_size=1, max_size=6))
+       chirality=st.sampled_from(["ccw", "cw"]), nesting=st.integers(1, 2),
+       thetas=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=6),
+       times=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
-def test_spiral_roots_match_bisection(growth, phase, chirality, antipodal, columns):
-    # a level inside one rising piece of the support, between two support
-    # extrema: somewhere inside, at the piece's start or a few floats above
-    # it, where rounding blurs which float passes it first
-    spec = LogSpiral(growth, phase, chirality)
-    spec = AntipodalOf(spec) if antipodal else spec
-    t0, t1, thetas, levels = [], [], [], []
-    for theta, piece, level in columns:
-        u = np.array([[math.cos(theta)], [math.sin(theta)]])
-        ts = np.unique(support_extrema(spec, np.array([theta]), 1.0, 1e4))
-        s = evaluator._support(spec, ts, u)
-        rising = np.flatnonzero(s[1:] > s[:-1])
-        k = rising[piece % len(rising)]
-        lo, hi = s[k], s[k + 1]
-        if level == "start":
-            level = lo
-        elif isinstance(level, int):
-            level = lo + level * abs(np.spacing(lo))
-        else:
-            level = lo + level * (hi - lo)
-        t0.append(ts[k])
-        t1.append(ts[k + 1])
-        thetas.append(theta)
-        levels.append(min(level, np.nextafter(hi, -np.inf)))
-    t0, t1, level = np.array(t0), np.array(t1), np.array(levels)
+def test_an_antipode_has_its_twins_support_in_the_opposite_direction(
+        growth, phase, chirality, nesting, thetas, times):
+    # bit for bit, so one root search can serve both
+    twin = spec = LogSpiral(growth, phase, chirality)
+    for _ in range(nesting):
+        spec = AntipodalOf(spec)
+    sign = -1.0 if nesting % 2 else 1.0
     u = np.stack((np.cos(thetas), np.sin(thetas)))
-    s0, s1 = evaluator._support(spec, t0, u), evaluator._support(spec, t1, u)
-    got = evaluator._rise_time(spec, u, level, t0, t1, s0, s1)
-    assert np.array_equal(got, rise_time_bisection(spec, u, level, t0, t1))
+    ts = np.broadcast_to(np.array(times)[:, None], (len(times), len(thetas)))
+    assert np.array_equal(evaluator._support(spec, ts, u),
+                          evaluator._support(twin, ts, sign * u))

@@ -16,7 +16,6 @@ from shoreline.trajectory import (
     spec_from_dict,
     spec_to_dict,
     support_extrema,
-    velocities,
 )
 
 from reference import first_hit_time, position, speed_check, support
@@ -302,30 +301,6 @@ def test_support_extrema_split_the_support_into_monotone_pieces(spec, radius):
         s = positions(spec, np.concatenate((inner * (1 - 1e-4), inner, inner * (1 + 1e-4))))
         before, at, after = (s @ u).reshape(3, -1)
         assert np.all(np.sign(at - before) == np.sign(at - after))
-
-
-@given(spec=st.one_of(_spiral, st.builds(AntipodalOf, _spiral)),
-       theta=st.floats(0.0, 2.0 * math.pi))
-@settings(max_examples=40, deadline=None)
-def test_velocities_are_the_slope_of_the_support(spec, theta):
-    # the closed form against a central difference of the positions-based
-    # support, at unit speed; and zero where support_extrema says it turns
-    u = np.array([math.cos(theta), math.sin(theta)])
-    ts = np.geomspace(1.0, 40.0, 25)
-    h = 1e-5 * ts
-    slope = (positions(spec, ts + h) @ u - positions(spec, ts - h) @ u) / (2.0 * h)
-    v = velocities(spec, ts, positions(spec, ts))
-    assert np.hypot(v[:, 0], v[:, 1]) == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(v @ u - slope).max() <= 1e-7
-    turns = support_extrema(spec, np.array([theta]), 1.0, 40.0)[0][1:-1]
-    assert np.abs(velocities(spec, turns, positions(spec, turns)) @ u).max(initial=0.0) <= 1e-12
-
-
-def test_straight_paths_have_no_velocities_here():
-    ts = np.array([0.5, 2.0])
-    for spec in (Ray(0.3), Polyline(((0.0, 0.0), (1.0, 0.0)))):
-        with pytest.raises(TypeError):
-            velocities(spec, ts, positions(spec, ts))
 
 
 def test_support_extrema_of_a_spiral_inside_radius_until_the_horizon_are_empty():
