@@ -107,75 +107,16 @@ def _cone_exit_slope(lam: float) -> float:
     return 3.0 * lam / (2.0 * math.sqrt(3.0 * lam * lam + 1.0)) - SQRT3 / 4.0
 
 
-def min_cone_exit(grid: int = DEFAULT_GRID) -> tuple[float, float]:
-    """Minimizer of cone_exit_objective over [0, 1]: grid scan, then bisection.
+def min_cone_exit() -> tuple[float, float]:
+    """Minimizer of cone_exit_objective over [0, 1] and its value, in closed form.
 
-    The objective is convex, so the scan's neighbours bracket the minimum.
-    Value-only search cannot localize a quadratic minimum past about
-    sqrt(machine eps); bisecting the sign change of the closed-form slope,
-    which is strictly increasing, pins it to within an ulp or two.
+    The slope 3 lam / (2 sqrt(3 lam^2 + 1)) - sqrt3/4 vanishes at lam = 1/3,
+    where f = sqrt3/2; f'' = 3 / (2 (3 lam^2 + 1)^(3/2)) > 0, so that is the
+    minimum over all of [0, 1].  The cone-exit lemma suite certifies it by
+    the slope's sign either side.
     """
-    if grid < 3:
-        raise ValueError("grid must be at least 3")
-    xs = np.linspace(0.0, 1.0, grid)
-    vals = [cone_exit_objective(float(x)) for x in xs]
-    i = int(np.argmin(vals))
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, grid - 1)])
-    for _ in range(80):
-        mid = 0.5 * (a + b)
-        if _cone_exit_slope(mid) < 0.0:
-            a = mid
-        else:
-            b = mid
-    lam = 0.5 * (a + b)
+    lam = 1.0 / 3.0
     return lam, cone_exit_objective(lam)
-
-
-def _check_snapshot_time(d: float) -> None:
-    if not (math.isfinite(d) and d > 0.0):
-        raise ValueError(f"snapshot time d must be finite and positive, got {d!r}")
-
-
-def _snapshot_angles(
-    fleet: Fleet, d: float, origin_tol: float
-) -> tuple[list[float], np.ndarray]:
-    ts = np.array([float(d)])
-    pos = np.concatenate([positions(r, ts) for r in fleet.robots], axis=0)
-    radii = np.hypot(pos[:, 0], pos[:, 1])
-    angles = [
-        float(math.atan2(p[1], p[0]))
-        for p, rad in zip(pos, radii)
-        if rad > origin_tol
-    ]
-    return angles, pos
-
-
-def empty_cone(
-    fleet: Fleet,
-    d: float,
-    target_half_angle: float,
-    gamma: float,
-    origin_tol: float | None = None,
-) -> Cone | None:
-    """A cone of the target half-angle containing no robot at time d.
-
-    Robots within origin_tol of the origin are ignored: a robot essentially
-    at the origin still needs the full line offset to reach the witness, so
-    the resulting bound survives.  If every robot sits at the origin the
-    full-plane cone (half_angle = pi) is returned; callers must treat that
-    as the degenerate unbounded case rather than a usable certificate.
-
-    Returns None when the largest angular gap is smaller than
-    2*target_half_angle + 2*gamma.
-    """
-    _check_snapshot_time(d)
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
-    if origin_tol is None:
-        origin_tol = 1e-9 * d
-    angles, _ = _snapshot_angles(fleet, d, origin_tol)
-    return _cone_in_gap(angles, target_half_angle, gamma)
 
 
 def _cone_in_gap(angles: list[float], half_angle: float, gamma: float) -> Cone | None:
@@ -208,9 +149,12 @@ def snapshot_lower_bound(
     eps plays the role of the vanishing offset in the n >= 3 constructions
     (taken relative to d) and zeta the offset below y = -d/2 for n <= 2; the
     certificate's bound uses the finite values while bound_limit records the
-    eps -> 0 supremum.
+    eps -> 0 supremum.  Robots within origin_tol (default 1e-9 d) of the
+    origin give no direction: such a robot still needs the full line offset
+    to reach the witness, so the bound survives.
     """
-    _check_snapshot_time(d)
+    if not (math.isfinite(d) and d > 0.0):
+        raise ValueError(f"snapshot time d must be finite and positive, got {d!r}")
     for name, value in (("gamma", gamma), ("eps", eps), ("zeta", zeta)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
@@ -218,7 +162,9 @@ def snapshot_lower_bound(
         raise ValueError(f"fleet has {len(fleet)} robots, expected n={n}")
     if origin_tol is None:
         origin_tol = 1e-9 * d
-    angles, pos = _snapshot_angles(fleet, d, origin_tol)
+    pos = np.concatenate([positions(r, np.array([float(d)])) for r in fleet.robots])
+    radii = np.hypot(pos[:, 0], pos[:, 1])
+    angles = [math.atan2(y, x) for (x, y), rad in zip(pos, radii) if rad > origin_tol]
 
     degenerate = not angles
     if degenerate:
@@ -330,6 +276,9 @@ def discriminant_sweep(
 LEMMA_SUITES = ("omb", "cone-exit", "ellipses", "discriminant")
 OMB_PHIS = (math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4)
 DEFAULT_SAMPLES = 20_000
+# Half-width around lambda = 1/3 at which the cone-exit slope's sign is
+# checked; the slopes there are about -/+ 9.7e-10, far above rounding.
+CONE_EXIT_BRACKET = 1e-9
 _DISC_ZETAS = (1e-6, 1e-3, 0.1)
 
 
@@ -350,15 +299,18 @@ def _omb_suite(grid: int) -> dict:
     }
 
 
-def _cone_exit_suite(grid: int) -> dict:
-    lam, f = min_cone_exit(grid)
-    resid = abs(_cone_exit_slope(lam))
-    passed = (abs(lam - 1 / 3) <= 1e-8 and abs(f - SQRT3 / 2) <= 1e-12
-              and resid < 1e-8)
+def _cone_exit_suite() -> dict:
+    # f is convex, so slopes of opposite sign CONE_EXIT_BRACKET either side
+    # of lambda pin the minimizer over all of [0, 1] inside that bracket
+    lam, f = min_cone_exit()
+    slopes = [_cone_exit_slope(lam - CONE_EXIT_BRACKET),
+              _cone_exit_slope(lam + CONE_EXIT_BRACKET)]
+    passed = slopes[0] < 0.0 < slopes[1] and abs(f - SQRT3 / 2) <= 1e-12
     return {
         "lemma": "cone exit cost minimum sqrt(3)/2 at lambda=1/3",
-        "suite": "cone-exit", "grid": grid,
-        "extremal": f, "at": {"lambda": lam, "derivative_residual": resid},
+        "suite": "cone-exit", "bracket": CONE_EXIT_BRACKET,
+        "extremal": f, "at": {"lambda": lam, "slopes": slopes,
+                              "derivative_residual": abs(_cone_exit_slope(lam))},
         "passed": passed,
     }
 
@@ -417,21 +369,20 @@ def lemma_suite(
     One result per suite, in LEMMA_SUITES order, each carrying its extremal
     value and whether it passed; negative_control appends two controls that
     must come out violated (omb beyond pi/4) or tangent (zeta = 0).  grid
-    sizes the omb and cone-exit sweeps and must be at least 3 when cone-exit
-    runs, else 2; samples and seed size the random ellipse-equivalence
-    check.  Each suite frees its arrays before the next one runs.
+    sizes the omb sweep and its control and must be at least 2; samples and
+    seed size the random ellipse-equivalence check.  Each suite frees its
+    arrays before the next one runs.
     """
     unknown = set(suites) - set(LEMMA_SUITES)
     if unknown:
         raise ValueError(f"unknown lemma suites {sorted(unknown)}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    least = 3 if "cone-exit" in suites else 2  # min_cone_exit's and omb_oracle's floors
-    if grid < least:
-        raise ValueError(f"grid must be at least {least}")
+    if grid < 2:  # omb_oracle's floor
+        raise ValueError("grid must be at least 2")
     runs = {
         "omb": lambda: _omb_suite(grid),
-        "cone-exit": lambda: _cone_exit_suite(grid),
+        "cone-exit": _cone_exit_suite,
         "ellipses": lambda: _ellipse_suite(samples, seed),
         "discriminant": _discriminant_suite,
     }

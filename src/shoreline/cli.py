@@ -150,16 +150,11 @@ def cmd_evaluate(args) -> int:
         window = (float(window[0]), float(window[1]))
     spacing = _pick(args.spacing, ev, "spacing", "uniform")
     t_start = float(_pick(args.t_start, ev, "t_start", 0.0))
-    try:
-        rep = evaluator.evaluate_cr(
-            fleet, float(horizon), theta_steps, t_steps,
-            epsilon=None if epsilon is None else float(epsilon),
-            window=window, spacing=spacing, t_start=t_start,
-        )
-    except ValueError as exc:
-        if isinstance(exc, evaluator.UncoveredDirectionError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    rep = evaluator.evaluate_cr(
+        fleet, float(horizon), theta_steps, t_steps,
+        epsilon=None if epsilon is None else float(epsilon),
+        window=window, spacing=spacing, t_start=t_start,
+    )
     text = report.emit_report(rep, fleet=robot_docs)
     if args.out:
         _write_out(args.out, text)
@@ -174,12 +169,9 @@ def cmd_certify(args) -> int:
     n = args.n if args.n is not None else len(fleet)
     if n != len(fleet):
         raise ConfigError(f"--n {n} does not match fleet size {len(fleet)}")
-    try:
-        cert = certifier.snapshot_lower_bound(
-            fleet, args.d, n, args.gamma, eps=args.eps, zeta=args.zeta,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cert = certifier.snapshot_lower_bound(
+        fleet, args.d, n, args.gamma, eps=args.eps, zeta=args.zeta,
+    )
     text = report.emit_report(cert, fleet=robot_docs)
     if args.out:
         _write_out(args.out, text)
@@ -196,11 +188,8 @@ def cmd_certify(args) -> int:
 
 def cmd_lemmas(args) -> int:
     suites = certifier.LEMMA_SUITES if args.suite == "all" else (args.suite,)
-    try:
-        results = certifier.lemma_suite(args.grid, args.samples, args.seed, suites,
-                                        args.negative_control)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    results = certifier.lemma_suite(args.grid, args.samples, args.seed, suites,
+                                    args.negative_control)
     ok = all(r["passed"] for r in results)
     for r in results:
         status = "PASS" if r["passed"] else "FAIL"
@@ -216,13 +205,10 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    try:
-        result = optimizer.optimize_spiral(
-            args.n, bracket=(args.bracket[0], args.bracket[1]), tol=args.tol,
-            prescan=args.prescan,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = optimizer.optimize_spiral(
+        args.n, bracket=(args.bracket[0], args.bracket[1]), tol=args.tol,
+        prescan=args.prescan,
+    )
     text = report.emit_report(result, extra={"n": args.n})
     if args.out:
         _write_out(args.out, text)
@@ -253,8 +239,6 @@ def cmd_plot(args) -> int:
         raise ConfigError(f"report {args.report}: top level must be an object")
     try:
         svg = report.render(doc, canvas=args.size, world_radius=args.world_radius)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     except KeyError as exc:
         raise ConfigError(f"report {args.report} lacks the field {exc}") from exc
     except TypeError as exc:
@@ -331,12 +315,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except evaluator.UncoveredDirectionError as exc:
         print(f"uncovered: {exc}", file=sys.stderr)
         return EXIT_UNCOVERED
+    except ValueError as exc:  # ConfigError and any value the library rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -242,7 +242,8 @@ def positions(spec: TrajectorySpec, ts: np.ndarray) -> np.ndarray:
     if isinstance(spec, Polyline):
         cum, verts = _polyline_tables(spec)
         s = np.clip(ts, 0.0, cum[-1])
-        x = np.interp(s, cum, verts[:, 0])
-        y = np.interp(s, cum, verts[:, 1])
-        return np.stack([x, y], axis=1)
+        out = np.empty((len(ts), 2))
+        out[:, 0] = np.interp(s, cum, verts[:, 0])
+        out[:, 1] = np.interp(s, cum, verts[:, 1])
+        return out
     raise TypeError(f"unknown trajectory spec {type(spec).__name__}")

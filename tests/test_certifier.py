@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shoreline import certifier
 from shoreline.certifier import (
     ConeCertificate,
     OMB_PHIS,
+    _cone_in_gap,
     cone_exit_objective,
     discriminant_sweep,
     ellipse_boundary,
     ellipse_q_grid,
-    empty_cone,
     lemma_suite,
     min_cone_exit,
     omb_oracle,
@@ -144,47 +145,49 @@ def test_min_cone_exit_closed_form():
     assert val < cone_exit_objective(0.0)
 
 
-def test_min_cone_exit_rejects_tiny_grid():
-    with pytest.raises(ValueError):
-        min_cone_exit(grid=2)
+def test_cone_exit_suite_fails_on_a_shifted_slope(monkeypatch):
+    # negative control: a slope whose zero moved off 1/3 keeps one sign across
+    # the bracket, and the suite must say so
+    slope = certifier._cone_exit_slope
+    monkeypatch.setattr(certifier, "_cone_exit_slope", lambda lam: slope(lam) + 1e-6)
+    [res] = lemma_suite(suites=("cone-exit",))
+    assert res["passed"] is False
+    assert res["at"]["slopes"][0] > 0.0
 
 
 # ------------------------------------------------------------ empty cone
 
 
+def directions(fleet: Fleet, d: float) -> list[float]:
+    return [math.atan2(p.y, p.x) for p in (position(r, d) for r in fleet.robots)]
+
+
 def test_empty_cone_four_spread_rays(ray_fleet):
-    cone = empty_cone(ray_fleet(4), d=2.0, target_half_angle=math.pi / 4, gamma=0.0)
+    cone = _cone_in_gap(directions(ray_fleet(4), 2.0), math.pi / 4, 0.0)
     assert cone is not None
     assert cone.half_angle == pytest.approx(math.pi / 4)
     # no robot direction strictly inside the cone (exact fits touch the rim)
-    for r in ray_fleet(4).robots:
-        p = position(r, 2.0)
-        sep = abs(math.atan2(p.y, p.x) - cone.bisector)
+    for angle in directions(ray_fleet(4), 2.0):
+        sep = abs(angle - cone.bisector)
         sep = min(sep, 2.0 * math.pi - sep)
         assert sep >= cone.half_angle - 1e-9
 
 
 def test_empty_cone_too_wide_returns_none(ray_fleet):
     # four evenly spread robots leave gaps of pi/2 only
-    assert empty_cone(ray_fleet(4), d=2.0, target_half_angle=math.pi / 3,
-                      gamma=0.0) is None
+    assert _cone_in_gap(directions(ray_fleet(4), 2.0), math.pi / 3, 0.0) is None
 
 
 def test_empty_cone_margin_shrinks_the_fit(ray_fleet):
     # exact fit passes with gamma = 0 but fails once a margin is demanded
-    assert empty_cone(ray_fleet(4), d=2.0, target_half_angle=math.pi / 4,
-                      gamma=0.0) is not None
-    assert empty_cone(ray_fleet(4), d=2.0, target_half_angle=math.pi / 4,
-                      gamma=1e-3) is None
+    angles = directions(ray_fleet(4), 2.0)
+    assert _cone_in_gap(angles, math.pi / 4, 0.0) is not None
+    assert _cone_in_gap(angles, math.pi / 4, 1e-3) is None
 
 
 def test_empty_cone_all_at_origin():
-    fleet = Fleet((Polyline(((0.0, 0.0), (1.0, 0.0))),))
-    # at d the robot is parked at (1, 0), but sample the start instead:
-    # a fleet that has not moved yields the full plane
-    parked = Fleet((Polyline(((0.0, 0.0), (0.0, 0.0), (1e-12, 0.0))),))
-    cone = empty_cone(parked, d=1.0, target_half_angle=1.0, gamma=0.0,
-                      origin_tol=1e-3)
+    # a fleet that has not left the origin gives no direction: the full plane
+    cone = _cone_in_gap([], 1.0, 0.0)
     assert cone is not None
     assert cone.half_angle == pytest.approx(math.pi)
 
@@ -456,8 +459,15 @@ def test_lemma_suite_runs_in_fixed_order():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"samples": 0}, {"samples": -5}, {"suites": ("omb", "nope")}, {"grid": 2},
+    {"samples": 0}, {"samples": -5}, {"suites": ("omb", "nope")}, {"grid": 1},
 ])
 def test_lemma_suite_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):
         lemma_suite(**kwargs)
+
+
+def test_lemma_suite_runs_at_its_single_grid_floor():
+    # the omb scan's floor of 2 is the only one: cone exit has no grid
+    results = lemma_suite(grid=2, samples=100)
+    assert [r["suite"] for r in results] == list(certifier.LEMMA_SUITES)
+    assert all(r["passed"] for r in results)

@@ -352,14 +352,14 @@ def test_lemmas_negative_controls(capsys):
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["--grid", "1"], "grid must be at least 3"),
-    (["--grid", "2"], "grid must be at least 3"),
-    (["--suite", "cone-exit", "--grid", "2"], "grid must be at least 3"),
+    (["--grid", "1"], "grid must be at least 2"),
+    (["--suite", "cone-exit", "--grid", "1"], "grid must be at least 2"),
+    (["--suite", "discriminant", "--grid", "0"], "grid must be at least 2"),
     (["--suite", "omb", "--grid", "1"], "grid must be at least 2"),
     (["--suite", "ellipses", "--grid", "1"], "grid must be at least 2"),
 ])
 def test_lemmas_grid_floor_follows_the_suites_run(capsys, flags, message):
-    # one message per floor: the cone-exit sweep needs 3 points, omb 2
+    # one floor whatever runs: the omb scan's 2 points; cone exit has no grid
     assert main(["lemmas", *flags]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
@@ -368,6 +368,13 @@ def test_lemmas_grid_floor_follows_the_suites_run(capsys, flags, message):
 def test_lemmas_omb_runs_at_its_floor(capsys):
     assert main(["lemmas", "--suite", "omb", "--grid", "2"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("PASS omb")
+
+
+@pytest.mark.parametrize("flags", [[], ["--suite", "cone-exit"]])
+def test_lemmas_run_at_grid_2(capsys, flags):
+    assert main(["lemmas", *flags, "--grid", "2", "--samples", "100"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out and all(line.startswith("PASS") for line in out.splitlines())
 
 
 # ---------------------------------------------------------------- optimize
@@ -407,7 +414,6 @@ def test_optimize_requires_n(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["lemmas", "--grid", "1"],
-    ["lemmas", "--grid", "2"],
     ["lemmas", "--samples", "-5"],
     ["lemmas", "--samples", "0"],
     ["optimize", "--n", "1", "--tol", "-1"],

@@ -57,6 +57,44 @@ def test_imports_follow_the_layers():
     assert not wrong, wrong
 
 
+def public_names(path: Path) -> set[str]:
+    """Functions, classes and constants a module defines at its top level."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Names a file reads, imports or spells as a "module.name" string, the
+    way the benchmark's tracer looks functions up."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value.rsplit(".", 1)[-1])
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    # code that only the tests reach belongs in tests/reference.py
+    used = set()
+    for top in ("src", "scripts", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            used |= referenced_names(path)
+    unused = sorted(f"{path.stem}.{name}" for path in PACKAGE.glob("*.py")
+                    for name in public_names(path) - used)
+    assert not unused, unused
+
+
 def test_make_fleets_reproduces_the_shipped_configs(tmp_path, capsys):
     spec = importlib.util.spec_from_file_location(
         "make_fleets", ROOT / "scripts" / "make_fleets.py")
