@@ -121,8 +121,6 @@ def min_cone_exit() -> tuple[float, float]:
 
 def _cone_in_gap(angles: list[float], half_angle: float, gamma: float) -> Cone | None:
     """A cone of the half-angle, gamma clear of every direction, or None."""
-    if not angles:
-        return Cone(0.0, math.pi)  # degenerate: unbounded CR
     gap, bisector = max_angular_gap(angles)
     if gap + GAP_SLACK < 2.0 * half_angle + 2.0 * gamma:
         return None

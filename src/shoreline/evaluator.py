@@ -1,4 +1,11 @@
-"""Adversarial competitive-ratio sweep.
+"""Adversarial competitive-ratio sweep, and its closed form for ray fleets.
+
+A fleet of rays (or antipodes of rays) reaches the line at offset d with
+normal theta at time d / max_i cos(theta - heading_i), the same ratio for
+every offset.  That maximum is least, cos(g/2), on the bisector of the
+widest gap g between headings, so the fleet's ratio over every direction
+is 1 / cos(g/2), in closed form with no grid; a gap of pi or more leaves
+lines that are never hit.  Every other fleet is swept as follows.
 
 The worst-case line for a fleet can be found direction by direction.  Fix a
 direction theta and let h(t) be the running maximum, over robots and over
@@ -7,7 +14,7 @@ first hit when h passes L, at T(L), and the adversary picks the worst
 T(L) / L over [lo, hi]: lo is epsilon (a start inside it trivializes the
 ratio) or a window's lower end, hi its upper end or infinity.
 
-Every fleet is sampled at its events, per direction: t = 0, the horizon,
+Such a fleet is sampled at its events, per direction: t = 0, the horizon,
 every robot's breakpoints and spiral support extrema (``trajectory``), every
 time two straight robots' supports cross and, in record cells only, every
 time a spiral and another robot swap places above the running max.  Every
@@ -29,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Line
-from .trajectory import (AntipodalOf, Fleet, breakpoints, piecewise_linear, positions,
+from .geometry import Line, max_angular_gap
+from .trajectory import (AntipodalOf, Fleet, Ray, breakpoints, piecewise_linear, positions,
                          support_extrema)
 
 DEFAULT_THETA_STEPS = 720
@@ -341,6 +348,57 @@ class _BestLine:
         self.ratio[up], self.time[up], self.level[up] = ratio[up], self.high_time[up], self.high[up]
 
 
+def _heading(robot) -> float | None:
+    """A ray's bearing, or that of an antipode of one turned by pi; else None."""
+    flip = False
+    while isinstance(robot, AntipodalOf):
+        robot, flip = robot.inner, not flip
+    if not isinstance(robot, Ray):
+        return None
+    return robot.angle + math.pi if flip else robot.angle
+
+
+def _uncovered(theta: float, coverage: float, epsilon: float,
+               window: tuple[float, float] | None) -> UncoveredDirectionError:
+    """The error for direction theta, whose coverage falls short of epsilon or
+    of the window."""
+    if coverage < epsilon:
+        return UncoveredDirectionError(
+            f"direction theta={theta:.6f} uncovered: coverage "
+            f"{coverage:.6g} < epsilon {epsilon:.6g} within horizon",
+            theta,
+        )
+    return UncoveredDirectionError(
+        f"direction theta={theta:.6f} has no records inside the "
+        f"measurement window {window}",
+        theta,
+    )
+
+
+def _ray_fleet_cr(headings: list[float], horizon: float, thetas: np.ndarray, epsilon: float,
+                  window: tuple[float, float] | None) -> tuple[Line, float, float]:
+    """(witness, witness_time, coverage_radius) of a ray fleet, in closed form.
+
+    The witness is the line at lo = max(epsilon, window's lower end) on the
+    bisector of the widest heading gap, the smallest bisector on a tie.  An
+    uncovered fleet names the first grid direction thetas[j] whose reach,
+    horizon * max(0, max_i cos(thetas[j] - heading_i)), falls short of lo,
+    or the bisector where the shortfall lies between grid directions.
+    """
+    lo = epsilon if window is None else max(epsilon, window[0])
+    gap, bisector = max_angular_gap(headings)
+    cos_half = math.cos(0.5 * gap)
+    coverage = horizon * cos_half
+    if gap >= math.pi or coverage < lo:
+        reach = horizon * np.maximum(
+            np.cos(thetas[:, None] - np.array(headings)).max(axis=1), 0.0)
+        bad = np.flatnonzero(reach < lo)
+        theta, coverage = ((float(thetas[bad[0]]), float(reach[bad[0]])) if len(bad)
+                           else (bisector, max(coverage, 0.0)))
+        raise _uncovered(theta, coverage, epsilon, window)
+    return Line(bisector, lo), lo / cos_half, coverage
+
+
 def evaluate_cr(
     fleet: Fleet,
     horizon: float,
@@ -352,13 +410,18 @@ def evaluate_cr(
     spacing: str = "uniform",
     t_start: float = 0.0,
 ) -> CRReport:
-    """Competitive-ratio estimate: max adversary ratio over a theta grid.
+    """Competitive-ratio estimate: the worst line over every direction for a
+    ray fleet, over a theta grid for any other fleet.
 
-    Every direction is sampled at its events (see the module docstring), so
-    the ratio in each grid direction is exact up to rounding, and the
-    reported witness satisfies cr_estimate = witness_time / witness.delta.
-    No fleet is sampled on a time grid: t_steps, spacing and t_start are
-    validated and echoed in the report, but do not change the result.
+    A fleet of rays and antipodes of rays is evaluated in closed form over
+    every direction (see the module docstring): 1 / cos(g/2) from its widest
+    heading gap g, exact up to rounding wherever its worst line lies, and
+    theta_steps only names the direction an uncovered fleet reports.  Every
+    other fleet is sampled at its events in each grid direction, so the
+    ratio in each is exact up to rounding.  Either way the reported witness
+    satisfies cr_estimate = witness_time / witness.delta.  No fleet is
+    sampled on a time grid: t_steps, spacing and t_start are validated and
+    echoed in the report, but do not change the result.
 
     Raises UncoveredDirectionError for the first direction, in grid order,
     whose coverage stays below epsilon (the fleet does not solve the problem
@@ -378,6 +441,28 @@ def evaluate_cr(
         window = (w_lo, w_hi)
 
     thetas = np.arange(theta_steps) * (2.0 * math.pi / theta_steps)
+    headings = [_heading(robot) for robot in fleet.robots]
+    if None in headings:
+        witness, time, coverage = _sweep_cr(fleet, horizon, thetas, epsilon, window)
+    else:
+        witness, time, coverage = _ray_fleet_cr(headings, horizon, thetas, epsilon, window)
+    return CRReport(
+        cr_estimate=time / witness.delta,
+        witness=witness,
+        witness_time=time,
+        coverage_radius=coverage,
+        horizon=float(horizon),
+        theta_steps=theta_steps,
+        t_steps=t_steps,
+        epsilon=float(epsilon),
+        window=window,
+        spacing=spacing,
+    )
+
+
+def _sweep_cr(fleet: Fleet, horizon: float, thetas: np.ndarray, epsilon: float,
+              window: tuple[float, float] | None) -> tuple[Line, float, float]:
+    """(witness, witness_time, coverage_radius) from the event sweep over thetas."""
     normals = np.stack([np.cos(thetas), np.sin(thetas)])
     kinks = np.concatenate([breakpoints(robot) for robot in fleet.robots])
     ts = np.unique(np.concatenate(([0.0, horizon], kinks[kinks < horizon])))
@@ -389,7 +474,7 @@ def evaluate_cr(
             raise ValueError(f"robots[{i}]: {exc}") from exc
     turns = np.concatenate(turns, axis=1)
     if turns.size:  # one row of times per direction
-        ts = np.sort(np.concatenate((np.broadcast_to(ts, (theta_steps, len(ts))), turns),
+        ts = np.sort(np.concatenate((np.broadcast_to(ts, (len(thetas), len(ts))), turns),
                                     axis=1), axis=1)
     best = _sweep(fleet, normals, ts, epsilon, window)
     coverage = best.coverage
@@ -397,30 +482,8 @@ def evaluate_cr(
     bad = (coverage < epsilon) | (best.ratio == -np.inf)
     if bad.any():
         j = int(np.argmax(bad))
-        theta = float(thetas[j])
-        if coverage[j] < epsilon:
-            raise UncoveredDirectionError(
-                f"direction theta={theta:.6f} uncovered: coverage "
-                f"{float(coverage[j]):.6g} < epsilon {epsilon:.6g} within horizon",
-                theta,
-            )
-        raise UncoveredDirectionError(
-            f"direction theta={theta:.6f} has no records inside the "
-            f"measurement window {window}",
-            theta,
-        )
+        raise _uncovered(float(thetas[j]), float(coverage[j]), epsilon, window)
 
     j = int(np.argmax(best.ratio))  # the first direction wins a tie
-    time, level = float(best.time[j]), float(best.level[j])
-    return CRReport(
-        cr_estimate=time / level,
-        witness=Line(float(thetas[j]), level),
-        witness_time=time,
-        coverage_radius=float(coverage.min()),
-        horizon=float(horizon),
-        theta_steps=theta_steps,
-        t_steps=t_steps,
-        epsilon=float(epsilon),
-        window=window,
-        spacing=spacing,
-    )
+    return (Line(float(thetas[j]), float(best.level[j])), float(best.time[j]),
+            float(coverage.min()))

@@ -54,17 +54,22 @@ def test_criterion_01_ray_upper_bounds():
 
 
 def test_criterion_02_lower_bounds_meet_upper_for_n_ge_4():
-    # certificate and evaluator coincide for n >= 4; the theta grid is a
-    # multiple of 4n so the bisector directions land exactly on it
+    # certificate and evaluator coincide for n >= 4, and the evaluator's
+    # ray fleets are exact off any theta grid: 4 rays turned by 0.1 rad,
+    # whose worst lines lie between the default grid's directions, pay
+    # sqrt(2)
     t0 = time.perf_counter()
     worst = 0.0
     for n in range(4, 13):
         cert = snapshot_lower_bound(rays(n), d=1.0, n=n, gamma=1e-6)
         rep = evaluate_cr(rays(n), horizon=10.0, theta_steps=4 * n, t_steps=512)
         worst = max(worst, abs(cert.bound - rep.cr_estimate))
+    turned = Fleet(tuple(Ray(0.1 + 0.5 * math.pi * k) for k in range(4)))
+    off_grid = abs(evaluate_cr(turned, horizon=10.0).cr_estimate - math.sqrt(2.0))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-4 and elapsed < 2.0
-    record(2, ok, f"max |bound - cr| = {worst:.3g} over n in 4..12 "
+    ok = worst <= 1e-4 and off_grid <= 1e-12 and elapsed < 2.0
+    record(2, ok, f"max |bound - cr| = {worst:.3g} over n in 4..12, 4 rays "
+                  f"turned by 0.1 rad off sqrt(2) by {off_grid:.3g} "
                   f"({elapsed:.2f} s < 2 s)")
 
 

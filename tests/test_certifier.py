@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,12 +22,14 @@ from shoreline.certifier import (
     omb_oracle,
     snapshot_lower_bound,
 )
+from shoreline.cli import load_fleet_config
 from shoreline.geometry import Point2
 from shoreline.trajectory import Fleet, LogSpiral, Polyline, Ray
 
 from reference import EllipseRegion, discriminant, ellipse_q, position, reach_oracle, support
 
 SQRT3 = math.sqrt(3.0)
+FLEETS = Path(__file__).resolve().parents[1] / "fleets"
 
 
 # -------------------------------------------------------- triangle lemma
@@ -186,10 +189,13 @@ def test_empty_cone_margin_shrinks_the_fit(ray_fleet):
 
 
 def test_empty_cone_all_at_origin():
-    # a fleet that has not left the origin gives no direction: the full plane
-    cone = _cone_in_gap([], 1.0, 0.0)
-    assert cone is not None
-    assert cone.half_angle == pytest.approx(math.pi)
+    # a fleet that has not left the origin gives no direction: the
+    # certificate's empty cone is the full plane
+    fleet, _, _ = load_fleet_config(str(FLEETS / "all-at-origin.json"))
+    cert = snapshot_lower_bound(fleet, d=1.0, n=len(fleet))
+    assert cert.degenerate
+    assert cert.cone.half_angle == pytest.approx(math.pi)
+    assert math.isinf(cert.bound)
 
 
 # ------------------------------------------------------ snapshot bounds

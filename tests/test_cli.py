@@ -588,22 +588,23 @@ def parity_outputs(stem: str, work: Path) -> bytes:
 
 # sha256 of parity_outputs for every shipped config: certificates at three
 # snapshot times, each drawn at the default view and at --size 200
-# --world-radius 3, plus a 72-direction report and its picture for each ray
-# fleet.  Any change to a certificate or a picture, down to the last digit
-# printed, changes its digest; the values depend on the platform's libm.
+# --world-radius 3, plus a report (in closed form; --theta-steps 72 is only
+# echoed) and its picture for each ray fleet.  Any change to a certificate or
+# a picture, down to the last digit printed, changes its digest; the values
+# depend on the platform's libm.
 PARITY_DIGESTS = {
     "all-at-origin": "2cdacacb7cfb5dac0a56f5634b597c924d36da0191492c0fd0a2fd95a8a5a701",
     "double-spiral-2": "efacfa259edbbdec25b72e9a3c34eb17c31aa0bc1650a0f3ad6f00e0679ee7b6",
-    "rays-10": "124a500abb3c31527acdd97a52a80122f548df1e54d571baced8bf01132fd88f",
-    "rays-11": "f66b7671c52aa2226ace9008b60e3c859de738a4fcf3bf21cc63ccbb51e9bb15",
+    "rays-10": "afa8a1af045ec7255f338e27521cfced79c60262d50cd0ed33ff02672255955d",
+    "rays-11": "16fd0d8c32bceb17b9950f848266ac45c87247b14f58c92cb748db56aac1c988",
     "rays-12": "8782e750b491769a23387edab5a3c263d2163885c3caf4a07fdb340f30cb20d1",
     "rays-3": "8d77c7aa8b6e17e84ea86de3b2b93478dff243732a2cf149b567b8af6af5e4cc",
-    "rays-4": "3dcb7b97557096542aae9468434d4cdd3b30a97405ef5edf002c5c3a577f3174",
-    "rays-5": "3e02d69a5ebeab7e0e16b93b1ac88ed6ef0a389b73993039f4aff27c8e99319a",
-    "rays-6": "9a0ac25f07c829e094e9f87e41de016e67f7a45e9a79776013d6035617ae17be",
-    "rays-7": "b4240cc2827586b5c33e3183363ffbfbba057aa6e5e85339bf47adfe6edd0f3f",
-    "rays-8": "a2c90f3c45fc1fbf37137fead1cbaa28945b49f9f93320046bf1dc273e8e3e55",
-    "rays-9": "1e956fdd857e85ece7c4f976bfd2b09149ce6bad2790ac9c826078410c27de84",
+    "rays-4": "0d100230f86dbc428947a8136cd1a73ac383029992d12fab69d082b63b946034",
+    "rays-5": "43ca9f4dec8f63245f54cae81887949929f0368652d2a9e5a36d3ecf8a745e11",
+    "rays-6": "7fd53af58df83c561fb2d685b394cb521282772ee9fbdd885ebb2455d941d4c9",
+    "rays-7": "8344b1abf7dbefbd3968ac3ac7a2dc1d5c3bc4d7b252d2a1282fca9a2c7625c6",
+    "rays-8": "0ea453f204c8c507917d74834b4c2a24ae6cb27221580711c4f8b8b35d4fd0f7",
+    "rays-9": "aad41f4a55ff905645680aaa634d8453c94d529172dfd7d08e3dc355a472441e",
     "single-ray": "58529693bd0ba2d6d583839d08d16286b6346307be2abd76db431185a6566ae8",
     "spiral-1": "d17146817fa920b26ea62096703a081861ce2d4e57d1bb4be9658ac020b703dd",
 }

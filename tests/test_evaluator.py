@@ -38,13 +38,21 @@ def path(*turns):
     return Polyline(((0.0, 0.0),) + turns)
 
 
+def straight(angle, length):
+    """One-segment polyline along the bearing: a ray's path up to its length.
+
+    A lone ray leaves half the plane uncovered, so probes of one direction
+    take this path, which the event sweep measures, instead."""
+    return path((length * math.cos(angle), length * math.sin(angle)))
+
+
 # ------------------------------------------------------ single directions
 
 
 def test_profile_single_ray_own_direction():
     # support equals elapsed time along the ray's own bearing, so every
     # line is hit at exactly its offset
-    rep = one_direction(Ray(0.0), horizon=10.0, t_steps=512)
+    rep = one_direction(straight(0.0, 20.0), horizon=10.0, t_steps=512)
     assert rep.coverage_radius == pytest.approx(10.0)
     assert rep.cr_estimate == pytest.approx(1.0, rel=1e-12)
     assert rep.witness_time == pytest.approx(rep.witness.delta, rel=1e-12)
@@ -52,7 +60,7 @@ def test_profile_single_ray_own_direction():
 
 def test_profile_oblique_direction_break_times():
     phi = math.pi / 5
-    rep = one_direction(Ray(-phi), horizon=10.0, t_steps=512)
+    rep = one_direction(straight(-phi, 20.0), horizon=10.0, t_steps=512)
     assert rep.coverage_radius == pytest.approx(10.0 * math.cos(phi), rel=1e-12)
     # the witness line is first reached when t cos(phi) passes its offset
     assert rep.witness_time * math.cos(phi) == pytest.approx(rep.witness.delta,
@@ -92,8 +100,8 @@ def test_profile_invariants_mixed_fleet(a, b, phase, walk):
 
 def test_profile_geometric_spacing_requires_start():
     with pytest.raises(ValueError):
-        one_direction(Ray(0.0), horizon=5.0, spacing="geometric", t_start=0.0)
-    rep = one_direction(Ray(0.0), horizon=5.0, t_steps=256, spacing="geometric",
+        one_direction(straight(0.0, 10.0), horizon=5.0, spacing="geometric", t_start=0.0)
+    rep = one_direction(straight(0.0, 10.0), horizon=5.0, t_steps=256, spacing="geometric",
                         t_start=0.01)
     assert rep.coverage_radius == pytest.approx(5.0)
 
@@ -172,9 +180,9 @@ def test_records_to_ratio_record_jumping_over_window():
     assert rep.witness.delta == 5.0
     assert rep.witness_time == pytest.approx(c / b * r1, rel=1e-12)
     assert rep.cr_estimate == pytest.approx(c / b * r1 / 5.0, rel=1e-12)
-    # a ray's support is linear between its events, so the line at the
-    # window's lower end is measured exactly, however coarse the grid
-    rep = one_direction(Ray(0.0), horizon=10.0, t_steps=2, epsilon=0.1,
+    # a straight path's support is linear between its events, so the line at
+    # the window's lower end is measured exactly, however coarse the grid
+    rep = one_direction(straight(0.0, 20.0), horizon=10.0, t_steps=2, epsilon=0.1,
                         window=(1.0, 5.0))
     assert (rep.cr_estimate, rep.witness.delta, rep.witness_time) == (1.0, 1.0, 1.0)
 
@@ -287,6 +295,15 @@ def test_evaluate_cr_coverage_error_before_window_error():
     assert err.value.theta == 0.0
 
 
+def test_an_uncovered_ray_fleet_between_grid_directions_names_the_bisector():
+    # the widest gap, 2 pi - 4 around theta = pi, reaches 10 cos(pi - 2) =
+    # 4.16 < epsilon, while the one grid direction, theta = 0, reaches 10
+    fleet = Fleet((Ray(0.0), Ray(2.0), Ray(-2.0)))
+    with pytest.raises(UncoveredDirectionError, match="coverage 4.16147 < epsilon 5") as err:
+        evaluate_cr(fleet, horizon=10.0, theta_steps=1, epsilon=5.0)
+    assert err.value.theta == pytest.approx(math.pi, rel=1e-15)
+
+
 def test_evaluate_cr_window_above_coverage():
     # a parked robot covers nothing beyond its endpoint, so a window past it
     # captures no records
@@ -359,11 +376,11 @@ def test_evaluate_cr_more_robots_never_hurt(ray_fleet):
 FLEETS = Path(__file__).resolve().parents[1] / "fleets"
 
 # cr_estimate, witness theta, witness delta, witness_time, coverage_radius of
-# every shipped config at its own grid (rays: 720 directions, every witness
-# the boundary line at epsilon; spirals: six directions that pay the same
-# ratio up to rounding, which picks the witness), and of four ray fleets
-# turned by half a theta step; a bare float is the theta of an
-# UncoveredDirectionError.  Every fleet is sampled at its events.
+# every shipped config at its own grid (rays: the closed form, every witness
+# the boundary line at epsilon on the smallest bisector of a widest gap;
+# spirals: six directions that pay the same ratio up to rounding, which
+# picks the witness), and of four ray fleets turned by half a theta step; a
+# bare float is the theta of an UncoveredDirectionError.
 PINNED = {
     "all-at-origin": 0.0,
     "double-spiral-2": (
@@ -375,8 +392,8 @@ PINNED = {
         0.010514622242382672, 9.510565162951535,
     ),
     "rays-11": (
-        1.0422171162264056, 3.141592653589793, 0.01,
-        0.010422171162264054, 9.594929736144975,
+        1.0422171162264056, 0.28559933214452665, 0.01,
+        0.010422171162264056, 9.594929736144973,
     ),
     "rays-12": (
         1.0352761804100832, 0.2617993877991494, 0.01,
@@ -399,7 +416,7 @@ PINNED = {
         0.011547005383792514, 8.660254037844386,
     ),
     "rays-7": (
-        1.1099162641747424, 3.141592653589793, 0.01,
+        1.1099162641747424, 0.4487989505128276, 0.01,
         0.011099162641747424, 9.009688679024192,
     ),
     "rays-8": (
@@ -407,8 +424,8 @@ PINNED = {
         0.010823922002923939, 9.238795325112868,
     ),
     "rays-9": (
-        1.0641777724759123, 1.0471975511965976, 0.01,
-        0.010641777724759122, 9.396926207859083,
+        1.064177772475912, 0.3490658503988659, 0.01,
+        0.01064177772475912, 9.396926207859085,
     ),
     "single-ray": 1.5707963267948966,
     "spiral-1": (
@@ -416,20 +433,20 @@ PINNED = {
         1210.1214000328082, 170.8163887449654,
     ),
     "rays-3-half-step": (
-        1.9850171814445097, 5.235987755982989, 0.01,
-        0.01985017181444509, 5.037739770455256,
+        1.9999999999999996, 1.0515608743265834, 0.01,
+        0.019999999999999997, 5.000000000000001,
     ),
     "rays-4-half-step": (
-        1.408083064400422, 5.497787143782138, 0.01,
-        0.014080830644004217, 7.1018537562328525,
+        1.414213562373095, 0.789761486527434, 0.01,
+        0.014142135623730949, 7.0710678118654755,
     ),
     "rays-7-half-step": (
-        1.1095834041110373, 5.838126347921032, 0.01,
-        0.011095834041110371, 9.012391464174504,
+        1.1099162641747424, 0.4531622736428134, 0.01,
+        0.011099162641747424, 9.009688679024192,
     ),
     "rays-12-half-step": (
-        1.0340770378737818, 4.4505895925855405, 0.01,
-        0.010340770378737816, 9.67045938913943,
+        1.035276180410083, 0.26616271092913524, 0.01,
+        0.01035276180410083, 9.659258262890683,
     ),
 }
 
@@ -472,10 +489,23 @@ def test_evaluate_cr_matches_pinned_values(name):
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("name", sorted(k for k in PINNED if k.startswith("rays-")))
+def test_ray_fleets_pay_the_closed_form_on_the_smallest_bisector(name):
+    # n evenly spread rays, on the grid or off it: 1/cos(pi/n) to 1e-15,
+    # witnessed on the smallest bisector of two adjacent headings
+    n = int(name.split("-")[1])
+    fleet, horizon, kwargs = (_half_step_rays(n) if name.endswith("-half-step")
+                              else _shipped(name))
+    rep = evaluate_cr(fleet, horizon, **kwargs)
+    assert rep.cr_estimate == pytest.approx(1.0 / math.cos(math.pi / n), rel=1e-15, abs=0.0)
+    first = min(robot.angle % (2.0 * math.pi) for robot in fleet.robots)
+    assert rep.witness.theta == pytest.approx(first + math.pi / n, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("n", range(3, 13))
 def test_shipped_ray_fleets_match_the_closed_form(n):
-    # break times are exact on rays, and the shipped grids hold the worst
-    # direction, so only rounding separates the estimate from 1/cos(pi/n)
+    # ray fleets are evaluated in closed form, so only rounding separates
+    # the estimate from 1/cos(pi/n)
     fleet, horizon, kwargs = _shipped(f"rays-{n}")
     rep = evaluate_cr(fleet, horizon, **kwargs)
     assert rep.cr_estimate == pytest.approx(1.0 / math.cos(math.pi / n), abs=1e-12)
@@ -626,6 +656,18 @@ def test_witness_replays(anchor, extra, window):
 # ----------------------------------------------------------- exact events
 
 
+def _heading_gap(robots):
+    """Widest gap between the bearings of rays and of antipodes of rays."""
+    headings = []
+    for robot in robots:
+        turn = 0.0
+        while isinstance(robot, AntipodalOf):
+            robot, turn = robot.inner, math.pi - turn
+        headings.append(robot.angle + turn)
+    a = np.sort(np.mod(headings, 2.0 * math.pi))
+    return float(np.diff(np.append(a, a[0] + 2.0 * math.pi)).max())
+
+
 def _oracle_cr(fleet, horizon, theta_steps, lo, hi):
     """Worst first-hit ratio over the grid directions, one direction at a time.
 
@@ -675,7 +717,14 @@ def test_piecewise_linear_fleets_match_an_exact_oracle(anchor, extra, window):
     rep = evaluate_cr(fleet, horizon, theta_steps=steps, t_steps=64, window=window)
     lo, hi = window or (0.0, math.inf)
     want = _oracle_cr(fleet, horizon, steps, max(lo, rep.epsilon), hi)
-    assert rep.cr_estimate == pytest.approx(want, rel=1e-9)
+    if all(isinstance(robot, Ray) for robot in fleet.robots):
+        # a ray fleet is exact over every direction, not only the grid's;
+        # the oracle pays each line 1e-12 past its offset
+        assert rep.cr_estimate == pytest.approx(
+            1.0 / math.cos(0.5 * _heading_gap(fleet.robots)), rel=1e-12)
+        assert want <= rep.cr_estimate * (1.0 + 2e-12)
+    else:
+        assert rep.cr_estimate == pytest.approx(want, rel=1e-9)
 
 
 @given(anchor=_anchor, extra=st.lists(_robot, max_size=3),
@@ -729,6 +778,107 @@ def test_the_line_just_below_a_direction_coverage_is_measured():
     assert rep.cr_estimate == pytest.approx((1.0 + math.sqrt(2.0)) / s, rel=1e-12)
     assert rep.witness.delta == pytest.approx(s, rel=1e-12)
     assert rep.witness_time == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)
+
+
+# --------------------------------------------------------- ray fleets
+
+
+def _antipodes(robot, depth):
+    for _ in range(depth):
+        robot = AntipodalOf(robot)
+    return robot
+
+
+# rays at arbitrary bearings, some wrapped once or twice in AntipodalOf
+_ray_fleet = st.lists(
+    st.builds(_antipodes, st.floats(-20.0, 20.0).map(Ray),
+              st.sampled_from([0, 0, 1, 2])),
+    min_size=1, max_size=64)
+_ray_window = st.one_of(
+    st.none(),
+    st.tuples(st.floats(1e-3, 1.0), st.floats(1.01, 100.0)).map(lambda w: (w[0], w[0] * w[1])))
+
+
+def _ray_outcome(robots, horizon, window):
+    """The CR of a ray fleet, or the uncovered error's message."""
+    try:
+        return evaluate_cr(Fleet(tuple(robots)), horizon, theta_steps=16,
+                           window=window).cr_estimate
+    except UncoveredDirectionError as err:
+        return str(err)
+
+
+@given(robots=_ray_fleet, horizon=st.floats(0.1, 1e3), window=_ray_window)
+@settings(max_examples=150, deadline=None)
+def test_ray_fleets_are_the_closed_form(robots, horizon, window):
+    # the widest gap g between headings sets the ratio, 1/cos(g/2), and the
+    # fleet is uncovered exactly where horizon * cos(g/2) falls short of lo,
+    # the larger of epsilon and the window's lower end; only a shortfall
+    # below epsilon can be a coverage error
+    fleet, steps = Fleet(tuple(robots)), 8
+    g = _heading_gap(robots)
+    epsilon = DEFAULT_EPSILON_FACTOR * horizon
+    lo = max(epsilon, window[0]) if window else epsilon
+    reach = horizon * math.cos(0.5 * g) if g < math.pi else 0.0
+    if reach < lo:
+        with pytest.raises(UncoveredDirectionError,
+                           match=None if reach < epsilon else "measurement window"):
+            evaluate_cr(fleet, horizon, theta_steps=steps, window=window)
+        return
+    rep = evaluate_cr(fleet, horizon, theta_steps=steps, window=window)
+    assert rep.cr_estimate == pytest.approx(1.0 / math.cos(0.5 * g), rel=1e-12)
+    assert rep.cr_estimate == rep.witness_time / rep.witness.delta
+    assert rep.witness.delta == lo
+    assert rep.coverage_radius == pytest.approx(reach, rel=1e-12)
+    if len(robots) <= 8:  # at least every grid direction's exact ratio
+        want = _oracle_cr(fleet, horizon, steps, lo, window[1] if window else math.inf)
+        assert want <= rep.cr_estimate * (1.0 + 2e-12)
+
+
+@given(robots=_ray_fleet, turn=st.floats(-10.0, 10.0), horizon=st.floats(0.1, 1e3),
+       window=_ray_window)
+@settings(max_examples=100, deadline=None)
+def test_a_ray_fleet_turned_by_any_angle_keeps_its_ratio(robots, turn, horizon, window):
+    # not only by a multiple of the grid step
+    def turned(robot):
+        if isinstance(robot, AntipodalOf):
+            return AntipodalOf(turned(robot.inner))
+        return Ray(robot.angle + turn)
+
+    before = _ray_outcome(robots, horizon, window)
+    after = _ray_outcome([turned(robot) for robot in robots], horizon, window)
+    if isinstance(before, str) != isinstance(after, str):
+        # only a fleet within rounding of its coverage threshold may flip
+        lo = max(DEFAULT_EPSILON_FACTOR * horizon, window[0] if window else 0.0)
+        assert horizon * math.cos(0.5 * _heading_gap(robots)) == pytest.approx(lo, rel=1e-12)
+    elif not isinstance(before, str):
+        assert after == pytest.approx(before, rel=1e-12)
+
+
+@given(robots=_ray_fleet, extra=st.floats(-20.0, 20.0), horizon=st.floats(0.1, 1e3),
+       window=_ray_window)
+@settings(max_examples=100, deadline=None)
+def test_adding_a_ray_never_raises_the_ratio(robots, extra, horizon, window):
+    # a new heading can only split a gap; the slack is rounding of the gaps
+    before = _ray_outcome(robots, horizon, window)
+    after = _ray_outcome(robots + [Ray(extra)], horizon, window)
+    if isinstance(before, str):
+        return
+    assert not isinstance(after, str)
+    assert after <= before * (1.0 + 1e-12)
+
+
+def test_a_large_ray_fleet_holds_no_pairwise_arrays():
+    # 128 rays: no direction grid and no crossing of every pair of robots
+    fleet = Fleet(tuple(Ray(0.1 + 2.0 * math.pi * k / 128) for k in range(128)))
+    tracemalloc.start()
+    try:
+        rep = evaluate_cr(fleet, horizon=10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.cr_estimate == pytest.approx(1.0 / math.cos(math.pi / 128), rel=1e-12)
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------------------- spirals

@@ -166,6 +166,19 @@ def test_steady_state_cr_matches_bisection(n):
         assert steady_state_cr(n, float(b)) == steady_state_cr_bisection(n, float(b))
 
 
+@pytest.mark.parametrize("b", [40.0, 100.0, 300.0])
+def test_steady_state_cr_finds_a_root_at_the_bracket_edge_in_few_tests(monkeypatch, b):
+    # one steep spiral's root lies within a float of the bracket's lower
+    # end, where every Newton step leaves the bracket: a gallop up from the
+    # edge finds it, where halving the bracket took 49 tests
+    calls, cos = [], math.cos
+    monkeypatch.setattr(math, "cos", lambda x: calls.append(x) or cos(x))
+    value = steady_state_cr(1, b)
+    monkeypatch.undo()
+    assert value == steady_state_cr_bisection(1, b)
+    assert len(calls) <= 12
+
+
 def test_optimize_spiral_without_a_finite_ratio_has_not_converged():
     # every steady-state ratio of one spiral overflows at these growth rates
     res = optimize_spiral(1, bracket=(400.0, 500.0))
