@@ -15,18 +15,24 @@ T(L) / L over [lo, hi]: lo is epsilon (a start inside it trivializes the
 ratio) or a window's lower end, hi its upper end or infinity.
 
 Such a fleet is sampled at its events, per direction: t = 0, the horizon,
-every robot's breakpoints and spiral support extrema (``trajectory``), every
-time two straight robots' supports cross and, in record cells only, every
-time a spiral and another robot swap places above the running max.  Every
-support is monotone between two samples, so the running max is exact at
-each, and the robots that pass it keep their order.  A sample is a record
-when it beats the running max prev before it by more than rounding
-(TIE_MARGIN).  Along one robot's rising piece T(L) / L is monotone
-(straight) or falls, then rises (spiral), so a record cell's worst line is
-the one just above max(prev, lo) or the one just below min(h, hi).  Each is
-paid when the first robot passes it: in closed form on a straight piece,
-bisected to the float spacing on a spiral piece.  One sweep runs in t
-order over tiles of every direction, carrying only the running maximum.
+every robot's breakpoints and spiral support extrema (``trajectory``).
+Every support is monotone between two events, so the running max is exact
+at each.  A cell between two events is a record when its end beats the
+running max prev at its start by more than rounding (TIE_MARGIN).  The
+robots that end a record cell above its floor max(prev, lo) rise through
+it, and the running max follows the highest of them, which changes only
+where two of them cross above the floor: in closed form for two straight
+robots, bisected where one is a spiral.  Along one robot's rising piece
+T(L) / L is monotone (straight) or falls, then rises (spiral), so a record
+cell's worst line is the one just above its floor, one just above a
+crossing, or the one just below min(h, hi).  Each is paid when the first
+robot passes it: in closed form on a straight piece, bisected to the float
+spacing on a spiral piece.  One sweep runs in t order over tiles of every
+direction, carrying only the running maximum.
+
+With a window, a direction whose coverage at the horizon stays below hi is
+uncovered: the lines of the window beyond it are never hit, so no ratio
+measured within the horizon bounds the fleet's.
 """
 
 from __future__ import annotations
@@ -50,9 +56,8 @@ DEFAULT_EPSILON_FACTOR = 1e-3
 # same fraction separates a cell's two lines, equal on a ray, and two robots
 # that stay level with each other.
 TIE_MARGIN = 2e-12
-# Most cells in one tile of the sweep: a tile holds every direction over a
-# run of at least one cell, a support difference per pair of straight robots
-# and a support per row (see _sweep) at up to as many samples per cell.
+# Most supports in one tile of the sweep: a tile holds every robot's support
+# in every direction over a run of at least one cell (see _sweep).
 TILE_CELLS = 1 << 15
 # Most parts of one cell in which two robots are searched for a swap at once;
 # only robots that run level to within a hair of each other need more.
@@ -122,38 +127,34 @@ def _rise_time(robot, u: np.ndarray, level: np.ndarray, t0: np.ndarray,
         t0 = np.where(live & ~up, mid, t0)
 
 
-def _swaps(robots, normals: np.ndarray, s: np.ndarray, t: np.ndarray,
-           floor: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    """Fractions of each cell at which robots ra[p] and rb[p] swap places above floor.
+def _swaps(robots, normals: np.ndarray, ra: np.ndarray, rb: np.ndarray, j: np.ndarray,
+           lvl: np.ndarray, u: np.ndarray, v: np.ndarray, au: np.ndarray, av: np.ndarray,
+           bu: np.ndarray, bv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where robots ra[p] and rb[p] swap places above lvl[p] in direction j[p].
 
-    floor is, per cell, the running max at its start or lo.  Only robots
-    that both end a cell above it can change which passes a line there
-    first; both then rise, so on a part [u, v] of the cell their difference
-    lies in [a(u) - b(v), a(v) - b(u)].  A part is dropped once that
-    excludes zero or one ends it at or below the floor; else it is halved
-    until no float lies inside, the two tie at both ends (TIE_MARGIN of
-    the floor) or its (pair, direction, cell) has more than SWAP_PARTS
-    parts left, robots that close being level; a sign change then marks a
-    swap at its end.  Returns (swap, cell, direction): each cell's swaps as
-    fractions of it, 0 past the last.
+    Both end the cell [u, v] above lvl, the running max at its start or lo,
+    so both rise through it, from au, bu to av, bv: on a part [u, v] of the
+    cell their difference lies in [a(u) - b(v), a(v) - b(u)].  A part is
+    dropped once that excludes zero or one ends it at or below lvl; else it
+    is halved until no float lies inside, the two tie at both ends
+    (TIE_MARGIN of lvl) or its pair has more than SWAP_PARTS parts left,
+    robots that close being level; a sign change then marks a swap at its
+    end.  Returns (p, s): the pair of each swap and the higher support
+    there.
     """
-    end = s[:, 1:] > floor
-    p, c0, j0 = np.nonzero(end[ra] & end[rb])
-    ra, rb, j, lvl = ra[p], rb[p], j0, floor[c0, j0]
-    u, v = t[c0, j0], t[c0 + 1, j0]
-    au, av, bu, bv = s[ra, c0, j0], s[ra, c0 + 1, j0], s[rb, c0, j0], s[rb, c0 + 1, j0]
-    e = np.arange(len(p))  # the (pair, direction, cell) each part belongs to
-    hits, when = [e[:0]], [u[:0]]
+    pairs = len(ra)
+    e = np.arange(pairs)  # the pair each part belongs to
+    hits, level = [e[:0]], [u[:0]]
     while len(e):
         flip = np.sign(au - bu) != np.sign(av - bv)
         tie = np.maximum(np.abs(au - bu), np.abs(av - bv)) <= TIE_MARGIN * lvl
         live = (au <= bv) & (bu <= av) & (np.minimum(av, bv) > lvl)
         mid = 0.5 * (u + v)
         split = live & ~tie & (u < mid) & (mid < v)
-        split &= np.bincount(e[split], minlength=len(p))[e] <= SWAP_PARTS
+        split &= np.bincount(e[split], minlength=pairs)[e] <= SWAP_PARTS
         last = live & ~split & flip
         hits.append(e[last])
-        when.append(v[last])
+        level.append(np.maximum(av[last], bv[last]))
         e, ra, rb, j, lvl, u, v, mid, au, av, bu, bv = (
             x[split] for x in (e, ra, rb, j, lvl, u, v, mid, au, av, bu, bv))
         am, bm = np.empty_like(mid), np.empty_like(mid)
@@ -163,41 +164,22 @@ def _swaps(robots, normals: np.ndarray, s: np.ndarray, t: np.ndarray,
         e, ra, rb, j, lvl, u, v, au, av, bu, bv = (np.concatenate(x) for x in (
             (e, e), (ra, ra), (rb, rb), (j, j), (lvl, lvl), (u, mid), (mid, v),
             (au, am), (am, av), (bu, bm), (bm, bv)))
-    hits, when = np.concatenate(hits), np.concatenate(when)
-    c, j = c0[hits], j0[hits]
-    frac = (when - t[c, j]) / (t[c + 1, j] - t[c, j])
-    key = c * floor.shape[1] + j
-    order = np.argsort(key)
-    key, c, j, frac = key[order], c[order], j[order], frac[order]
-    rank = np.arange(len(key)) - np.searchsorted(key, key)  # within its cell
-    out = np.zeros((rank.max(initial=-1) + 1,) + floor.shape)
-    out[rank, c, j] = frac
-    return out
+    return np.concatenate(hits), np.concatenate(level)
 
 
 def _sweep(fleet: Fleet, normals: np.ndarray, ts: np.ndarray, epsilon: float,
            window: tuple[float, float] | None) -> _BestLine:
-    """Sweep every direction over the cells between consecutive times.
+    """Sweep every direction over the cells between consecutive event times.
 
     ts is one row of times for every direction, or one row per direction.
-    A tile is every direction over a run of cells.  On one row the supports
-    are one product per robot over at least two times: BLAS rounds products
-    of other shapes (one time, or fewer directions) differently, and the
-    support must not depend on where tiles fall.
-
-    Two straight robots cross inside a cell where their difference changes
-    sign, at the fraction d0 / (d0 - d1) of its values at the cell's ends;
-    _swaps finds the rest.  A cell yields, per direction, as many samples
-    as the direction in its tile with the most crossings there: its
-    crossings in t order (fewer repeat the cell's start, never a record),
-    then its end.  A straight robot's support at a crossing is interpolated.
-    Lines are passed on a robot's own support only where it is a spiral: a
-    fleet of straight robots hands over its upper envelope alone.
+    A tile is every robot's support in every direction over a run of cells,
+    at most TILE_CELLS of them, and _BestLine reduces it.  On one row the
+    supports are one product per robot over at least two times: BLAS rounds
+    products of other shapes (one time, or fewer directions) differently,
+    and the support must not depend on where tiles fall.
     """
     robots = fleet.robots
-    straight = np.array([piecewise_linear(robot) for robot in robots])
-    rows = 1 if straight.all() else len(robots)
-    best = _BestLine(robots, straight[:rows], normals, epsilon, window)
+    best = _BestLine(robots, normals, epsilon, window)
     n = normals.shape[1]
     shared = ts.ndim == 1
     if shared:
@@ -206,49 +188,13 @@ def _sweep(fleet: Fleet, normals: np.ndarray, ts: np.ndarray, epsilon: float,
     else:  # t, direction
         ts = ts.T
         s_all = np.array([_support(robot, ts, normals[:, None]) for robot in robots])
-    a, b = np.triu_indices(len(robots), 1)
-    bent = ~(straight[a] & straight[b])
-    (a, b), (ca, cb) = (a[~bent], b[~bent]), (a[bent], b[bent])
-    width = max(1, TILE_CELLS // (n * (2 * len(a) + rows)))
+    width = max(1, TILE_CELLS // (n * len(robots)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for k0 in range(0, len(ts) - 1, width):
             k1 = min(k0 + width, len(ts) - 1)
-            t = ts[k0:k1 + 1]
             s = (np.array([path[k0:k1 + 1] @ normals for path in paths]) if shared
                  else s_all[:, k0:k1 + 1])  # robot, t, direction
-            s_lo, ds, dt = s[:, :-1], np.diff(s, axis=1), np.diff(t, axis=0)
-            d = s[a] - s[b]
-            d0, d1 = d[:, :-1], d[:, 1:]
-            cross = (d0 < 0.0) & (d1 > 0.0) | (d0 > 0.0) & (d1 < 0.0)
-            frac = np.where(cross, d0 / (d0 - d1), 0.0)  # pair, cell, direction
-            if len(ca):
-                floor = np.fmax.accumulate(s.max(axis=0)[:-1], axis=0)
-                floor = np.maximum(floor, np.maximum(best.coverage, best.lo))
-                frac = np.concatenate((frac, _swaps(robots, normals, s, t, floor, ca, cb)))
-            frac.sort(axis=0)  # the crossings last, in t order
-            most = int(np.count_nonzero(frac, axis=0).max(initial=0))
-            frac = frac[len(frac) - most:]
-            tx = t[:-1] + frac * dt
-            sx = (s_lo[r] + frac * ds[r] if straight[r]
-                  else _support(robot, tx, normals[:, None, None])
-                  for r, robot in enumerate(robots))
-            if rows == 1:  # the envelope, one robot at a time
-                hx = next(sx)
-                for row in sx:
-                    np.maximum(hx, row, out=hx)
-                sx, s = hx[None], s.max(axis=0, keepdims=True)
-            else:
-                sx = np.array(list(sx))
-            # (row, sample in cell, cell, direction) -> row, direction, then
-            # t order: each cell's crossings, then its end, after the tile's
-            # first time
-            sx = np.concatenate((sx, s[:, None, 1:]), axis=1)
-            tx = np.concatenate((tx, np.broadcast_to(t[None, 1:], (1, k1 - k0, n))))
-            s = np.concatenate((s[:, :1].transpose(0, 2, 1),
-                                sx.transpose(0, 3, 2, 1).reshape(rows, n, -1)), axis=-1)
-            t = np.concatenate((np.broadcast_to(t[:1].T, (n, 1)),
-                                tx.transpose(2, 1, 0).reshape(n, -1)), axis=1)
-            best.add(s[..., :-1], s[..., 1:], t[:, :-1], t[:, 1:])
+            best.add(s, np.broadcast_to(ts[k0:k1 + 1], s.shape[1:]))
     best.finish()
     return best
 
@@ -256,17 +202,24 @@ def _sweep(fleet: Fleet, normals: np.ndarray, ts: np.ndarray, epsilon: float,
 class _BestLine:
     """Each direction's worst line so far, reduced tile by tile in t order.
 
-    Every record offers the line just above max(prev, lo); the first
-    maximum wins.  The line just below min(h, hi) of a record is beaten by
-    the next record's, which waits at least as long for the same offset, so
-    only each direction's last record offers it, once the sweep is done
-    (finish), and it must beat the best line by more than TIE_MARGIN: on a
-    ray the two are equal up to rounding.
+    A cell is a record when its end beats the running max prev at its start
+    by more than TIE_MARGIN; it offers the line just above max(prev, lo).
+    Every support is monotone inside a cell, so the robots that end it above
+    that floor rise through it, and the running max follows the highest of
+    them: a new one takes over only where two of them cross above the
+    floor, and each such crossing offers the line just above the support
+    there.  Each line is paid by its first passing robot (_pass_time); the
+    first maximum wins.  The line just below min(h, hi) of a record is
+    beaten by the next record's, which waits at least as long for the same
+    offset, so only each direction's last record offers it, once the sweep
+    is done (finish), and it must beat the best line by more than
+    TIE_MARGIN: on a ray the two are equal up to rounding.
     """
 
-    def __init__(self, robots, straight: np.ndarray, normals: np.ndarray, epsilon: float,
+    def __init__(self, robots, normals: np.ndarray, epsilon: float,
                  window: tuple[float, float] | None):
-        self.robots, self.straight, self.normals = robots, straight, normals
+        self.robots, self.normals = robots, normals
+        self.straight = np.array([piecewise_linear(robot) for robot in robots])
         self.lo, self.hi = epsilon, math.inf
         if window is not None:
             self.lo, self.hi = max(self.lo, window[0]), window[1]
@@ -277,69 +230,103 @@ class _BestLine:
         self.coverage = np.zeros(n)  # the running max, carried from tile to tile
         self.high, self.high_time = np.ones(n), np.full(n, -np.inf)  # the last record's
 
-    def _pass_time(self, s_lo, s, t_lo, t, level, k) -> np.ndarray:
-        """Earliest time in each cell at which a row ending it above level passes it.
+    def _pass_time(self, s0, s1, t0, t1, k, col, level) -> np.ndarray:
+        """When each level is first passed in record cell col: by the first of
+        the robots that end the cell above it, the cell's end where none does.
 
-        s_lo and s hold each row's support at the cells' ends, one column
-        per cell, t_lo and t their times, k their directions; the cell's
-        end where no row ends above the level.
+        s0 and s1 hold each robot's support at the record cells' ends, one
+        column per cell, t0 and t1 their times, k their directions.
         """
-        when = np.subtract(level, s_lo)  # straight: the closed form
-        np.divide(when, s - s_lo, out=when)
-        np.multiply(when, t - t_lo, out=when)
-        np.add(when, t_lo, out=when)
-        if self.straight.all():  # one row, the upper envelope: it rises
-            return when[0]  # through every record, garbage elsewhere
-        rise = s > level
-        when = np.where(rise & self.straight[:, None], when, t).min(axis=0)
+        r, m = np.nonzero(s1.take(col, axis=1) > level)  # robot, line it passes
+        x, when = col[m], t1[col]
+        flat = self.straight[r]  # in closed form
+        a, b, j, x = s0[r[flat], x[flat]], s1[r[flat], x[flat]], m[flat], x[flat]
+        np.minimum.at(when, j, (level[j] - a) / (b - a) * (t1[x] - t0[x]) + t0[x])
         # an antipode's support is its twin's in the opposite direction, so
         # one search serves a spiral and all of its antipodes
         twins = {}
-        for r in np.flatnonzero(~self.straight):
-            robot, sign = self.robots[r], 1.0
+        for i in np.flatnonzero(~self.straight):
+            robot, sign = self.robots[i], 1.0
             while isinstance(robot, AntipodalOf):
                 robot, sign = robot.inner, -sign
-            m = np.flatnonzero(rise[r])
-            twins.setdefault(robot, []).append((m, sign * self.normals[:, k[m]]))
+            j = m[r == i]
+            twins.setdefault(robot, []).append((j, sign * self.normals[:, k[col[j]]]))
         for robot, rows in twins.items():
-            cols, dirs = zip(*rows)
-            m = np.concatenate(cols)
-            if len(m):
-                bent = _rise_time(robot, np.concatenate(dirs, axis=1), level[m], t_lo[m], t[m])
-                np.minimum.at(when, m, bent)
+            lines, dirs = zip(*rows)
+            j = np.concatenate(lines)
+            if len(j):
+                x = col[j]
+                bent = _rise_time(robot, np.concatenate(dirs, axis=1), level[j], t0[x], t1[x])
+                np.minimum.at(when, j, bent)
         return when
 
-    def add(self, s_lo: np.ndarray, s: np.ndarray, t_lo: np.ndarray, t: np.ndarray) -> None:
-        """Reduce the next samples s at times t, each after s_lo at t_lo: one
-        support per row, one time per direction, each direction in t order."""
+    def _crossings(self, s0, s1, t0, t1, floor, k):
+        """(record, level) of every crossing above the floor in the record cells.
+
+        Only robots that both end a cell above its floor can hand the
+        running max over, so pairs are formed among those alone: straight
+        pairs cross at the fraction d0 / (d0 - d1) of their difference's
+        values at the cell's ends, and _swaps finds the rest.
+        """
+        up = s1 > floor
+        some = np.flatnonzero(np.count_nonzero(up, axis=0) > 1)
+        q, r = np.nonzero(up[:, some].T)  # record, robot above its floor, by record
+        more = np.searchsorted(q, q, side="right") - np.arange(len(q)) - 1
+        e = np.repeat(np.arange(len(q)), more)  # each pair's first entry, then its second
+        f = e + 1 + np.arange(len(e)) - np.repeat(np.cumsum(more) - more, more)
+        a, b, x = r[e], r[f], some[q[e]]
+        flat = self.straight[a] & self.straight[b]
+        a0, b0, x0 = a[flat], b[flat], x[flat]
+        (au, bu), (av, bv) = ((s[a0, x0], s[b0, x0]) for s in (s0, s1))
+        frac = (au - bu) / ((au - bu) - (av - bv))
+        level = np.maximum(au + frac * (av - au), bu + frac * (bv - bu))
+        keep = (frac > 0.0) & (frac < 1.0)
+        x0, level = x0[keep], level[keep]
+        a, b, x = a[~flat], b[~flat], x[~flat]
+        if len(x):
+            p, bent = _swaps(self.robots, self.normals, a, b, k[x], floor[x], t0[x], t1[x],
+                             s0[a, x], s1[a, x], s0[b, x], s1[b, x])
+            x0, level = np.concatenate((x0, x[p])), np.concatenate((level, bent))
+        return x0, level
+
+    def add(self, s: np.ndarray, t: np.ndarray) -> None:
+        """Reduce the next tile: s holds every robot's support at times t,
+        (time, direction), each direction's times in order."""
         lo, hi = self.lo, self.hi
-        h_lo, h = (s_lo[0], s[0]) if len(s) == 1 else (s_lo.max(axis=0), s.max(axis=0))
-        prev = np.fmax.accumulate(h_lo, axis=1)  # = maximum on finite supports, faster
-        np.maximum(prev, self.coverage[:, None], out=prev)
-        self.coverage = np.maximum(prev[:, -1], h[:, -1])
-        cand = (h > prev * (1.0 + TIE_MARGIN)) & (h >= lo) & (prev <= hi)
-        level = np.maximum(prev, lo)
-        e = cand.shape[1] - 1 - cand[:, ::-1].argmax(axis=1)  # each direction's last
-        d = np.flatnonzero(cand[np.arange(len(h)), e])        # record in the tile
-        e = e[d]
-        high, t_high = np.minimum(h[d, e], hi), t[d, e]
-        cut = np.flatnonzero(h[d, e] > hi)  # it passes hi: a root there
-        dc, ec = d[cut], e[cut]
-        # the records' lines, every spiral bisected in one go
-        k, i = np.nonzero(cand)
-        kk, ii = np.concatenate((k, dc)), np.concatenate((i, ec))
-        when = self._pass_time(s_lo[:, kk, ii], s[:, kk, ii], t_lo[kk, ii], t[kk, ii],
-                               np.concatenate((level[k, i], high[cut])), kk)
-        brk, ratio = np.zeros_like(level), np.full(level.shape, -np.inf)
-        brk[k, i], t_high[cut] = when[:len(k)], when[len(k):]
-        ratio[k, i] = brk[k, i] / level[k, i]
-        self.high[d], self.high_time[d] = high, t_high
-        j = ratio.argmax(axis=1)
-        k = np.arange(len(h))
-        k = k[ratio[k, j] > self.ratio]
-        j = j[k]
-        self.ratio[k], self.time[k] = ratio[k, j], brk[k, j]
-        self.level[k] = np.maximum(prev[k, j], lo)
+        n = s.shape[2]
+        h = s.max(axis=0)
+        prev = np.fmax.accumulate(h[:-1], axis=0)  # = maximum on finite supports, faster
+        np.maximum(prev, self.coverage, out=prev)
+        self.coverage = np.maximum(prev[-1], h[-1])
+        rec = (h[1:] > prev * (1.0 + TIE_MARGIN)) & (h[1:] >= lo) & (prev <= hi)
+        c = np.flatnonzero(rec)  # cell * n + direction, in t order
+        if not len(c):
+            return
+        k, s, t, h = c % n, s.reshape(len(s), -1), t.reshape(-1), h.reshape(-1)
+        floor = np.maximum(prev.reshape(-1)[c], lo)
+        s0, s1, t0, t1, h1 = s.take(c, axis=1), s.take(c + n, axis=1), t[c], t[c + n], h[c + n]
+        x, level = self._crossings(s0, s1, t0, t1, floor, k)
+        keep = (level > floor[x]) & (level <= hi) & (h1[x] > level * (1.0 + TIE_MARGIN))
+        # each direction's last record offers the line just below min(h, hi),
+        # paid where the running max passes hi if it does
+        d = np.flatnonzero(rec.any(axis=0))
+        last = np.searchsorted(c, (len(rec) - 1 - rec[::-1, d].argmax(axis=0)) * n + d)
+        cut = last[h1[last] > hi]
+        col = np.concatenate((np.arange(len(c)), x[keep], cut))
+        level = np.concatenate((floor, level[keep], np.full(len(cut), hi)))
+        when = self._pass_time(s0, s1, t0, t1, k, col, level)
+        lines = len(col) - len(cut)
+        self.high[d], self.high_time[d] = np.minimum(h1[last], hi), t1[last]
+        self.high_time[k[cut]] = when[lines:]
+        # each direction's first maximum, in t order: by cell, then by level
+        col, level, when = col[:lines], level[:lines], when[:lines]
+        ratio, k = when / level, k[col]
+        top = self.ratio.copy()
+        np.maximum.at(top, k, ratio)
+        w = np.flatnonzero((ratio == top[k]) & (ratio > self.ratio[k]))
+        w = w[np.lexsort((level[w], c[col[w]], k[w]))]
+        w = w[np.diff(k[w], prepend=-1) != 0]
+        self.ratio[k[w]], self.time[k[w]], self.level[k[w]] = ratio[w], when[w], level[w]
 
     def finish(self) -> None:
         """Offer each direction's line just below its last record."""
@@ -368,6 +355,12 @@ def _uncovered(theta: float, coverage: float, epsilon: float,
             f"{coverage:.6g} < epsilon {epsilon:.6g} within horizon",
             theta,
         )
+    if window is not None and coverage < window[1]:
+        return UncoveredDirectionError(
+            f"direction theta={theta:.6f} uncovered: coverage {coverage:.6g} < "
+            f"the measurement window's upper end {window[1]:.6g} within horizon",
+            theta,
+        )
     return UncoveredDirectionError(
         f"direction theta={theta:.6f} has no records inside the "
         f"measurement window {window}",
@@ -382,17 +375,19 @@ def _ray_fleet_cr(headings: list[float], horizon: float, thetas: np.ndarray, eps
     The witness is the line at lo = max(epsilon, window's lower end) on the
     bisector of the widest heading gap, the smallest bisector on a tie.  An
     uncovered fleet names the first grid direction thetas[j] whose reach,
-    horizon * max(0, max_i cos(thetas[j] - heading_i)), falls short of lo,
-    or the bisector where the shortfall lies between grid directions.
+    horizon * max(0, max_i cos(thetas[j] - heading_i)), falls short of lo
+    or of the window's upper end, or the bisector where the shortfall lies
+    between grid directions.
     """
     lo = epsilon if window is None else max(epsilon, window[0])
+    need = lo if window is None else max(lo, window[1])
     gap, bisector = max_angular_gap(headings)
     cos_half = math.cos(0.5 * gap)
     coverage = horizon * cos_half
-    if gap >= math.pi or coverage < lo:
+    if gap >= math.pi or coverage < need:
         reach = horizon * np.maximum(
             np.cos(thetas[:, None] - np.array(headings)).max(axis=1), 0.0)
-        bad = np.flatnonzero(reach < lo)
+        bad = np.flatnonzero(reach < need)
         theta, coverage = ((float(thetas[bad[0]]), float(reach[bad[0]])) if len(bad)
                            else (bisector, max(coverage, 0.0)))
         raise _uncovered(theta, coverage, epsilon, window)
@@ -425,8 +420,8 @@ def evaluate_cr(
 
     Raises UncoveredDirectionError for the first direction, in grid order,
     whose coverage stays below epsilon (the fleet does not solve the problem
-    within the horizon) or, failing that, whose records all fall outside
-    the measurement window.
+    within the horizon) or, with a window, below its upper end (lines in the
+    window stay unhit), or whose records all fall outside the window.
     """
     _check_time_grid(horizon, t_steps, spacing, t_start)
     if theta_steps < 1:
@@ -480,6 +475,8 @@ def _sweep_cr(fleet: Fleet, horizon: float, thetas: np.ndarray, epsilon: float,
     coverage = best.coverage
 
     bad = (coverage < epsilon) | (best.ratio == -np.inf)
+    if window is not None:
+        bad |= coverage < window[1]
     if bad.any():
         j = int(np.argmax(bad))
         raise _uncovered(float(thetas[j]), float(coverage[j]), epsilon, window)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -67,6 +68,23 @@ class Polyline:
         if verts[0] != (0.0, 0.0):
             raise ValueError("polyline must start at the origin")
         object.__setattr__(self, "vertices", verts)
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(arc length at each vertex, vertices), repeated vertices dropped;
+        computed once per path, read-only.  Equality and hashing stay on
+        the vertices alone."""
+        verts = np.asarray(self.vertices, dtype=float)
+        seg = np.diff(verts, axis=0)
+        lengths = np.hypot(seg[:, 0], seg[:, 1])
+        keep = lengths > 0.0  # repeated vertices contribute no arc length
+        verts = np.concatenate([verts[:1], verts[1:][keep]], axis=0)
+        if len(verts) < 2:  # degenerate path: the robot never moves
+            verts, cum = np.vstack([verts[0], verts[0]]), np.array([0.0, 0.0])
+        else:
+            cum = np.concatenate([[0.0], np.cumsum(lengths[keep])])
+        cum.flags.writeable = verts.flags.writeable = False
+        return cum, verts
 
 
 TrajectorySpec = Union[Ray, LogSpiral, AntipodalOf, Polyline]
@@ -132,22 +150,6 @@ def spec_from_dict(doc: dict, where: str = "robot") -> TrajectorySpec:
         raise ValueError(f"{where}: {exc}") from exc
 
 
-def _polyline_tables(spec: Polyline) -> tuple[np.ndarray, np.ndarray]:
-    verts = np.asarray(spec.vertices, dtype=float)
-    seg = np.diff(verts, axis=0)
-    lengths = np.hypot(seg[:, 0], seg[:, 1])
-    keep = lengths > 0.0  # repeated vertices contribute no arc length
-    verts = np.concatenate([verts[:1], verts[1:][keep]], axis=0)
-    if len(verts) < 2:
-        # Degenerate path: the robot never moves.
-        verts = np.vstack([verts[0], verts[0]])
-        cum = np.array([0.0, 0.0])
-        return cum, verts
-    lengths = lengths[keep]
-    cum = np.concatenate([[0.0], np.cumsum(lengths)])
-    return cum, verts
-
-
 def breakpoints(spec: TrajectorySpec) -> np.ndarray:
     """Times at which a path turns or parks: its polyline vertex times.
 
@@ -158,7 +160,7 @@ def breakpoints(spec: TrajectorySpec) -> np.ndarray:
     if isinstance(spec, AntipodalOf):
         return breakpoints(spec.inner)
     if isinstance(spec, Polyline):
-        return _polyline_tables(spec)[0][1:]
+        return spec._tables[0][1:]
     return np.empty(0)
 
 
@@ -240,7 +242,7 @@ def positions(spec: TrajectorySpec, ts: np.ndarray) -> np.ndarray:
     if isinstance(spec, AntipodalOf):
         return -positions(spec.inner, ts)
     if isinstance(spec, Polyline):
-        cum, verts = _polyline_tables(spec)
+        cum, verts = spec._tables
         s = np.clip(ts, 0.0, cum[-1])
         out = np.empty((len(ts), 2))
         out[:, 0] = np.interp(s, cum, verts[:, 0])

@@ -23,7 +23,7 @@ from shoreline.cli import load_fleet_config
 from shoreline.evaluator import evaluate_cr
 from shoreline.geometry import Point2
 from shoreline.optimizer import optimize_spiral
-from shoreline.trajectory import Fleet, Polyline, Ray
+from shoreline.trajectory import Fleet, LogSpiral, Polyline, Ray
 
 from reference import EllipseRegion, ellipse_q, reach_oracle
 
@@ -212,6 +212,29 @@ def test_criterion_10_certificates_never_exceed_measured_cr():
     ok = worst_margin >= -1e-6
     record(10, ok, f"min(cr - bound) = {worst_margin:.3g} >= -1e-6 over "
                    f"{checks} snapshots of 50 random polyline fleets")
+
+
+def test_criterion_10_holds_on_k_spiral_fleets():
+    # k spirals of growth b at phases 2 pi i / k repeat, scaled by
+    # exp(2 pi b / k), each time they turn by 2 pi / k, so a window spanning
+    # that period meets every line shape.  Neighbours swap places above the
+    # running max, and those swaps carry the ratio: without them 4 spirals
+    # at b = 2.5 measure 1.376, below the certificate's sqrt(2).  The
+    # horizon covers the window in every direction
+    worst_margin, checks = math.inf, 0
+    for k in (2, 3, 4):
+        for b in (0.3, 1.0, 2.5):
+            fleet = Fleet(tuple(LogSpiral(b, 2.0 * math.pi * i / k) for i in range(k)))
+            period = math.exp(2.0 * math.pi * b / k)
+            window = (1.0, 2.0 * period)
+            horizon = math.hypot(1.0, b) / b * 4.0 * window[1] * period
+            rep = evaluate_cr(fleet, horizon, theta_steps=6, epsilon=1.0, window=window)
+            for d in (0.3, 1.0, 3.0):
+                cert = snapshot_lower_bound(fleet, d, k)
+                worst_margin = min(worst_margin, rep.cr_estimate - cert.bound)
+                checks += 1
+    record(10, worst_margin >= -1e-6, f"min(cr - bound) = {worst_margin:.3g} >= -1e-6 over "
+                                      f"{checks} snapshots of 9 k-spiral fleets")
 
 
 def test_criterion_10_estimates_do_not_depend_on_the_t_grid():

@@ -71,6 +71,19 @@ def test_evaluate_uncovered_exit(tmp_path, capsys):
     assert "uncovered" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["10", "100"])
+def test_evaluate_refuses_a_window_the_horizon_does_not_cover(tmp_path, capsys, horizon):
+    # the line x = 7 lies inside the window (1, 20) and no robot ever
+    # reaches it, so no ratio measured within the horizon bounds the CR
+    robots = [{"kind": "polyline", "vertices": [[0.0, 0.0], [6.0, 0.0]]},
+              {"kind": "ray", "angle": 2.0 * math.pi / 3.0},
+              {"kind": "ray", "angle": 4.0 * math.pi / 3.0}]
+    cfg = write_config(tmp_path / "f.json", robots, {"epsilon": 1.0, "window": [1.0, 20.0]})
+    assert main(["evaluate", cfg, "--horizon", horizon]) == EXIT_UNCOVERED
+    err = capsys.readouterr().err
+    assert "theta=0.000000 uncovered: coverage 6 < the measurement window's upper end 20" in err
+
+
 @pytest.mark.parametrize("flag", ["--horizon", "--epsilon"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_evaluate_non_finite_is_a_config_error(tmp_path, capsys, flag, value):
@@ -645,7 +658,7 @@ def trajectory_picture_outputs(config: str, work: Path) -> bytes:
 TRAJECTORY_PICTURE_DIGESTS = {
     "spiral-1": "fe5fed67b65c86b8450198a195376fe677791598667dcefd29d4c5bcdc695792",
     "double-spiral-2": "b2dfba7eda4a827a48cedb45e87d2258c4a59c02eb6c129064653298ae6aed0a",
-    "polyline": "7db21a1c41b6368b3d1c7edccba55e7893d680eaafd6d6a453cf55a8b494f080",
+    "polyline": "5eb236ffa03a4c02c784f483865666b00dd89ec9b98bf1f6fef5b5e03ddbc2db",
 }
 
 

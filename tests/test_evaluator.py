@@ -22,9 +22,14 @@ from shoreline.evaluator import (
 from shoreline.optimizer import steady_state_cr
 from shoreline.trajectory import AntipodalOf, Fleet, LogSpiral, Polyline, Ray
 
+from reference import first_hit_time
+
 # all four vertices visited by t = 1 + 3 sqrt(2), so every direction covered
 DIAMOND = Polyline(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
                     (1.0, 0.0)))
+# a window the diamond covers: its support reaches 1/sqrt(2) or more in every
+# direction, and a window whose upper end a direction never reaches is refused
+WINDOW = (0.3, 0.7)
 _point = st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
 
 
@@ -531,13 +536,13 @@ def _assert_tile_invariant(monkeypatch, fleet, tiles, **kwargs):
 
 @given(
     walks=st.lists(st.lists(_point, min_size=1, max_size=5), min_size=0, max_size=3),
-    window=st.sampled_from([None, (0.3, 2.0)]),
+    window=st.sampled_from([None, WINDOW]),
 )
 @settings(max_examples=15, deadline=None)
 def test_tile_size_never_changes_the_report(walks, window):
     # a diamond anchor covers every direction; random walks add ties, flat
     # stretches, support crossings and records that straddle tile edges.  An
-    # event tile holds TILE_CELLS // (24 directions x (2 pairs + 1)) cells,
+    # event tile holds TILE_CELLS // (24 directions x 1 to 4 robots) cells,
     # at least one: here 1 to 125 of them
     robots = (DIAMOND,) + tuple(path(*w) for w in walks)
     with pytest.MonkeyPatch.context() as mp:
@@ -552,12 +557,13 @@ def test_tile_size_never_changes_mixed_grid_fleet(walk):
     # the polyline breakpoints, and its swaps with the others into record
     # cells: tile edges fall among them and inside the cells whose roots
     # are bisected, in tiles of 1, 2, 5 and every cell (TILE_CELLS // (24
-    # directions x (2 straight pairs + 3 robots)) = TILE_CELLS // 120).  The
-    # time grid it once took is still passed and ignored
+    # directions x 3 robots) = TILE_CELLS // 72).  The spiral and the
+    # diamond cover 0.79 in every direction by the horizon, above the
+    # window.  The time grid it once took is still passed and ignored
     fleet = Fleet((LogSpiral(growth=0.4), DIAMOND, path(*walk)))
     with pytest.MonkeyPatch.context() as mp:
-        _assert_tile_invariant(mp, fleet, (1, 240, 600, 1 << 20), horizon=12.0,
-                               theta_steps=24, t_steps=300, window=(0.5, 3.0),
+        _assert_tile_invariant(mp, fleet, (1, 144, 360, 1 << 20), horizon=12.0,
+                               theta_steps=24, t_steps=300, window=(0.5, 0.75),
                                spacing="geometric", t_start=0.3)
 
 
@@ -574,11 +580,12 @@ def test_record_sweep_overflow_stays_silent():
 
 def test_tile_size_never_changes_windowed_spiral(monkeypatch):
     # a lone spiral is sampled at its extrema, per direction, in tiles of
-    # TILE_CELLS // 6 cells: here 1, 2, 5 and every cell
+    # TILE_CELLS // (6 directions x 1 robot) cells: here 1, 2, 5 and every
+    # cell.  It covers 159 in every direction by the horizon, above the window
     fleet = Fleet((LogSpiral(growth=0.3),))
     _assert_tile_invariant(monkeypatch, fleet, (6, 12, 30, 3000), t_steps=3001,
                            horizon=2000.0, theta_steps=6, epsilon=5.0,
-                           window=(5.0, 300.0), spacing="geometric", t_start=0.05)
+                           window=(5.0, 150.0), spacing="geometric", t_start=0.05)
 
 
 def test_tile_size_never_changes_tied_ratios(monkeypatch):
@@ -638,7 +645,7 @@ _anchor = st.one_of(
 
 
 @given(anchor=_anchor, extra=st.lists(_robot, max_size=3),
-       window=st.sampled_from([None, (0.3, 2.0)]))
+       window=st.sampled_from([None, WINDOW]))
 @settings(max_examples=100, deadline=None)
 def test_witness_replays(anchor, extra, window):
     # the fleet reaches a line just past the witness, or, where the witness
@@ -707,7 +714,7 @@ def _oracle_cr(fleet, horizon, theta_steps, lo, hi):
 
 
 @given(anchor=_anchor, extra=st.lists(_robot, max_size=3),
-       window=st.sampled_from([None, (0.3, 2.0)]))
+       window=st.sampled_from([None, WINDOW]))
 @settings(max_examples=100, deadline=None)
 def test_piecewise_linear_fleets_match_an_exact_oracle(anchor, extra, window):
     # without a spiral the sweep samples every event, so its estimate is the
@@ -728,7 +735,7 @@ def test_piecewise_linear_fleets_match_an_exact_oracle(anchor, extra, window):
 
 
 @given(anchor=_anchor, extra=st.lists(_robot, max_size=3),
-       window=st.sampled_from([None, (0.3, 2.0)]))
+       window=st.sampled_from([None, WINDOW]))
 @settings(max_examples=25, deadline=None)
 def test_piecewise_linear_fleets_ignore_the_time_grid(anchor, extra, window):
     fleet = Fleet(anchor + tuple(extra))
@@ -780,6 +787,44 @@ def test_the_line_just_below_a_direction_coverage_is_measured():
     assert rep.witness_time == pytest.approx(1.0 + math.sqrt(2.0), rel=1e-12)
 
 
+def test_the_worst_line_can_be_paid_at_a_crossing():
+    # along theta = 0, a reaches x = 1 at t = 1 and creeps on at x-speed
+    # 0.1, while b runs back to x = -1 first and out at full speed from
+    # there: b overtakes a at t = 29/9, x = 11/9, strictly inside the cell
+    # [1, 11] between their turns.  T(L) / L rises along a up to that
+    # crossing and falls along b after it, so the worst line is the one just
+    # above 11/9, paid at 29/9: 29/11, where the lines at the events pay at
+    # most 11/9
+    a = path((1.0, 0.0), (2.0, 10.0 * math.sqrt(0.99)))
+    b = path((-1.0, 0.0), (10.0, 0.0))
+    fleet = Fleet((a, b))
+    rep = one_direction(a, b, horizon=12.0)
+    assert rep.cr_estimate == pytest.approx(29.0 / 11.0, rel=1e-12)
+    assert rep.witness.delta == pytest.approx(11.0 / 9.0, rel=1e-12)
+    assert rep.cr_estimate == pytest.approx(
+        max(_scalar_oracle(fleet, 12.0, 1, rep.epsilon, math.inf)), rel=1e-12)
+    hit = min(first_hit_time(robot, rep.witness, 12.0, tol=0.0) for robot in fleet.robots)
+    assert hit == pytest.approx(rep.witness_time, rel=1e-12)
+
+
+@pytest.mark.parametrize("fleet, horizons", [
+    # x = 7 lies inside the window and no robot ever reaches it: the polyline
+    # parks at x = 6 and the rays head away from it
+    (Fleet((path((6.0, 0.0)), Ray(2.0 * math.pi / 3.0), Ray(4.0 * math.pi / 3.0))),
+     (10.0, 100.0)),
+    # two robots that park within 1.6 of the origin
+    (Fleet((Polyline(tuple((1.6 * x, 1.6 * y) for x, y in DIAMOND.vertices)),
+            path((0.5, 0.5), (-0.2, 1.1)))), (60.0, 600.0)),
+])
+def test_a_window_the_horizon_does_not_cover_is_refused(fleet, horizons):
+    # the lines of the window beyond the coverage stay unhit however long
+    # the fleet runs: no ratio measured within a horizon bounds its CR
+    for horizon in horizons:
+        with pytest.raises(UncoveredDirectionError, match="upper end 20 within") as err:
+            evaluate_cr(fleet, horizon, epsilon=1.0, window=(1.0, 20.0))
+        assert err.value.theta == 0.0
+
+
 # --------------------------------------------------------- ray fleets
 
 
@@ -813,14 +858,14 @@ def _ray_outcome(robots, horizon, window):
 def test_ray_fleets_are_the_closed_form(robots, horizon, window):
     # the widest gap g between headings sets the ratio, 1/cos(g/2), and the
     # fleet is uncovered exactly where horizon * cos(g/2) falls short of lo,
-    # the larger of epsilon and the window's lower end; only a shortfall
-    # below epsilon can be a coverage error
+    # the larger of epsilon and the window's lower end, or of the window's
+    # upper end; only a shortfall below epsilon is an error without a window
     fleet, steps = Fleet(tuple(robots)), 8
     g = _heading_gap(robots)
     epsilon = DEFAULT_EPSILON_FACTOR * horizon
     lo = max(epsilon, window[0]) if window else epsilon
     reach = horizon * math.cos(0.5 * g) if g < math.pi else 0.0
-    if reach < lo:
+    if reach < (max(lo, window[1]) if window else lo):
         with pytest.raises(UncoveredDirectionError,
                            match=None if reach < epsilon else "measurement window"):
             evaluate_cr(fleet, horizon, theta_steps=steps, window=window)
@@ -848,9 +893,10 @@ def test_a_ray_fleet_turned_by_any_angle_keeps_its_ratio(robots, turn, horizon, 
     before = _ray_outcome(robots, horizon, window)
     after = _ray_outcome([turned(robot) for robot in robots], horizon, window)
     if isinstance(before, str) != isinstance(after, str):
-        # only a fleet within rounding of its coverage threshold may flip
-        lo = max(DEFAULT_EPSILON_FACTOR * horizon, window[0] if window else 0.0)
-        assert horizon * math.cos(0.5 * _heading_gap(robots)) == pytest.approx(lo, rel=1e-12)
+        # only a fleet within rounding of its coverage threshold may flip: the
+        # largest of epsilon and the window's ends
+        need = max(DEFAULT_EPSILON_FACTOR * horizon, *(window or ()))
+        assert horizon * math.cos(0.5 * _heading_gap(robots)) == pytest.approx(need, rel=1e-12)
     elif not isinstance(before, str):
         assert after == pytest.approx(before, rel=1e-12)
 
@@ -1018,8 +1064,13 @@ def test_mixed_fleets_match_a_scalar_oracle(spiral, partner, extra, window):
     want = _scalar_oracle(fleet, horizon, steps, max(lo, 1e-3 * horizon), hi)
     try:
         rep = evaluate_cr(fleet, horizon, theta_steps=steps, window=window)
-    except UncoveredDirectionError as err:  # a direction with no line inside
-        assert want[round(err.theta / (2.0 * math.pi / steps))] == -math.inf
+    except UncoveredDirectionError as err:
+        # a direction with no line inside, or whose coverage stays below hi
+        j = round(err.theta / (2.0 * math.pi / steps))
+        tracks = [_track(robot, err.theta, max(lo, 1e-3 * horizon), horizon)
+                  for robot in fleet.robots]
+        reach = max(f(t) for ts, f, _ in tracks for t in ts)
+        assert want[j] == -math.inf or reach < hi * (1.0 + 1e-12)
         return
     assert rep.cr_estimate == pytest.approx(max(want), rel=1e-9)
 
