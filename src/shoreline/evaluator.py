@@ -303,20 +303,29 @@ class _BestLine:
         if not len(c):
             return
         k, s, t, h = c % n, s.reshape(len(s), -1), t.reshape(-1), h.reshape(-1)
-        floor = np.maximum(prev.reshape(-1)[c], lo)
-        s0, s1, t0, t1, h1 = s.take(c, axis=1), s.take(c + n, axis=1), t[c], t[c + n], h[c + n]
-        x, level = self._crossings(s0, s1, t0, t1, floor, k)
-        keep = (level > floor[x]) & (level <= hi) & (h1[x] > level * (1.0 + TIE_MARGIN))
+        floor, t1, h1 = np.maximum(prev.reshape(-1)[c], lo), t[c + n], h[c + n]
         # each direction's last record offers the line just below min(h, hi),
         # paid where the running max passes hi if it does
         d = np.flatnonzero(rec.any(axis=0))
         last = np.searchsorted(c, (len(rec) - 1 - rec[::-1, d].argmax(axis=0)) * n + d)
-        cut = last[h1[last] > hi]
-        col = np.concatenate((np.arange(len(c)), x[keep], cut))
-        level = np.concatenate((floor, level[keep], np.full(len(cut), hi)))
+        self.high[d], self.high_time[d] = np.minimum(h1[last], hi), t1[last]
+        cut = np.zeros(len(c), bool)
+        cut[last[h1[last] > hi]] = True
+        # every line of a record cell is paid inside it and lies above its
+        # floor: t0 / floor bounds the best ratio of its direction from below,
+        # and t1 / floor bounds the cell's own from above
+        best = self.ratio.copy()
+        np.maximum.at(best, k, t[c] / floor)
+        win = t1 / floor * (1.0 + TIE_MARGIN) >= best[k]
+        c, k, floor, t1, h1, win, cut = (a[win | cut] for a in (c, k, floor, t1, h1, win, cut))
+        s0, s1, t0 = s.take(c, axis=1), s.take(c + n, axis=1), t[c]
+        x, level = self._crossings(s0, s1, t0, t1, floor, k)
+        keep = win[x] & (level > floor[x]) & (level <= hi) & (h1[x] > level * (1.0 + TIE_MARGIN))
+        cut = np.flatnonzero(cut)
+        col = np.concatenate((np.flatnonzero(win), x[keep], cut))
+        level = np.concatenate((floor[win], level[keep], np.full(len(cut), hi)))
         when = self._pass_time(s0, s1, t0, t1, k, col, level)
         lines = len(col) - len(cut)
-        self.high[d], self.high_time[d] = np.minimum(h1[last], hi), t1[last]
         self.high_time[k[cut]] = when[lines:]
         # each direction's first maximum, in t order: by cell, then by level
         col, level, when = col[:lines], level[:lines], when[:lines]
