@@ -12,7 +12,10 @@ direction theta and let h(t) be the running maximum, over robots and over
 time, of the support reached in that direction.  A line at offset L is
 first hit when h passes L, at T(L), and the adversary picks the worst
 T(L) / L over [lo, hi]: lo is epsilon (a start inside it trivializes the
-ratio) or a window's lower end, hi its upper end or infinity.
+ratio) or a window's lower end, hi its upper end or infinity.  A direction
+whose coverage at the horizon stays below hi is uncovered: lines of the
+window beyond it are never hit, so no ratio measured within the horizon
+bounds the fleet's.
 
 Such a fleet is sampled at its events, per direction: t = 0, the horizon,
 every robot's breakpoints and spiral support extrema (``trajectory``).
@@ -24,15 +27,11 @@ it, and the running max follows the highest of them, which changes only
 where two of them cross above the floor: in closed form for two straight
 robots, bisected where one is a spiral.  Along one robot's rising piece
 T(L) / L is monotone (straight) or falls, then rises (spiral), so a record
-cell's worst line is the one just above its floor, one just above a
-crossing, or the one just below min(h, hi).  Each is paid when the first
-robot passes it: in closed form on a straight piece, bisected to the float
-spacing on a spiral piece.  One sweep runs in t order over tiles of every
-direction, carrying only the running maximum.
-
-With a window, a direction whose coverage at the horizon stays below hi is
-uncovered: the lines of the window beyond it are never hit, so no ratio
-measured within the horizon bounds the fleet's.
+cell's worst line is the one just above its floor or a crossing, or the
+one just below min(h, hi).  Each is paid when its first robot passes it:
+in closed form on a straight piece, bisected to the float spacing on a
+spiral piece.  One sweep runs in t order over tiles of every direction,
+carrying only the running maximum.
 """
 
 from __future__ import annotations
@@ -202,18 +201,12 @@ def _sweep(fleet: Fleet, normals: np.ndarray, ts: np.ndarray, epsilon: float,
 class _BestLine:
     """Each direction's worst line so far, reduced tile by tile in t order.
 
-    A cell is a record when its end beats the running max prev at its start
-    by more than TIE_MARGIN; it offers the line just above max(prev, lo).
-    Every support is monotone inside a cell, so the robots that end it above
-    that floor rise through it, and the running max follows the highest of
-    them: a new one takes over only where two of them cross above the
-    floor, and each such crossing offers the line just above the support
-    there.  Each line is paid by its first passing robot (_pass_time); the
-    first maximum wins.  The line just below min(h, hi) of a record is
-    beaten by the next record's, which waits at least as long for the same
-    offset, so only each direction's last record offers it, once the sweep
-    is done (finish), and it must beat the best line by more than
-    TIE_MARGIN: on a ray the two are equal up to rounding.
+    Record cells and their lines are the module docstring's; the first
+    maximum wins.  The line just below min(h, hi) of a record is beaten by
+    the next record's, which waits at least as long for the same offset, so
+    only each direction's last record offers it, once the sweep is done
+    (finish), and it must beat the best line by more than TIE_MARGIN: on a
+    ray the two are equal up to rounding.
     """
 
     def __init__(self, robots, normals: np.ndarray, epsilon: float,
@@ -309,21 +302,23 @@ class _BestLine:
         d = np.flatnonzero(rec.any(axis=0))
         last = np.searchsorted(c, (len(rec) - 1 - rec[::-1, d].argmax(axis=0)) * n + d)
         self.high[d], self.high_time[d] = np.minimum(h1[last], hi), t1[last]
-        cut = np.zeros(len(c), bool)
-        cut[last[h1[last] > hi]] = True
+        cut = last[h1[last] > hi]
         # every line of a record cell is paid inside it and lies above its
         # floor: t0 / floor bounds the best ratio of its direction from below,
-        # and t1 / floor bounds the cell's own from above
+        # and t1 / floor the cell's own from above, so only cells that can
+        # win and those cut at hi are kept
         best = self.ratio.copy()
         np.maximum.at(best, k, t[c] / floor)
         win = t1 / floor * (1.0 + TIE_MARGIN) >= best[k]
-        c, k, floor, t1, h1, win, cut = (a[win | cut] for a in (c, k, floor, t1, h1, win, cut))
+        win[cut] = True
+        live = np.flatnonzero(win)
+        c, k, floor, t1, h1 = (a[live] for a in (c, k, floor, t1, h1))
+        cut = np.searchsorted(live, cut)
         s0, s1, t0 = s.take(c, axis=1), s.take(c + n, axis=1), t[c]
         x, level = self._crossings(s0, s1, t0, t1, floor, k)
-        keep = win[x] & (level > floor[x]) & (level <= hi) & (h1[x] > level * (1.0 + TIE_MARGIN))
-        cut = np.flatnonzero(cut)
-        col = np.concatenate((np.flatnonzero(win), x[keep], cut))
-        level = np.concatenate((floor[win], level[keep], np.full(len(cut), hi)))
+        keep = (level > floor[x]) & (level <= hi) & (h1[x] > level * (1.0 + TIE_MARGIN))
+        col = np.concatenate((np.arange(len(c)), x[keep], cut))
+        level = np.concatenate((floor, level[keep], np.full(len(cut), hi)))
         when = self._pass_time(s0, s1, t0, t1, k, col, level)
         lines = len(col) - len(cut)
         self.high_time[k[cut]] = when[lines:]
@@ -389,7 +384,7 @@ def _ray_fleet_cr(headings: list[float], horizon: float, thetas: np.ndarray, eps
     between grid directions.
     """
     lo = epsilon if window is None else max(epsilon, window[0])
-    need = lo if window is None else max(lo, window[1])
+    need = epsilon if window is None else max(epsilon, window[1])
     gap, bisector = max_angular_gap(headings)
     cos_half = math.cos(0.5 * gap)
     coverage = horizon * cos_half
@@ -483,9 +478,8 @@ def _sweep_cr(fleet: Fleet, horizon: float, thetas: np.ndarray, epsilon: float,
     best = _sweep(fleet, normals, ts, epsilon, window)
     coverage = best.coverage
 
-    bad = (coverage < epsilon) | (best.ratio == -np.inf)
-    if window is not None:
-        bad |= coverage < window[1]
+    need = epsilon if window is None else max(epsilon, window[1])
+    bad = (coverage < need) | (best.ratio == -np.inf)
     if bad.any():
         j = int(np.argmax(bad))
         raise _uncovered(float(thetas[j]), float(coverage[j]), epsilon, window)

@@ -74,15 +74,16 @@ class Polyline:
         """(arc length at each vertex, vertices), repeated vertices dropped;
         computed once per path, read-only.  Equality and hashing stay on
         the vertices alone."""
-        verts = np.asarray(self.vertices, dtype=float)
-        seg = np.diff(verts, axis=0)
+        verts = np.array(self.vertices)
+        seg = verts[1:] - verts[:-1]
         lengths = np.hypot(seg[:, 0], seg[:, 1])
         keep = lengths > 0.0  # repeated vertices contribute no arc length
-        verts = np.concatenate([verts[:1], verts[1:][keep]], axis=0)
+        if not keep.all():
+            verts, lengths = np.concatenate([verts[:1], verts[1:][keep]]), lengths[keep]
+        cum = np.zeros(max(len(verts), 2))
+        np.cumsum(lengths, out=cum[1:len(verts)])
         if len(verts) < 2:  # degenerate path: the robot never moves
-            verts, cum = np.vstack([verts[0], verts[0]]), np.array([0.0, 0.0])
-        else:
-            cum = np.concatenate([[0.0], np.cumsum(lengths[keep])])
+            verts = np.vstack([verts, verts])
         cum.flags.writeable = verts.flags.writeable = False
         return cum, verts
 
