@@ -320,3 +320,15 @@ def test_support_extrema_of_straight_paths_are_empty():
     thetas = np.linspace(0.0, 1.0, 3)
     for spec in (Ray(0.3), Polyline(((0.0, 0.0), (1.0, 2.0))), AntipodalOf(Ray(1.0))):
         assert support_extrema(spec, thetas, 0.1, 10.0).shape == (3, 0)
+
+
+def test_a_polyline_builds_its_tables_once():
+    # the arc-length tables are built on first use and kept, read-only;
+    # equality and hashing still look at the vertices alone
+    a = Polyline(((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 2.0)))
+    b = Polyline(a.vertices)
+    tables = a._tables
+    assert positions(a, np.array([2.0]))[0].tolist() == [1.0, 1.0]
+    assert a._tables is tables
+    assert tables[0].tolist() == [0.0, 1.0, 3.0] and not tables[0].flags.writeable
+    assert a == b and hash(a) == hash(b) and a in {b}
