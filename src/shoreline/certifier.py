@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import Cone, Line, Point2, max_angular_gap, normalize_angle
-from .trajectory import Fleet, positions
+from .trajectory import Fleet, position
 
 SQRT3 = math.sqrt(3.0)
 # Comparison slack when an angular gap must meet its target exactly
@@ -160,8 +160,8 @@ def snapshot_lower_bound(
         raise ValueError(f"fleet has {len(fleet)} robots, expected n={n}")
     if origin_tol is None:
         origin_tol = 1e-9 * d
-    pos = np.concatenate([positions(r, np.array([float(d)])) for r in fleet.robots])
-    radii = np.hypot(pos[:, 0], pos[:, 1])
+    pos = tuple(position(r, float(d)) for r in fleet.robots)
+    radii = [math.hypot(x, y) for x, y in pos]
     angles = [math.atan2(y, x) for (x, y), rad in zip(pos, radii) if rad > origin_tol]
 
     degenerate = not angles
@@ -189,7 +189,7 @@ def snapshot_lower_bound(
         # n <= 2: reachable-ellipse argument.  Rotate robot 1 onto the positive
         # x-axis; with two robots reflect so robot 2 ends in the upper half-plane.
         r1 = pos[0]
-        alpha = math.atan2(r1[1], r1[0]) if np.hypot(*r1) > origin_tol else 0.0
+        alpha = math.atan2(r1[1], r1[0]) if radii[0] > origin_tol else 0.0
         reflect = n == 2 and (_rot(-alpha) @ pos[1])[1] < 0.0
         # Witness normal points into the unexplored half-plane: straight down in
         # the normalized frame, mapped back through the frame transforms.
@@ -207,7 +207,7 @@ def snapshot_lower_bound(
         bound_limit=limit,
         degenerate=degenerate,
         params={"gamma": gamma, "eps": eps, "zeta": zeta, "origin_tol": origin_tol},
-        robot_positions=tuple((float(p[0]), float(p[1])) for p in pos),
+        robot_positions=pos,
     )
 
 

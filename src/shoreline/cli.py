@@ -7,9 +7,10 @@ search), plot (SVG rendering of a report).  Outputs are files plus a
 one-line summary on stdout.
 
 Exit codes: 0 ok, 1 usage/config error (including any flag value the
-library rejects and an --out the command cannot write), 2 uncovered
-direction, 3 lemma violation, 4 non-convergence (including an optimize
-bracket in which every steady-state CR overflows).
+library rejects, a grid too large to fit in memory and an --out the
+command cannot write), 2 uncovered direction, 3 lemma violation, 4
+non-convergence (including an optimize bracket in which every
+steady-state CR overflows).
 
 Fleet configs are JSON:
 
@@ -40,7 +41,7 @@ import sys
 from pathlib import Path
 
 from . import certifier, evaluator, optimizer, report
-from .trajectory import Fleet, spec_from_dict, spec_to_dict
+from .trajectory import Fleet, is_number, spec_from_dict, spec_to_dict
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -49,23 +50,19 @@ EXIT_LEMMA = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 # What each evaluation key holds, and the test its JSON value must pass.
 EVALUATION_VALUES = {
-    "horizon": ("a number", _is_number),
-    "epsilon": ("a number", _is_number),
-    "t_start": ("a number", _is_number),
+    "horizon": ("a number", is_number),
+    "epsilon": ("a number", is_number),
+    "t_start": ("a number", is_number),
     "theta_steps": ("an integer", _is_count),
     "t_steps": ("an integer", _is_count),
     "window": ("a pair of numbers",
-               lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v))),
+               lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_number, v))),
     "spacing": ("a string", lambda v: isinstance(v, str)),
 }
 
@@ -320,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_UNCOVERED
     except ValueError as exc:  # ConfigError and any value the library rejects
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a grid too large to allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -10,8 +10,10 @@ with the y axis flipped.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
@@ -96,16 +98,63 @@ def to_document(obj, *, fleet: list[dict] | None = None, extra: dict | None = No
         doc = {"schema": "lemma_suite/v1", **obj}
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    if fleet is not None:
-        doc["fleet"] = fleet
     if extra:
         doc.update(extra)
-    return _json_safe(doc)
+    doc = _json_safe(doc)
+    if fleet is not None:  # spec_to_dict's descriptors are plain JSON already
+        doc["fleet"] = fleet
+    return doc
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+@functools.cache
+def _items_encoder(depth: int):
+    """The stdlib's C encoder, one item per line `depth` indents in; built once,
+    where JSONEncoder.encode would build it anew on every call."""
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": "))
+    if c_make_encoder is None:  # no C accelerator: the same bytes, slower
+        return encoder.encode
+    encode = c_make_encoder(None, encoder.default, encode_basestring_ascii, None,
+                            encoder.key_separator, encoder.item_separator, True, False, True)
+    return lambda value: "".join(encode(value, 0))
+
+
+def _all_scalars(items) -> bool:
+    for item in items:
+        if isinstance(item, _CONTAINERS):
+            return False
+    return True
+
+
+def _indented(value, depth: int = 0) -> str:
+    """json.dumps(value, sort_keys=True, indent=2), byte for byte, where json
+    would take its pure-Python encoder.  A container of scalars is one call of
+    the C encoder, and so are rows of scalars (vertices), whose brackets then
+    move onto lines of their own: the C encoder writes a raw newline only in a
+    separator, so "],<newline><inner>[" is only ever a row boundary."""
+    if not (value and isinstance(value, _CONTAINERS)):
+        return _items_encoder(0)(value)  # a scalar or an empty container
+    pad, inner = "  " * (depth + 1), "  " * (depth + 2)
+    if isinstance(value, dict) and not _all_scalars(value.values()):
+        text = "{" + (",\n" + pad).join(  # keys are strings: to_document made them so
+            [f"{encode_basestring_ascii(k)}: {_indented(v, depth + 1)}"
+             for k, v in sorted(value.items())]) + "}"
+    elif isinstance(value, dict) or _all_scalars(value):
+        text = _items_encoder(depth + 1)(value)
+    elif all(isinstance(row, (list, tuple)) and row and _all_scalars(row) for row in value):
+        rows = _items_encoder(depth + 2)(value)[2:-2]
+        text = "[[\n" + inner + rows.replace(
+            "],\n" + inner + "[", f"\n{pad}],\n{pad}[\n{inner}") + f"\n{pad}]]"
+    else:
+        text = "[" + (",\n" + pad).join([_indented(v, depth + 1) for v in value]) + "]"
+    return f"{text[0]}\n{pad}{text[1:-1]}\n{pad[2:]}{text[-1]}"
 
 
 def emit_report(obj, *, fleet: list[dict] | None = None, extra: dict | None = None) -> str:
-    return json.dumps(to_document(obj, fleet=fleet, extra=extra),
-                      sort_keys=True, indent=2) + "\n"
+    """json.dumps(to_document(...), sort_keys=True, indent=2) plus a newline."""
+    return _indented(to_document(obj, fleet=fleet, extra=extra)) + "\n"
 
 
 def _clip_line(line: Line, w: float) -> tuple[tuple[float, float], tuple[float, float]] | None:

@@ -11,6 +11,7 @@ exactly, so no numeric reparameterization is needed.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -70,20 +71,23 @@ class Polyline:
         object.__setattr__(self, "vertices", verts)
 
     @cached_property
+    def _knots(self) -> tuple[list[float], list[tuple[float, float]]]:
+        """(arc length at each vertex, vertices), repeated vertices dropped and a
+        path that never moves keeping its one vertex twice; built once per path."""
+        v = self.vertices
+        lengths = np.hypot([b[0] - a[0] for a, b in zip(v, v[1:])],
+                           [b[1] - a[1] for a, b in zip(v, v[1:])]).tolist()
+        cum, verts = [0.0], [v[0]]
+        for b, length in zip(v[1:], lengths):
+            if length > 0.0:  # repeated vertices contribute no arc length
+                cum.append(cum[-1] + length)
+                verts.append(b)
+        return (cum, verts) if len(verts) > 1 else ([0.0, 0.0], verts * 2)
+
+    @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(arc length at each vertex, vertices), repeated vertices dropped;
-        computed once per path, read-only.  Equality and hashing stay on
-        the vertices alone."""
-        verts = np.array(self.vertices)
-        seg = verts[1:] - verts[:-1]
-        lengths = np.hypot(seg[:, 0], seg[:, 1])
-        keep = lengths > 0.0  # repeated vertices contribute no arc length
-        if not keep.all():
-            verts, lengths = np.concatenate([verts[:1], verts[1:][keep]]), lengths[keep]
-        cum = np.zeros(max(len(verts), 2))
-        np.cumsum(lengths, out=cum[1:len(verts)])
-        if len(verts) < 2:  # degenerate path: the robot never moves
-            verts = np.vstack([verts, verts])
+        """_knots as read-only arrays; equality and hashing stay on the vertices."""
+        cum, verts = map(np.array, self._knots)
         cum.flags.writeable = verts.flags.writeable = False
         return cum, verts
 
@@ -121,6 +125,11 @@ def spec_to_dict(spec: TrajectorySpec) -> dict:
     return doc
 
 
+def is_number(value) -> bool:
+    """Whether a JSON value is a number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def spec_from_dict(doc: dict, where: str = "robot") -> TrajectorySpec:
     """Inverse of spec_to_dict; raises ValueError naming `where` on bad input.
 
@@ -137,6 +146,10 @@ def spec_from_dict(doc: dict, where: str = "robot") -> TrajectorySpec:
         raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
     if kind == "antipodal_of":  # the inner descriptor names its own slot
         return AntipodalOf(spec_from_dict(doc.get("inner"), where + ".inner"))
+
+    for key in ("angle", "growth", "start_phase"):
+        if key in doc and not is_number(doc[key]):
+            raise ValueError(f"{where}: {key} must be a number, got {doc[key]!r}")
     try:
         if kind == "ray":
             return Ray(angle=float(doc["angle"]))
@@ -146,8 +159,13 @@ def spec_from_dict(doc: dict, where: str = "robot") -> TrajectorySpec:
                 start_phase=float(doc.get("start_phase", 0.0)),
                 chirality=str(doc.get("chirality", "ccw")),
             )
-        return Polyline(tuple((float(x), float(y)) for x, y in doc["vertices"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        vertices = doc["vertices"]
+        for i, v in enumerate(vertices):
+            if not (isinstance(v, (list, tuple)) and len(v) == 2
+                    and is_number(v[0]) and is_number(v[1])):
+                raise ValueError(f"vertices[{i}] must be a pair of numbers, got {v!r}")
+        return Polyline(vertices)  # which makes them a tuple of pairs of floats
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
 
@@ -250,3 +268,24 @@ def positions(spec: TrajectorySpec, ts: np.ndarray) -> np.ndarray:
         out[:, 1] = np.interp(s, cum, verts[:, 1])
         return out
     raise TypeError(f"unknown trajectory spec {type(spec).__name__}")
+
+
+def position(spec: TrajectorySpec, t: float) -> tuple[float, float]:
+    """positions(spec, [t])[0] as a pair of floats, bit for bit, without arrays
+    on straight paths: a polyline repeats np.interp's arithmetic on its knots.
+    Spirals take positions, as np.log and np.cos need not round as math's do."""
+    if t < 0.0:
+        raise ValueError("negative time")
+    if isinstance(spec, Ray):
+        return t * math.cos(spec.angle), t * math.sin(spec.angle)
+    if isinstance(spec, AntipodalOf):
+        x, y = position(spec.inner, t)
+        return -x, -y
+    if isinstance(spec, Polyline):
+        cum, verts = spec._knots
+        j = bisect.bisect_right(cum, t) - 1
+        if j == len(cum) - 1 or cum[j] == t:  # parked, or on a vertex
+            return verts[j]
+        (x0, y0), (x1, y1), c0, c1 = verts[j], verts[j + 1], cum[j], cum[j + 1]
+        return (x1 - x0) / (c1 - c0) * (t - c0) + x0, (y1 - y0) / (c1 - c0) * (t - c0) + y0
+    return tuple(positions(spec, np.array([t]))[0].tolist())

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from shoreline import certifier, evaluator
 from shoreline.cli import (
     EXIT_CONFIG,
     EXIT_LEMMA,
@@ -202,6 +203,47 @@ def test_config_error_names_bad_robot(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "robots[1]" in err
     assert "hovercraft" in err
+
+
+@pytest.mark.parametrize("robot,message", [
+    ({"kind": "ray", "angle": "1"}, "robots[0]: angle must be a number, got '1'"),
+    ({"kind": "ray", "angle": True}, "robots[0]: angle must be a number, got True"),
+    ({"kind": "log_spiral", "growth": "0.5"}, "robots[0]: growth must be a number"),
+    ({"kind": "log_spiral", "growth": 0.5, "start_phase": False},
+     "robots[0]: start_phase must be a number, got False"),
+    ({"kind": "polyline", "vertices": [[0, 0], [True, 1]]},
+     "robots[0]: vertices[1] must be a pair of numbers, got [True, 1]"),
+    ({"kind": "polyline", "vertices": [[0, 0], ["1", 1]]},
+     "robots[0]: vertices[1] must be a pair of numbers"),
+    ({"kind": "antipodal_of", "inner": {"kind": "ray", "angle": "1"}},
+     "robots[0].inner: angle must be a number"),
+    ({"kind": "ray", "angle": 10 ** 400}, "robots[0]: int too large to convert to float"),
+], ids=["ray-string", "ray-bool", "spiral-growth", "spiral-phase", "vertex-bool",
+        "vertex-string", "inner", "huge-int"])
+def test_robot_fields_must_be_json_numbers(tmp_path, capsys, robot, message):
+    # the evaluation block's test: float() would take "1" and true as 1.0
+    cfg = write_config(tmp_path / "f.json", [robot])
+    assert main(["certify", cfg, "--d", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,module,name", [
+    (["evaluate", str(FLEETS / "rays-4.json"), "--theta-steps", "100000000000"],
+     evaluator, "evaluate_cr"),
+    (["lemmas", "--grid", "100000000000"], certifier, "lemma_suite"),
+], ids=["evaluate", "lemmas"])
+def test_memory_errors_exit_without_traceback(monkeypatch, capsys, argv, module, name):
+    # a grid too large to allocate: the library raises as numpy would,
+    # without allocating anything here
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 5.82 TiB for an array")
+
+    monkeypatch.setattr(module, name, out_of_memory)
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 5.82 TiB for an array\n"
 
 
 @pytest.mark.parametrize("doc,where,key", [
@@ -671,6 +713,28 @@ def test_trajectory_pictures_are_pinned(tmp_path, capsys, name):
         config = str(FLEETS / f"{name}.json")
     digest = hashlib.sha256(trajectory_picture_outputs(config, tmp_path)).hexdigest()
     assert digest == TRAJECTORY_PICTURE_DIGESTS[name]
+
+
+# sha256 of certificates of polyline fleets, which PARITY_DIGESTS (rays and
+# spirals) leaves unpinned: the picture fleet above, then with a ray and
+# then a walk that repeats a vertex added, so that n <= 2, n = 3 and n >= 4
+# all build one, each at snapshot times inside a segment, on a vertex (t = 1)
+# and past the end of every path.  The values depend on the platform's libm.
+POLYLINE_CERTIFICATE_DIGEST = "2584c6279b8db245618f3fc4bf51a6950972c55fddd533823ecb6caff809582e"
+
+
+def test_polyline_certificates_are_pinned(tmp_path, capsys):
+    extra = [{"kind": "ray", "angle": 2.0},
+             {"kind": "polyline", "vertices": [[0, 0], [2, 1], [2, 1], [-1, 3]]}]
+    out, certificates = tmp_path / "cert.json", []
+    for n in (2, 3, 4):
+        config = write_config(tmp_path / f"fleet-{n}.json",
+                              POLYLINE_PICTURE_ROBOTS + extra[:n - 2])
+        for d in ("0.3", "1", "2.5", "40"):
+            assert main(["certify", config, "--d", d, "--out", str(out)]) == EXIT_OK
+            certificates.append(out.read_bytes())
+    digest = hashlib.sha256(b"".join(certificates)).hexdigest()
+    assert digest == POLYLINE_CERTIFICATE_DIGEST
 
 
 # ----------------------------------------------------------- shared parser

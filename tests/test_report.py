@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shoreline.certifier import snapshot_lower_bound
 from shoreline.evaluator import CRReport
@@ -86,6 +88,31 @@ def test_document_merges_fleet_and_extra():
                       extra={"elapsed_s": 0.5})
     assert doc["fleet"] == fleet_docs
     assert doc["elapsed_s"] == 0.5
+
+
+_text = st.text(max_size=6)
+_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), _text,
+    st.floats().map(np.float64), st.integers(-2**63, 2**63 - 1).map(np.int64))
+# rows of scalars, like vertices; text with brackets and newlines in it
+_rows = st.lists(st.lists(st.one_of(_scalar, st.sampled_from(["],\n    [", "]\n["])),
+                          min_size=1, max_size=3), min_size=1, max_size=4)
+_document = st.dictionaries(_text, st.recursive(
+    st.one_of(_scalar, _rows),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=12), max_size=5)
+
+
+@given(doc=_document, fleet=st.sampled_from([None, [], [spec_to_dict(Ray(0.5)), spec_to_dict(
+    Polyline(((0.0, 0.0), (1.0, -0.0), (1.0, 2.5))))]]))
+@settings(max_examples=100, deadline=None)
+def test_emit_writes_the_indented_json_dump(doc, fleet):
+    # empty containers, non-ASCII text, bools, ints, None, non-finite floats
+    # and numpy scalars: the bytes json.dumps(indent=2) would write
+    want = json.dumps(to_document(doc, fleet=fleet), sort_keys=True, indent=2) + "\n"
+    assert emit_report(doc, fleet=fleet) == want
 
 
 def point_certificate(x: float, y: float, d: float = 1.0) -> dict:

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shoreline import trajectory
 from shoreline.geometry import Line
 from shoreline.trajectory import (
     AntipodalOf,
@@ -12,6 +13,7 @@ from shoreline.trajectory import (
     LogSpiral,
     Polyline,
     Ray,
+    breakpoints,
     positions,
     spec_from_dict,
     spec_to_dict,
@@ -156,6 +158,56 @@ def test_positions_vectorized_matches_scalar():
             p = position(spec, float(t))
             assert arr[i, 0] == pytest.approx(p.x, abs=1e-12)
             assert arr[i, 1] == pytest.approx(p.y, abs=1e-12)
+
+
+def _stuttering_walk(steps):
+    """Polyline from the origin through the points, each flagged one repeated."""
+    verts = [(0.0, 0.0)]
+    for point, repeat in steps:
+        verts += [point] * (2 if repeat else 1)
+    return Polyline(tuple(verts))
+
+
+_coordinate = st.one_of(st.integers(-4, 4).map(float), st.floats(-1e3, 1e3))
+_stutter = st.builds(_stuttering_walk, st.lists(
+    st.tuples(st.tuples(_coordinate, _coordinate), st.booleans()), min_size=1, max_size=6))
+_one_time_spec = st.recursive(
+    st.one_of(st.builds(Ray, st.floats(-10.0, 10.0)), _stutter, _spiral),
+    lambda inner: st.builds(AntipodalOf, inner), max_leaves=3)
+
+
+@given(spec=_one_time_spec, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_position_is_positions_at_one_time_bit_for_bit(spec, data):
+    # at t = 0, at every vertex time, inside a segment and past the end;
+    # compared as bytes, so a signed zero counts too
+    knots = breakpoints(spec).tolist()
+    end = knots[-1] if knots else 10.0
+    times = [0.0, *knots, data.draw(st.floats(0.0, end)), 2.0 * end + 1.0]
+    for t in times:
+        want = positions(spec, np.array([t]))[0]
+        assert np.array(trajectory.position(spec, t)).tobytes() == want.tobytes(), t
+
+
+def test_position_returns_the_vertex_itself_at_its_time():
+    # as np.interp does: interpolating there would turn its -0.0 into 0.0
+    spec = Polyline(((0.0, 0.0), (-0.0, 1.0), (1.0, 1.0)))
+    for x, _ in (trajectory.position(spec, 1.0), positions(spec, np.array([1.0]))[0]):
+        assert math.copysign(1.0, x) == -1.0
+
+
+@given(verts=st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=8))
+@example(verts=[(-0.78, 0.62)])  # math.hypot is one ulp above np.hypot here
+@settings(max_examples=100, deadline=None)
+def test_breakpoints_are_the_cumulative_hypot_lengths(verts):
+    # bit for bit: np.hypot of each step in order, repeated vertices
+    # dropped, summed one after another (math.hypot rounds differently); a
+    # path that never moves parks at t = 0
+    spec = Polyline(((0.0, 0.0), *verts))
+    steps = np.diff(np.array(spec.vertices), axis=0)
+    lengths = np.hypot(steps[:, 0], steps[:, 1])
+    want = np.cumsum(lengths[lengths > 0.0]).tolist() or [0.0]
+    assert breakpoints(spec).tolist() == want
 
 
 def test_positions_rejects_negative_times():
