@@ -18,11 +18,9 @@ fleet regardless of grid choices.  Three constructions, by fleet size:
   upper half-plane, neither ellipse dips below y = -d/2, so the line at
   y = -(1/2 + zeta)d is unvisited.  Bound (3/2 + zeta)/(1/2 + zeta) -> 3.
 
-The reflection inequality and the ellipse geometry are verified separately
-by sweeps (omb_oracle, discriminant_sweep), run together by lemma_suite, so
-the per-fleet certificates can lean on them.  omb_oracle scans grid
-positions of K along MB and takes the exact nearest L on OB, the orthogonal
-projection of K, which always lands inside the segment.
+The reflection inequality and the line missing every ellipse hold in closed
+form (omb_minimum and discriminant_max give the proofs), and lemma_suite
+checks them, so the per-fleet certificates can lean on them.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ GAP_SLACK = 1e-12
 DEFAULT_GAMMA = 1e-6
 DEFAULT_EPS = 1e-6
 DEFAULT_ZETA = 1e-6
-DEFAULT_GRID = 1000
 
 
 @dataclass
@@ -59,36 +56,35 @@ class ConeCertificate:
     robot_positions: tuple[tuple[float, float], ...] = ()
 
 
-def omb_oracle(
-    phi: float, grid: int = DEFAULT_GRID, *, allow_beyond_hypothesis: bool = False
-) -> tuple[float, tuple[Point2, Point2]]:
+def omb_minimum(
+    phi: float, *, allow_beyond_hypothesis: bool = False
+) -> tuple[float, float, tuple[Point2, Point2]]:
     """Minimum of OK + KL - OB over the right triangle with apex angle phi.
 
     O is the origin, M = (cos phi, 0) the foot of the altitude and B =
-    (cos phi, sin phi), so OB = 1.  K = M + s(B - M) is scanned at grid
-    values of s in [0, 1]; for each K the nearest L on OB is exact.  It is
-    the orthogonal projection L = vB with v = cos^2 phi + s sin^2 phi, which
-    lies in [cos^2 phi, 1], inside the segment, at distance
-    KL = cos phi sin phi (1 - s).  Returns the minimum and its (K, L).
-
-    The inequality OK + KL >= OB needs phi <= pi/4; larger apex angles are
+    (cos phi, sin phi), so OB = 1.  For K = M + s(B - M) on MB the nearest L
+    on OB is the orthogonal projection L = vB, v = cos^2 phi + s sin^2 phi
+    in [cos^2 phi, 1], at KL = cos phi sin phi (1 - s).  The excess
+    g(s) = hypot(cos phi, s sin phi) + cos phi sin phi (1 - s) - 1 is convex,
+    with slope s sin^2 phi / hypot(cos phi, s sin phi) - cos phi sin phi
+    vanishing at s* = cot^2 phi, so its minimum over [0, 1] is at
+    min(1, s*): a slope <= 0 there (up to rounding) certifies it.  For
+    phi <= pi/4, s* >= 1 and g(1) = 0, which is OK + KL >= OB.  Returns
+    the minimum, the slope there and (K, L).  Larger apex angles are
     rejected unless allow_beyond_hypothesis is set (they make a useful
-    negative control, the minimum goes genuinely negative there).
+    negative control, the minimum goes negative there).
     """
     if not 0.0 < phi <= math.pi / 4.0 and not allow_beyond_hypothesis:
         raise ValueError("lemma hypothesis violated: need 0 < phi <= pi/4")
     if not 0.0 < phi < math.pi / 2.0:
         raise ValueError("phi must lie in (0, pi/2)")
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
-    s = np.linspace(0.0, 1.0, grid)
     cphi, sphi = math.cos(phi), math.sin(phi)
-    ex = np.hypot(cphi, s * sphi) + cphi * sphi * (1.0 - s) - 1.0
-    i = int(np.argmin(ex))
-    v = 1.0 - (1.0 - s[i]) * sphi * sphi  # cos^2 + s sin^2, exactly 1 at s = 1
-    k = Point2(cphi, s[i] * sphi)
-    l = Point2(v * cphi, v * sphi)
-    return float(ex[i]), (k, l)
+    s = min(1.0, cphi / sphi) ** 2  # min(1, s*), without overflow as phi -> 0
+    ok = math.hypot(cphi, s * sphi)
+    excess = ok + cphi * sphi * (1.0 - s) - 1.0
+    v = 1.0 - (1.0 - s) * sphi * sphi  # cos^2 + s sin^2, exactly 1 at s = 1
+    k, l = Point2(cphi, s * sphi), Point2(v * cphi, v * sphi)
+    return excess, s * sphi * sphi / ok - cphi * sphi, (k, l)
 
 
 def cone_exit_objective(lam: float) -> float:
@@ -241,34 +237,25 @@ def ellipse_boundary(delta: float, theta: float, samples: int = 512) -> np.ndarr
     return 0.5 * delta * u + 0.5 * np.outer(np.cos(t), u) + b * np.outer(np.sin(t), v)
 
 
-def _discriminant_closed(delta, theta, zeta):
-    num = delta * delta + 2.0 * delta * (2.0 * zeta + 1.0) * np.sin(theta)
+def _discriminant_closed(delta: float, theta: float, zeta: float) -> float:
+    num = delta * delta + 2.0 * delta * (2.0 * zeta + 1.0) * math.sin(theta)
     num = num + 4.0 * zeta * (zeta + 1.0)
     return -16.0 * num / (1.0 - delta * delta)
 
 
-def discriminant_sweep(
-    delta_grid: np.ndarray, theta_grid: np.ndarray, zeta_list: list[float]
-) -> float:
-    """Max of the discriminant over the grid; < 0 certifies the ellipses
-    stay above every line y = -1/2 - zeta tried."""
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    theta_grid = np.asarray(theta_grid, dtype=float)
-    if delta_grid.size == 0 or theta_grid.size == 0 or not list(zeta_list):
-        raise ValueError("grids must be non-empty")
-    if np.any(delta_grid > 1.0 - 1e-6):
-        raise ValueError("delta grid must stay at or below 1 - 1e-6")
-    if np.any(delta_grid < 0.0):
-        raise ValueError("delta grid must be non-negative")
-    best = -math.inf
-    d = delta_grid[:, None]
-    t = theta_grid[None, :]
-    for zeta in zeta_list:
-        if zeta < 0.0:
-            raise ValueError("zeta must be non-negative")
-        vals = _discriminant_closed(d, t, float(zeta))
-        best = max(best, float(vals.max()))
-    return best
+def discriminant_max(zeta: float) -> float:
+    """Supremum of the discriminant over delta in [0, 1) and theta in [0, pi].
+
+    The discriminant in x of q(x, -1/2 - zeta) is -16(delta^2 + 2 delta
+    (2 zeta + 1) sin(theta) + 4 zeta (zeta + 1)) / (1 - delta^2).  With
+    zeta >= 0 and sin(theta) >= 0 every term of the numerator is
+    non-negative, and 1/(1 - delta^2) >= 1, so the supremum is
+    -64 zeta (zeta + 1), at delta = 0: < 0 certifies that the line
+    y = -1/2 - zeta misses every reachable ellipse.
+    """
+    if zeta < 0.0:
+        raise ValueError("zeta must be non-negative")
+    return _discriminant_closed(0.0, 0.0, zeta)
 
 
 LEMMA_SUITES = ("omb", "cone-exit", "ellipses", "discriminant")
@@ -280,20 +267,17 @@ CONE_EXIT_BRACKET = 1e-9
 _DISC_ZETAS = (1e-6, 1e-3, 0.1)
 
 
-def _disc_grids() -> tuple[np.ndarray, np.ndarray]:
-    return np.linspace(0.0, 0.99, 100), np.linspace(0.0, math.pi, 256)
-
-
-def _omb_suite(grid: int) -> dict:
-    worst, worst_phi = math.inf, None
-    for phi in OMB_PHIS:
-        excess, _ = omb_oracle(phi, grid)
-        if excess < worst:
-            worst, worst_phi = excess, phi
+def _omb_suite() -> dict:
+    # g is convex, so a slope <= 0 at min(1, cot^2 phi) pins each minimum
+    # over [0, 1]; an angle past pi/4 fails on its excess instead of raising
+    excess, slopes, _ = zip(*(omb_minimum(phi, allow_beyond_hypothesis=True)
+                              for phi in OMB_PHIS))
+    i = excess.index(min(excess))
     return {
         "lemma": "reflection inequality (OK + KL >= OB)",
-        "suite": "omb", "grid": grid, "phis": list(OMB_PHIS),
-        "extremal": worst, "at": {"phi": worst_phi}, "passed": worst >= -1e-9,
+        "suite": "omb", "phis": list(OMB_PHIS), "extremal": excess[i],
+        "at": {"phi": OMB_PHIS[i], "slopes": list(slopes)},
+        "passed": excess[i] >= -1e-9 and max(slopes) <= 1e-12,
     }
 
 
@@ -332,31 +316,30 @@ def _ellipse_suite(samples: int, seed: int) -> dict:
 
 
 def _discriminant_suite() -> dict:
-    mx = discriminant_sweep(*_disc_grids(), _DISC_ZETAS)
+    mx = max(discriminant_max(zeta) for zeta in _DISC_ZETAS)
     return {
         "lemma": "line y = -1/2 - zeta misses every reachable ellipse",
-        "suite": "discriminant", "grid": [100, 256, 3],
-        "extremal": mx, "at": {"zeta": _DISC_ZETAS}, "passed": mx < 0.0,
+        "suite": "discriminant", "extremal": mx,
+        "at": {"zeta": _DISC_ZETAS, "delta": 0.0}, "passed": mx < 0.0,
     }
 
 
-def _negative_controls(grid: int) -> list[dict]:
-    """Sweeps that must come out violated or tangent, showing the checks bite."""
-    excess, _ = omb_oracle(0.3 * math.pi, grid, allow_beyond_hypothesis=True)
-    mx = discriminant_sweep(*_disc_grids(), [0.0])
+def _negative_controls() -> list[dict]:
+    """Checks that must come out violated or tangent, showing the checks bite."""
+    excess, _, _ = omb_minimum(0.3 * math.pi, allow_beyond_hypothesis=True)
+    mx = discriminant_max(0.0)
     return [{
         "lemma": "reflection inequality beyond phi = pi/4 (expected violation)",
-        "suite": "omb-negative-control", "grid": grid, "phi": 0.3 * math.pi,
+        "suite": "omb-negative-control", "phi": 0.3 * math.pi,
         "extremal": excess, "passed": excess < 0.0,
     }, {
         "lemma": "zeta = 0 tangency diagnostic (expected max exactly 0)",
-        "suite": "discriminant-zeta-zero", "grid": [100, 256], "extremal": mx,
+        "suite": "discriminant-zeta-zero", "extremal": mx,
         "passed": abs(mx) <= 1e-12,
     }]
 
 
 def lemma_suite(
-    grid: int = DEFAULT_GRID,
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     suites: tuple[str, ...] = LEMMA_SUITES,
@@ -366,25 +349,22 @@ def lemma_suite(
 
     One result per suite, in LEMMA_SUITES order, each carrying its extremal
     value and whether it passed; negative_control appends two controls that
-    must come out violated (omb beyond pi/4) or tangent (zeta = 0).  grid
-    sizes the omb sweep and its control and must be at least 2; samples and
-    seed size the random ellipse-equivalence check.  Each suite frees its
-    arrays before the next one runs.
+    must come out violated (omb beyond pi/4) or tangent (zeta = 0).  The
+    omb, cone-exit and discriminant suites check closed forms; samples and
+    seed size the random ellipse-equivalence check.
     """
     unknown = set(suites) - set(LEMMA_SUITES)
     if unknown:
         raise ValueError(f"unknown lemma suites {sorted(unknown)}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    if grid < 2:  # omb_oracle's floor
-        raise ValueError("grid must be at least 2")
     runs = {
-        "omb": lambda: _omb_suite(grid),
+        "omb": _omb_suite,
         "cone-exit": _cone_exit_suite,
         "ellipses": lambda: _ellipse_suite(samples, seed),
         "discriminant": _discriminant_suite,
     }
     results = [runs[name]() for name in LEMMA_SUITES if name in suites]
     if negative_control:
-        results += _negative_controls(grid)
+        results += _negative_controls()
     return results

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: evaluate (competitive ratio of a fleet config), certify
-(snapshot lower bound), lemmas (certifier.lemma_suite: verification sweeps
-for the geometric facts the certificates lean on), optimize (spiral growth
+(snapshot lower bound), lemmas (certifier.lemma_suite: checks of the
+geometric facts the certificates lean on), optimize (spiral growth
 search), plot (SVG rendering of a report).  Outputs are files plus a
 one-line summary on stdout.
 
@@ -54,15 +54,21 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_float(value) -> bool:
+    """A JSON number float() can hold: an int past 1.8e308 overflows."""
+    return is_number(value) and (isinstance(value, float)
+                                 or abs(value) <= sys.float_info.max)
+
+
 # What each evaluation key holds, and the test its JSON value must pass.
 EVALUATION_VALUES = {
-    "horizon": ("a number", is_number),
-    "epsilon": ("a number", is_number),
-    "t_start": ("a number", is_number),
+    "horizon": ("a number", _is_float),
+    "epsilon": ("a number", _is_float),
+    "t_start": ("a number", _is_float),
     "theta_steps": ("an integer", _is_count),
     "t_steps": ("an integer", _is_count),
     "window": ("a pair of numbers",
-               lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_number, v))),
+               lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_float, v))),
     "spacing": ("a string", lambda v: isinstance(v, str)),
 }
 
@@ -185,7 +191,7 @@ def cmd_certify(args) -> int:
 
 def cmd_lemmas(args) -> int:
     suites = certifier.LEMMA_SUITES if args.suite == "all" else (args.suite,)
-    results = certifier.lemma_suite(args.grid, args.samples, args.seed, suites,
+    results = certifier.lemma_suite(args.samples, args.seed, suites,
                                     args.negative_control)
     ok = all(r["passed"] for r in results)
     for r in results:
@@ -276,9 +282,8 @@ def build_parser() -> _Parser:
     pc.add_argument("--out")
     pc.set_defaults(func=cmd_certify)
 
-    pl = sub.add_parser("lemmas", help="run the lemma verification sweeps")
+    pl = sub.add_parser("lemmas", help="run the lemma checks")
     pl.add_argument("--suite", choices=("all",) + certifier.LEMMA_SUITES, default="all")
-    pl.add_argument("--grid", type=int, default=certifier.DEFAULT_GRID)
     pl.add_argument("--samples", type=int, default=certifier.DEFAULT_SAMPLES,
                     help="random samples for the ellipse equivalence check")
     pl.add_argument("--seed", type=int, default=0)

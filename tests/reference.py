@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shoreline.certifier import discriminant_sweep
+from shoreline.certifier import _discriminant_closed
 from shoreline.geometry import Line, Point2
 from shoreline.trajectory import TrajectorySpec, positions
 
@@ -172,7 +172,7 @@ def discriminant(delta: float, theta: float, zeta: float) -> float:
 
     Negative means the horizontal line y = -1/2 - zeta misses the ellipse.
     Returns the package's closed form -16(d^2 + 2d(2z+1)sin(t) + 4z(z+1))
-    / (1 - d^2), read from discriminant_sweep on this one point and
+    / (1 - d^2), read from the package's _discriminant_closed and
     cross-checked against B^2 - 4AC of the expanded quadratic; zeta = 0 is
     admitted as the tangency diagnostic.
     """
@@ -182,7 +182,7 @@ def discriminant(delta: float, theta: float, zeta: float) -> float:
         raise ValueError("theta must lie in [0, pi]")
     if zeta < 0.0:
         raise ValueError("zeta must be non-negative")
-    closed = discriminant_sweep(np.array([delta]), np.array([theta]), [zeta])
+    closed = _discriminant_closed(delta, theta, zeta)
     y0 = -0.5 - zeta
     c, s = math.cos(theta), math.sin(theta)
     k = 4.0 / (1.0 - delta * delta)  # 1/b^2

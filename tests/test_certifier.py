@@ -13,13 +13,14 @@ from shoreline.certifier import (
     ConeCertificate,
     OMB_PHIS,
     _cone_in_gap,
+    _discriminant_closed,
     cone_exit_objective,
-    discriminant_sweep,
+    discriminant_max,
     ellipse_boundary,
     ellipse_q_grid,
     lemma_suite,
     min_cone_exit,
-    omb_oracle,
+    omb_minimum,
     snapshot_lower_bound,
 )
 from shoreline.cli import load_fleet_config
@@ -36,7 +37,7 @@ FLEETS = Path(__file__).resolve().parents[1] / "fleets"
 
 
 def omb_excess(phi: float, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """OK + KL - OB on the full (s, v) grid, the reference omb_oracle must beat.
+    """OK + KL - OB on the full (s, v) grid, the reference omb_minimum must beat.
 
     O is the origin, M = (cos phi, 0) the foot of the altitude, B = (cos phi,
     sin phi).  K = M + s(B - M) runs along MB and L = vB along OB; s down the
@@ -73,8 +74,8 @@ def test_omb_excess_positive_inside():
 
 @pytest.mark.parametrize("phi", [math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4])
 def test_omb_oracle_nonnegative_up_to_quarter_turn(phi):
-    m, (k, l) = omb_oracle(phi, grid=300)
-    assert m >= -1e-9
+    m, slope, (k, l) = omb_minimum(phi)
+    assert m >= -1e-9 and slope <= 1e-12
     # the minimum sits at the corner K = L = B
     assert k.x == pytest.approx(math.cos(phi), abs=1e-9)
     assert k.y == pytest.approx(math.sin(phi), abs=1e-9)
@@ -83,11 +84,10 @@ def test_omb_oracle_nonnegative_up_to_quarter_turn(phi):
 
 @pytest.mark.parametrize("phi", [*OMB_PHIS, 0.3 * math.pi])
 def test_omb_oracle_matches_the_2d_grid(phi):
-    # the exact nearest L is at or below every sampled L of the same K row
-    grid = 300
-    s = np.linspace(0.0, 1.0, grid)
+    # the closed-form minimum is at or below every sampled (K, L) pair
+    s = np.linspace(0.0, 1.0, 300)
     reference = float(np.min(omb_excess(phi, s, s)))
-    m, (k, l) = omb_oracle(phi, grid, allow_beyond_hypothesis=True)
+    m, _, (k, l) = omb_minimum(phi, allow_beyond_hypothesis=True)
     assert m <= reference + 1e-15
     assert m == pytest.approx(reference, abs=1e-5)
     b = Point2(math.cos(phi), math.sin(phi))
@@ -99,10 +99,10 @@ def test_omb_oracle_matches_the_2d_grid(phi):
 
 
 def test_omb_oracle_memory_is_linear_in_the_grid():
-    # grid positions of K, not grid^2 (K, L) cells, which need over 20 MB here
+    # the closed forms build no array, let alone a (K, L) grid of 20 MB
     tracemalloc.start()
     try:
-        lemma_suite(grid=1000, suites=("omb",), negative_control=True)
+        lemma_suite(suites=("omb",), negative_control=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -111,22 +111,41 @@ def test_omb_oracle_memory_is_linear_in_the_grid():
 
 def test_omb_oracle_rejects_wide_apex():
     with pytest.raises(ValueError, match="hypothesis"):
-        omb_oracle(0.3 * math.pi)
+        omb_minimum(0.3 * math.pi)
 
 
 def test_omb_oracle_negative_control():
-    # beyond pi/4 the inequality genuinely fails; frozen magnitude
-    m, _ = omb_oracle(0.3 * math.pi, grid=400, allow_beyond_hypothesis=True)
-    assert m == pytest.approx(-0.0489431815, abs=1e-6)
+    # beyond pi/4 the inequality genuinely fails; the exact minimum, at
+    # s* = cot^2 phi where the slope vanishes
+    m, slope, _ = omb_minimum(0.3 * math.pi, allow_beyond_hypothesis=True)
+    assert m == -0.04894348370484636
+    assert abs(slope) <= 1e-15
 
 
 def test_omb_oracle_domain_checks():
     with pytest.raises(ValueError):
-        omb_oracle(0.0)
+        omb_minimum(0.0)
     with pytest.raises(ValueError):
-        omb_oracle(math.pi / 2)
-    with pytest.raises(ValueError):
-        omb_oracle(math.pi / 8, grid=1)
+        omb_minimum(math.pi / 2)
+
+
+@given(phi=st.floats(0.0, 0.49 * math.pi, exclude_min=True), s=st.floats(0.0, 1.0))
+@settings(max_examples=300)
+def test_omb_minimum_is_at_most_every_excess(phi, s):
+    # g(s) = OK + KL - OB with the exact nearest L, in the same arithmetic
+    m, _, _ = omb_minimum(phi, allow_beyond_hypothesis=True)
+    c, sn = math.cos(phi), math.sin(phi)
+    assert m <= math.hypot(c, s * sn) + c * sn * (1.0 - s) - 1.0 + 1e-15
+
+
+def test_omb_suite_fails_beyond_a_quarter_turn(monkeypatch):
+    # negative control: an apex angle past pi/4 breaks the inequality, and
+    # the suite must say so
+    monkeypatch.setattr(certifier, "OMB_PHIS", (math.pi / 8, 0.3 * math.pi))
+    [res] = lemma_suite(suites=("omb",))
+    assert res["passed"] is False
+    assert res["extremal"] == -0.04894348370484636
+    assert res["at"]["phi"] == 0.3 * math.pi
 
 
 # ------------------------------------------------------- cone exit lemma
@@ -408,22 +427,31 @@ def test_discriminant_domain():
 
 
 def test_discriminant_sweep_certifies():
-    deltas = np.linspace(0.0, 1.0 - 1e-6, 101)
-    thetas = np.linspace(0.0, math.pi, 101)
-    worst = discriminant_sweep(deltas, thetas, [1e-6, 1e-3, 0.1])
-    assert worst < 0.0
+    # the supremum -64 zeta (zeta + 1), attained at delta = 0
+    for zeta in (1e-6, 1e-3, 0.1):
+        worst = discriminant_max(zeta)
+        assert worst < 0.0
+        assert worst == pytest.approx(-64.0 * zeta * (zeta + 1.0), rel=1e-15)
+        assert worst == _discriminant_closed(0.0, 1.0, zeta)
 
 
 def test_discriminant_sweep_zero_offset_touches():
-    deltas = np.linspace(0.0, 0.9, 31)
-    thetas = np.linspace(0.0, math.pi, 31)
-    worst = discriminant_sweep(deltas, thetas, [0.0])
-    assert worst == pytest.approx(0.0, abs=1e-12)
+    assert discriminant_max(0.0) == 0.0
 
 
 def test_discriminant_sweep_validates():
     with pytest.raises(ValueError):
-        discriminant_sweep(np.array([]), np.array([0.0]), [1e-6])
+        discriminant_max(-1e-6)
+
+
+@given(
+    delta=st.floats(0.0, 0.999),
+    theta=st.floats(0.0, math.pi),
+    zeta=st.floats(0.0, 1.0),
+)
+@settings(max_examples=300)
+def test_discriminant_max_bounds_every_ellipse(delta, theta, zeta):
+    assert discriminant_max(zeta) >= _discriminant_closed(delta, theta, zeta)
 
 
 @given(
@@ -456,7 +484,7 @@ def test_snapshot_with_spiral_fleet():
 
 
 def test_lemma_suite_runs_in_fixed_order():
-    results = lemma_suite(grid=50, samples=500, suites=("discriminant", "omb"),
+    results = lemma_suite(samples=500, suites=("discriminant", "omb"),
                           negative_control=True)
     assert [r["suite"] for r in results] == [
         "omb", "discriminant", "omb-negative-control", "discriminant-zeta-zero"]
@@ -465,15 +493,8 @@ def test_lemma_suite_runs_in_fixed_order():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"samples": 0}, {"samples": -5}, {"suites": ("omb", "nope")}, {"grid": 1},
+    {"samples": 0}, {"samples": -5}, {"suites": ("omb", "nope")},
 ])
 def test_lemma_suite_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):
         lemma_suite(**kwargs)
-
-
-def test_lemma_suite_runs_at_its_single_grid_floor():
-    # the omb scan's floor of 2 is the only one: cone exit has no grid
-    results = lemma_suite(grid=2, samples=100)
-    assert [r["suite"] for r in results] == list(certifier.LEMMA_SUITES)
-    assert all(r["passed"] for r in results)

@@ -160,6 +160,10 @@ def test_evaluate_bad_time_grid_is_a_config_error(capsys, config, flags, message
     ("window", 5),
     ("t_start", "x"),
     ("theta_steps", 7.9),  # used to be truncated to 7
+    # float() would overflow on these four
+    *(pytest.param(key, value, id=f"{key}-huge") for key, value in [
+        ("horizon", 10 ** 400), ("epsilon", 10 ** 400), ("t_start", 10 ** 400),
+        ("window", [1, 10 ** 400])]),
 ])
 def test_evaluate_non_numeric_config_value_is_a_config_error(tmp_path, capsys, key,
                                                              value):
@@ -232,7 +236,7 @@ def test_robot_fields_must_be_json_numbers(tmp_path, capsys, robot, message):
 @pytest.mark.parametrize("argv,module,name", [
     (["evaluate", str(FLEETS / "rays-4.json"), "--theta-steps", "100000000000"],
      evaluator, "evaluate_cr"),
-    (["lemmas", "--grid", "100000000000"], certifier, "lemma_suite"),
+    (["lemmas", "--samples", "100000000000"], certifier, "lemma_suite"),
 ], ids=["evaluate", "lemmas"])
 def test_memory_errors_exit_without_traceback(monkeypatch, capsys, argv, module, name):
     # a grid too large to allocate: the library raises as numpy would,
@@ -377,7 +381,7 @@ def test_certify_rejects_unsound_parameters(capsys, config, flag, value):
 
 
 def test_lemmas_all_pass(capsys):
-    code = main(["lemmas", "--grid", "200", "--samples", "2000"])
+    code = main(["lemmas", "--samples", "2000"])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l]
@@ -387,8 +391,7 @@ def test_lemmas_all_pass(capsys):
 
 def test_lemmas_single_suite_with_report(tmp_path, capsys):
     out = tmp_path / "lemmas.json"
-    code = main(["lemmas", "--suite", "cone-exit", "--grid", "100",
-                 "--out", str(out)])
+    code = main(["lemmas", "--suite", "cone-exit", "--out", str(out)])
     assert code == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["schema"] == "lemma_suite/v1"
@@ -398,38 +401,11 @@ def test_lemmas_single_suite_with_report(tmp_path, capsys):
 
 
 def test_lemmas_negative_controls(capsys):
-    code = main(["lemmas", "--suite", "omb", "--grid", "150",
-                 "--negative-control"])
+    code = main(["lemmas", "--suite", "omb", "--negative-control"])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     assert "omb-negative-control" in out
     assert "discriminant-zeta-zero" in out
-
-
-@pytest.mark.parametrize("flags,message", [
-    (["--grid", "1"], "grid must be at least 2"),
-    (["--suite", "cone-exit", "--grid", "1"], "grid must be at least 2"),
-    (["--suite", "discriminant", "--grid", "0"], "grid must be at least 2"),
-    (["--suite", "omb", "--grid", "1"], "grid must be at least 2"),
-    (["--suite", "ellipses", "--grid", "1"], "grid must be at least 2"),
-])
-def test_lemmas_grid_floor_follows_the_suites_run(capsys, flags, message):
-    # one floor whatever runs: the omb scan's 2 points; cone exit has no grid
-    assert main(["lemmas", *flags]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err == f"error: {message}\n"
-
-
-def test_lemmas_omb_runs_at_its_floor(capsys):
-    assert main(["lemmas", "--suite", "omb", "--grid", "2"]) == EXIT_OK
-    assert capsys.readouterr().out.startswith("PASS omb")
-
-
-@pytest.mark.parametrize("flags", [[], ["--suite", "cone-exit"]])
-def test_lemmas_run_at_grid_2(capsys, flags):
-    assert main(["lemmas", *flags, "--grid", "2", "--samples", "100"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert out and all(line.startswith("PASS") for line in out.splitlines())
 
 
 # ---------------------------------------------------------------- optimize
@@ -468,7 +444,7 @@ def test_optimize_requires_n(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["lemmas", "--grid", "1"],
+    ["lemmas", "--grid", "1"],  # gone with the omb scan
     ["lemmas", "--samples", "-5"],
     ["lemmas", "--samples", "0"],
     ["optimize", "--n", "1", "--tol", "-1"],
@@ -481,6 +457,8 @@ def test_bad_arguments_exit_without_traceback(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    if argv[-2] in ("--grid", "--r0"):  # the error names the unknown flag
+        assert err == f"error: unrecognized arguments: {argv[-2]} {argv[-1]}\n"
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "a-dir"])
@@ -491,7 +469,7 @@ def test_unwritable_out_exits_without_traceback(tmp_path, capsys, command, targe
     argv = {
         "evaluate": ["evaluate", cfg],
         "certify": ["certify", cfg, "--d", "1"],
-        "lemmas": ["lemmas", "--suite", "cone-exit", "--grid", "10"],
+        "lemmas": ["lemmas", "--suite", "cone-exit"],
         "optimize": ["optimize", "--n", "1"],
         "plot": ["plot", str(certificate_file(tmp_path))],
     }[command]

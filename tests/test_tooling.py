@@ -142,7 +142,11 @@ def test_importing_the_cli_builds_no_parser():
 # them on purpose: the optimizer no longer calls evaluate_cr, and the
 # certifier reads one instant through position, not positions.  The tracer
 # lives with the benchmark and changes only with it.
-STALE_TRACER_BINDINGS = {("optimizer", "evaluate_cr"), ("certifier", "positions")}
+STALE_TRACER_BINDINGS = {
+    ("optimizer", "evaluate_cr"), ("certifier", "positions"),
+    # closed forms replaced the omb scan and the discriminant grid
+    ("certifier", "omb_oracle"), ("certifier", "discriminant_sweep"),
+}
 
 
 def _tracer():
@@ -167,8 +171,8 @@ def test_tracer_bindings_exist():
 
 def test_traced_commands_feed_the_counters(tmp_path, capsys):
     # the tracer's hooks read evaluate_cr's theta_steps, t_steps, horizon and
-    # t_start, positions' ts and omb_oracle's grid by name: a renamed
-    # argument fails only traced runs, with a KeyError
+    # t_start and positions' ts by name: a renamed argument fails only traced
+    # runs, with a KeyError
     fleets = ROOT / "fleets"
     tracer = _tracer()
     tracer.start_pass()
@@ -176,13 +180,13 @@ def test_traced_commands_feed_the_counters(tmp_path, capsys):
         for argv in (["evaluate", str(fleets / "rays-5.json"), "--theta-steps", "24"],
                      ["evaluate", str(fleets / "spiral-1.json"), "--t-steps", "2000"],
                      ["certify", str(fleets / "rays-5.json"), "--d", "1"],
-                     ["lemmas", "--suite", "omb", "--grid", "10"],
+                     ["lemmas", "--suite", "omb"],
                      ["optimize", "--n", "1"]):
             tracer.begin_op()
             assert tracer.modules["cli"].main([*argv, "--out", str(tmp_path / "out")]) == 0
     metrics = tracer.pass_metrics(tracer.spans)
     for name in ("evaluator.directions", "trajectory.positions.points",
-                 "certifier.omb_oracle.cells", "optimizer.objective_evals"):
+                 "optimizer.objective_evals"):
         assert metrics[name] > 0, name
 
 
