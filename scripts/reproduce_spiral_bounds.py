@@ -2,8 +2,10 @@
 """Reproduce the tuned spiral upper bounds.
 
 Runs the growth-rate search for the single spiral (n=1) and the antipodal
-pair (n=2) and prints the optimum of each: expect CR* near 13.8111 and
-5.2644.  The objective is closed form, so each search takes milliseconds.
+pair (n=2) and prints the optimum of each, b* and CR*, with the slopes of
+log CR at b* and the next float up: negative, then non-negative.  Expect
+CR* near 13.8111 and 5.2644.  The slope is closed form, so each search
+takes well under a millisecond; a search without a sign change exits 4.
 Then evaluates the shipped configs fleets/spiral-1.json and
 fleets/double-spiral-2.json, which sample each spiral at its support
 extrema, and prints each one's relative gap to the closed form at its own
@@ -41,25 +43,24 @@ def evaluated_gap(name: str, n: int) -> float:
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tol", type=float, default=1e-4,
-                    help="growth-rate bracket tolerance")
     ap.add_argument("--out-dir", type=Path,
                     help="also write optimize_result reports here")
     args = ap.parse_args()
 
     for n in (1, 2):
         t0 = time.perf_counter()
-        res = optimize_spiral(n, tol=args.tol)
+        res = optimize_spiral(n)
         dt = time.perf_counter() - t0
-        print(f"n={n}: b*={res.parameter:.6f} cr*={res.value:.6f} "
-              f"({res.evaluations} evaluations, {1e3 * dt:.1f} ms)")
+        print(f"n={n}: b*={res.parameter!r} cr*={res.value!r} slopes "
+              f"{res.slopes[0]:.3g} {res.slopes[1]:.3g} "
+              f"({res.evaluations} evaluations, {1e3 * dt:.2f} ms)")
         if args.out_dir:
             args.out_dir.mkdir(parents=True, exist_ok=True)
             path = args.out_dir / f"spiral-{n}-optimum.json"
             path.write_text(emit_report(res, extra={"n": n}))
             print(f"  wrote {path}")
         if not res.converged:
-            print(f"  warning: bracket {res.bracket} did not reach tol",
+            print(f"  error: d log CR/db does not change sign on {res.bracket}",
                   file=sys.stderr)
             return 4
     gaps = [evaluated_gap(name, n) for name, n in (("spiral-1", 1), ("double-spiral-2", 2))]

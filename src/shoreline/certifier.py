@@ -18,9 +18,10 @@ fleet regardless of grid choices.  Three constructions, by fleet size:
   upper half-plane, neither ellipse dips below y = -d/2, so the line at
   y = -(1/2 + zeta)d is unvisited.  Bound (3/2 + zeta)/(1/2 + zeta) -> 3.
 
-The reflection inequality and the line missing every ellipse hold in closed
-form (omb_minimum and discriminant_max give the proofs), and lemma_suite
-checks them, so the per-fleet certificates can lean on them.
+The reflection inequality, the ellipse as the reachable set and the line
+missing every ellipse hold in closed form (omb_minimum, a focal identity and
+discriminant_max give the proofs), and lemma_suite checks them, so the
+per-fleet certificates can lean on them.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .geometry import Cone, Line, Point2, max_angular_gap, normalize_angle
 from .trajectory import Fleet, position
 
 SQRT3 = math.sqrt(3.0)
-# Comparison slack when an angular gap must meet its target exactly
-# (symmetric fleets land on the boundary).
+# Slack for an angular gap that meets its target exactly (symmetric fleets).
 GAP_SLACK = 1e-12
 
 DEFAULT_GAMMA = 1e-6
@@ -56,9 +56,8 @@ class ConeCertificate:
     robot_positions: tuple[tuple[float, float], ...] = ()
 
 
-def omb_minimum(
-    phi: float, *, allow_beyond_hypothesis: bool = False
-) -> tuple[float, float, tuple[Point2, Point2]]:
+def omb_minimum(phi: float, *, allow_beyond_hypothesis: bool = False
+                ) -> tuple[float, float, tuple[Point2, Point2]]:
     """Minimum of OK + KL - OB over the right triangle with apex angle phi.
 
     O is the origin, M = (cos phi, 0) the foot of the altitude and B =
@@ -128,16 +127,9 @@ def _rot(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def snapshot_lower_bound(
-    fleet: Fleet,
-    d: float,
-    n: int,
-    gamma: float = DEFAULT_GAMMA,
-    *,
-    eps: float = DEFAULT_EPS,
-    zeta: float = DEFAULT_ZETA,
-    origin_tol: float | None = None,
-) -> ConeCertificate:
+def snapshot_lower_bound(fleet: Fleet, d: float, n: int, gamma: float = DEFAULT_GAMMA, *,
+                         eps: float = DEFAULT_EPS, zeta: float = DEFAULT_ZETA,
+                         origin_tol: float | None = None) -> ConeCertificate:
     """Certified CR lower bound from the fleet's positions at time d.
 
     eps plays the role of the vanishing offset in the n >= 3 constructions
@@ -195,21 +187,13 @@ def snapshot_lower_bound(
         witness = Line(direction, (0.5 + zeta) * d)
         bound, limit = (1.5 + zeta) / (0.5 + zeta), 3.0
     return ConeCertificate(
-        cone=cone,
-        snapshot_time=float(d),
-        bound=bound,
-        witness_line=witness,
-        n=n,
-        bound_limit=limit,
-        degenerate=degenerate,
+        cone, float(d), bound, witness, n=n, bound_limit=limit, degenerate=degenerate,
         params={"gamma": gamma, "eps": eps, "zeta": zeta, "origin_tol": origin_tol},
-        robot_positions=pos,
-    )
+        robot_positions=pos)
 
 
-def ellipse_q_grid(
-    x: np.ndarray, y: np.ndarray, delta: np.ndarray, theta: np.ndarray
-) -> np.ndarray:
+def ellipse_q_grid(x: np.ndarray, y: np.ndarray, delta: np.ndarray,
+                   theta: np.ndarray) -> np.ndarray:
     """Quadratic form negative inside the unit-time reachable ellipse.
 
     The robot ends delta from the origin at bearing theta; the ellipse has
@@ -260,7 +244,12 @@ def discriminant_max(zeta: float) -> float:
 
 LEMMA_SUITES = ("omb", "cone-exit", "ellipses", "discriminant")
 OMB_PHIS = (math.pi / 16, math.pi / 8, 3 * math.pi / 16, math.pi / 4)
-DEFAULT_SAMPLES = 20_000
+# The ellipse suite's (delta, theta) cases, from a circle to a needle; its
+# outline samples (a multiple of 4 keeps the vertices) and their scales; and
+# the bound on its identity's residual, far above rounding.
+ELLIPSE_CASES = ((0.0, 0.0), (0.5, math.pi / 3), (0.9, math.pi / 2),
+                 (0.999, 2 * math.pi / 3), (0.3, math.pi))
+ELLIPSE_OUTLINE, ELLIPSE_SCALES, ELLIPSE_RESIDUAL = 32, (0.5, 1.0, 1.5), 1e-12
 # Half-width around lambda = 1/3 at which the cone-exit slope's sign is
 # checked; the slopes there are about -/+ 9.7e-10, far above rounding.
 CONE_EXIT_BRACKET = 1e-9
@@ -285,34 +274,38 @@ def _cone_exit_suite() -> dict:
     # f is convex, so slopes of opposite sign CONE_EXIT_BRACKET either side
     # of lambda pin the minimizer over all of [0, 1] inside that bracket
     lam, f = min_cone_exit()
-    slopes = [_cone_exit_slope(lam - CONE_EXIT_BRACKET),
-              _cone_exit_slope(lam + CONE_EXIT_BRACKET)]
-    passed = slopes[0] < 0.0 < slopes[1] and abs(f - SQRT3 / 2) <= 1e-12
+    slopes = [_cone_exit_slope(lam + h) for h in (-CONE_EXIT_BRACKET, CONE_EXIT_BRACKET)]
     return {
         "lemma": "cone exit cost minimum sqrt(3)/2 at lambda=1/3",
         "suite": "cone-exit", "bracket": CONE_EXIT_BRACKET,
         "extremal": f, "at": {"lambda": lam, "slopes": slopes,
                               "derivative_residual": abs(_cone_exit_slope(lam))},
-        "passed": passed,
+        "passed": slopes[0] < 0.0 < slopes[1] and abs(f - SQRT3 / 2) <= 1e-12,
     }
 
 
-def _ellipse_suite(samples: int, seed: int) -> dict:
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1.3, 1.3, size=(samples, 2))
-    deltas = rng.uniform(0.0, 0.999, size=samples)
-    thetas = rng.uniform(0.0, math.pi, size=samples)
-    q = ellipse_q_grid(pts[:, 0], pts[:, 1], deltas, thetas)
-    trip = np.hypot(pts[:, 0], pts[:, 1]) + np.hypot(
-        pts[:, 0] - deltas * np.cos(thetas), pts[:, 1] - deltas * np.sin(thetas))
+def _ellipse_suite() -> dict:
+    # With s = |P| + |P - R| and t = |P| - |P - R| for the far focus R, the
+    # identity q (1 - delta^2) = (s^2 - 1)(1 - t^2) (expand with s t = 2<P, R>
+    # - delta^2, s^2 + t^2 = 2(|P|^2 + |P - R|^2)) and |t| <= delta < 1 give
+    # sign q = sign(s - 1): q <= 0 is the reachable set.  Checked at both foci,
+    # the centre and the outline (vertices included) scaled about the origin
+    # by 0.5, 1 and 1.5; the sign only where |q| clears rounding.
+    pts = np.vstack([
+        np.vstack([np.outer((0.0, 0.5, 1.0), (d * math.cos(th), d * math.sin(th))),
+                   *(k * ellipse_boundary(d, th, ELLIPSE_OUTLINE) for k in ELLIPSE_SCALES)])
+        for d, th in ELLIPSE_CASES])
+    delta, theta = np.repeat(np.array(ELLIPSE_CASES).T, len(pts) // len(ELLIPSE_CASES), 1)
+    q = ellipse_q_grid(pts[:, 0], pts[:, 1], delta, theta)
+    near = np.hypot(pts[:, 0], pts[:, 1])
+    far = np.hypot(pts[:, 0] - delta * np.cos(theta), pts[:, 1] - delta * np.sin(theta))
+    s, t = near + far, near - far
+    worst = float(np.max(np.abs(q * (1.0 - delta * delta) - (s * s - 1.0) * (1.0 - t * t))))
     decisive = np.abs(q) > 1e-6
-    checked = int(decisive.sum())
-    disagree = checked - int(((q[decisive] < 0) == (trip[decisive] <= 1.0)).sum())
-    return {
-        "lemma": "reachable region equals the ellipse (q <= 0)",
-        "suite": "ellipses", "samples": samples, "checked": checked,
-        "extremal": disagree, "at": {"seed": seed}, "passed": disagree == 0,
-    }
+    disagree = int(np.count_nonzero((q[decisive] < 0.0) != (s[decisive] <= 1.0)))
+    return {"lemma": "reachable region equals the ellipse (q <= 0)", "suite": "ellipses",
+            "points": len(q), "checked": int(decisive.sum()), "extremal": disagree,
+            "at": {"residual": worst}, "passed": disagree == 0 and worst <= ELLIPSE_RESIDUAL}
 
 
 def _discriminant_suite() -> dict:
@@ -328,42 +321,28 @@ def _negative_controls() -> list[dict]:
     """Checks that must come out violated or tangent, showing the checks bite."""
     excess, _, _ = omb_minimum(0.3 * math.pi, allow_beyond_hypothesis=True)
     mx = discriminant_max(0.0)
-    return [{
-        "lemma": "reflection inequality beyond phi = pi/4 (expected violation)",
-        "suite": "omb-negative-control", "phi": 0.3 * math.pi,
-        "extremal": excess, "passed": excess < 0.0,
-    }, {
-        "lemma": "zeta = 0 tangency diagnostic (expected max exactly 0)",
-        "suite": "discriminant-zeta-zero", "extremal": mx,
-        "passed": abs(mx) <= 1e-12,
-    }]
+    return [{"lemma": "reflection inequality beyond phi = pi/4 (expected violation)",
+             "suite": "omb-negative-control", "phi": 0.3 * math.pi,
+             "extremal": excess, "passed": excess < 0.0},
+            {"lemma": "zeta = 0 tangency diagnostic (expected max exactly 0)",
+             "suite": "discriminant-zeta-zero", "extremal": mx, "passed": abs(mx) <= 1e-12}]
 
 
-def lemma_suite(
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-    suites: tuple[str, ...] = LEMMA_SUITES,
-    negative_control: bool = False,
-) -> list[dict]:
-    """Numerical checks of the lemmas the certificates lean on.
+def lemma_suite(suites: tuple[str, ...] = LEMMA_SUITES,
+                negative_control: bool = False) -> list[dict]:
+    """Checks of the lemmas the certificates lean on, none of them sampled.
 
     One result per suite, in LEMMA_SUITES order, each carrying its extremal
     value and whether it passed; negative_control appends two controls that
     must come out violated (omb beyond pi/4) or tangent (zeta = 0).  The
-    omb, cone-exit and discriminant suites check closed forms; samples and
-    seed size the random ellipse-equivalence check.
+    omb, cone-exit and discriminant suites check closed forms, the ellipse
+    suite a focal identity at a fixed set of points.
     """
     unknown = set(suites) - set(LEMMA_SUITES)
     if unknown:
         raise ValueError(f"unknown lemma suites {sorted(unknown)}")
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    runs = {
-        "omb": _omb_suite,
-        "cone-exit": _cone_exit_suite,
-        "ellipses": lambda: _ellipse_suite(samples, seed),
-        "discriminant": _discriminant_suite,
-    }
+    runs = {"omb": _omb_suite, "cone-exit": _cone_exit_suite,
+            "ellipses": _ellipse_suite, "discriminant": _discriminant_suite}
     results = [runs[name]() for name in LEMMA_SUITES if name in suites]
     if negative_control:
         results += _negative_controls()

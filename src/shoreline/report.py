@@ -87,11 +87,12 @@ def to_document(obj, *, fleet: list[dict] | None = None, extra: dict | None = No
         }
     elif isinstance(obj, OptimizeResult):
         doc = {
-            "schema": "optimize_result/v1",
+            "schema": "optimize_result/v2",
             "parameter": obj.parameter,
             "value": obj.value,
             "evaluations": obj.evaluations,
             "bracket": list(obj.bracket),
+            "slopes": list(obj.slopes),
             "converged": obj.converged,
         }
     elif isinstance(obj, dict):

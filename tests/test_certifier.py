@@ -388,6 +388,43 @@ def test_ellipse_stays_above_witness_level():
     assert worst >= -0.5 - 1e-9
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1.6, 1.6), st.floats(-1.6, 1.6), st.floats(0.0, 0.999),
+       st.floats(0.0, 2.0 * math.pi))
+def test_focal_identity_holds_everywhere(x, y, delta, theta):
+    # q (1 - delta^2) = (s^2 - 1)(1 - t^2) with s, t the sum and difference
+    # of the focal distances: the ellipse suite's claim, at arbitrary points
+    near = math.hypot(x, y)
+    far = math.hypot(x - delta * math.cos(theta), y - delta * math.sin(theta))
+    s, t = near + far, near - far
+    q = float(ellipse_q_grid(x, y, delta, theta))
+    assert abs(t) <= delta + 1e-15
+    assert q * (1.0 - delta * delta) == pytest.approx((s * s - 1.0) * (1.0 - t * t),
+                                                      rel=1e-9, abs=1e-12)
+
+
+def test_ellipse_suite_is_fixed_and_passes():
+    [first] = lemma_suite(suites=("ellipses",))
+    assert lemma_suite(suites=("ellipses",)) == [first]  # no random draw
+    assert first["passed"] and first["extremal"] == 0
+    assert 0 < first["checked"] < first["points"]  # the outline itself is q = 0
+    assert first["at"]["residual"] <= certifier.ELLIPSE_RESIDUAL
+
+
+@pytest.mark.parametrize("wrong,flips_signs", [
+    (lambda q, x, y, delta, theta: 1.01 * q, False),  # only the residual shows
+    (lambda q, x, y, delta, theta: q - 0.3 * x * x, True),  # a fatter ellipse
+], ids=["scaled", "fatter"])
+def test_ellipse_suite_catches_a_wrong_quadratic_form(monkeypatch, wrong, flips_signs):
+    q_grid = certifier.ellipse_q_grid
+    monkeypatch.setattr(certifier, "ellipse_q_grid",
+                        lambda x, y, d, th: wrong(q_grid(x, y, d, th), x, y, d, th))
+    [res] = lemma_suite(suites=("ellipses",))
+    assert not res["passed"]
+    assert res["at"]["residual"] > certifier.ELLIPSE_RESIDUAL
+    assert (res["extremal"] > 0) == flips_signs
+
+
 def test_reach_oracle_examples():
     assert reach_oracle(Point2(0.0, 0.0), Point2(1.0, 0.0), 1.0)
     assert not reach_oracle(Point2(0.0, -0.6), Point2(1.0, 0.0), 1.0)
@@ -484,8 +521,7 @@ def test_snapshot_with_spiral_fleet():
 
 
 def test_lemma_suite_runs_in_fixed_order():
-    results = lemma_suite(samples=500, suites=("discriminant", "omb"),
-                          negative_control=True)
+    results = lemma_suite(suites=("discriminant", "omb"), negative_control=True)
     assert [r["suite"] for r in results] == [
         "omb", "discriminant", "omb-negative-control", "discriminant-zeta-zero"]
     assert all(r["passed"] for r in results)
@@ -493,7 +529,7 @@ def test_lemma_suite_runs_in_fixed_order():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"samples": 0}, {"samples": -5}, {"suites": ("omb", "nope")},
+    {"suites": ("ellipse",)}, {"suites": ("",)}, {"suites": ("omb", "nope")},
 ])
 def test_lemma_suite_rejects_bad_arguments(kwargs):
     with pytest.raises(ValueError):

@@ -236,7 +236,7 @@ def test_robot_fields_must_be_json_numbers(tmp_path, capsys, robot, message):
 @pytest.mark.parametrize("argv,module,name", [
     (["evaluate", str(FLEETS / "rays-4.json"), "--theta-steps", "100000000000"],
      evaluator, "evaluate_cr"),
-    (["lemmas", "--samples", "100000000000"], certifier, "lemma_suite"),
+    (["lemmas"], certifier, "lemma_suite"),
 ], ids=["evaluate", "lemmas"])
 def test_memory_errors_exit_without_traceback(monkeypatch, capsys, argv, module, name):
     # a grid too large to allocate: the library raises as numpy would,
@@ -381,7 +381,7 @@ def test_certify_rejects_unsound_parameters(capsys, config, flag, value):
 
 
 def test_lemmas_all_pass(capsys):
-    code = main(["lemmas", "--samples", "2000"])
+    code = main(["lemmas"])
     assert code == EXIT_OK
     out = capsys.readouterr().out
     lines = [l for l in out.splitlines() if l]
@@ -413,25 +413,46 @@ def test_lemmas_negative_controls(capsys):
 
 def test_optimize_quick(tmp_path, capsys):
     out = tmp_path / "opt.json"
-    code = main(["optimize", "--n", "2", "--bracket", "0.6", "0.7",
-                 "--prescan", "3", "--tol", "0.02", "--out", str(out)])
+    code = main(["optimize", "--n", "2", "--bracket", "0.6", "0.7", "--out", str(out)])
     assert code == EXIT_OK
     assert "b=0.6" in capsys.readouterr().out
     doc = json.loads(out.read_text())
-    assert doc["schema"] == "optimize_result/v1"
+    assert doc["schema"] == "optimize_result/v2"
     assert doc["value"] == pytest.approx(5.2644, abs=5e-3)
     assert doc["n"] == 2
+    # b* and the next float up, where the slope of log CR turns
+    lo, hi = doc["bracket"]
+    assert doc["parameter"] == lo and hi == math.nextafter(lo, math.inf)
+    assert doc["slopes"][0] < 0.0 <= doc["slopes"][1]
 
 
 def test_optimize_without_a_finite_cr_is_non_convergence(tmp_path, capsys):
-    # every steady-state CR of one spiral in this bracket overflows
+    # every steady-state CR of one spiral in this bracket overflows, and the
+    # slope of log CR is positive at both ends
     out = tmp_path / "opt.json"
     code = main(["optimize", "--n", "1", "--bracket", "400", "500", "--out", str(out)])
     assert code == EXIT_NO_CONVERGENCE
     err = capsys.readouterr().err
-    assert "no finite CR" in err and "Traceback" not in err
+    assert err.startswith("non-convergence: d log CR/db is 3.14")
+    assert "not a sign change" in err and "Traceback" not in err
     doc = json.loads(out.read_text())
     assert doc["converged"] is False and doc["value"] is None
+
+
+def test_optimize_finds_the_optimum_in_a_bracket_to_1e300(capsys):
+    # a pre-scan's log step of 4e9 once left no finite CR to refine
+    assert main(["optimize", "--n", "1", "--bracket", "0.05", "1e300"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("b=0.212470 cr=13.811135 ")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--n", "1", "--bracket", "1", "inf"], "error: bracket must be finite"),
+    (["--n", "2", "--bracket", "0.05", "1e300"], "error: growth rate 1e+300 too steep"),
+], ids=["inf", "steep-pair"])
+def test_optimize_bracket_ends_it_cannot_use_exit_1(capsys, argv, message):
+    assert main(["optimize", *argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
 
 
 def test_optimize_rejects_n3(capsys):
@@ -443,21 +464,28 @@ def test_optimize_requires_n(capsys):
     assert main(["optimize"]) == EXIT_CONFIG
 
 
+# Flags the commands no longer take: --grid went with the omb scan,
+# --samples and --seed with the random ellipse check, --tol and --prescan with the
+# golden-section search; --r0 was never an optimize flag.
+GONE_FLAGS = ("--grid", "--samples", "--seed", "--tol", "--prescan", "--r0")
+
+
 @pytest.mark.parametrize("argv", [
-    ["lemmas", "--grid", "1"],  # gone with the omb scan
+    ["lemmas", "--grid", "1"],
     ["lemmas", "--samples", "-5"],
     ["lemmas", "--samples", "0"],
+    ["lemmas", "--seed", "1"],
     ["optimize", "--n", "1", "--tol", "-1"],
     ["optimize", "--n", "1", "--bracket", "0.5", "0.1"],
     ["optimize", "--n", "1", "--prescan", "2"],
-    ["optimize", "--n", "1", "--r0", "-1"],  # not an optimize flag
+    ["optimize", "--n", "1", "--r0", "-1"],
 ], ids=lambda argv: "_".join(argv).replace("--", ""))
 def test_bad_arguments_exit_without_traceback(capsys, argv):
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
-    if argv[-2] in ("--grid", "--r0"):  # the error names the unknown flag
+    if argv[-2] in GONE_FLAGS:  # the error names the unknown flag
         assert err == f"error: unrecognized arguments: {argv[-2]} {argv[-1]}\n"
 
 

@@ -3,12 +3,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shoreline.cli import load_fleet_config
 from shoreline.evaluator import evaluate_cr
 from shoreline.optimizer import (
+    DEFAULT_BRACKET,
     OptimizeResult,
-    golden_section,
+    log_cr_slope,
     optimize_spiral,
     spiral_eval_params,
     steady_state_cr,
@@ -43,47 +46,6 @@ def windowed_cr(n: int, b: float, start_phase: float = 0.0) -> float:
                       epsilon=p["epsilon"], window=p["window"],
                       spacing=p["spacing"], t_start=p["t_start"])
     return rep.cr_estimate
-
-
-def test_golden_section_quadratic():
-    res = golden_section(lambda x: (x - 2.0) ** 2, 0.0, 5.0, tol=1e-8)
-    assert res.converged
-    assert res.parameter == pytest.approx(2.0, abs=1e-6)
-    assert res.value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_golden_section_nonsmooth():
-    res = golden_section(lambda x: abs(x - 1.0), -3.0, 4.0, tol=1e-8)
-    assert res.converged
-    assert res.parameter == pytest.approx(1.0, abs=1e-6)
-
-
-def test_golden_section_affine_invariance():
-    f = lambda x: (x - 0.7) ** 2
-    g = lambda x: 100.0 * (x - 0.7) ** 2 + 5.0
-    a = golden_section(f, 0.0, 2.0, tol=1e-9)
-    b = golden_section(g, 0.0, 2.0, tol=1e-9)
-    # both land inside the same final bracket of width tol
-    assert a.parameter == pytest.approx(b.parameter, abs=1e-8)
-
-
-def test_golden_section_counts_evaluations():
-    calls = []
-    res = golden_section(lambda x: (calls.append(x), x * x)[1], -1.0, 1.0, tol=1e-3)
-    assert res.evaluations == len(calls)
-
-
-def test_golden_section_iteration_cap():
-    res = golden_section(lambda x: x * x, -1.0, 1.0, tol=1e-12, max_iter=3)
-    assert not res.converged
-    assert res.bracket[1] - res.bracket[0] > 1e-12
-
-
-def test_golden_section_validates():
-    with pytest.raises(ValueError):
-        golden_section(lambda x: x, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        golden_section(lambda x: x, 0.0, 1.0, tol=-1.0)
 
 
 def test_spiral_fleet_shapes():
@@ -179,19 +141,65 @@ def test_steady_state_cr_finds_a_root_at_the_bracket_edge_in_few_tests(monkeypat
     assert len(calls) <= 12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2]), st.floats(0.05, 2.0))
+def test_log_cr_slope_matches_central_differences(n, b):
+    h = 1e-5 * b
+    central = (math.log(steady_state_cr(n, b + h))
+               - math.log(steady_state_cr(n, b - h))) / (2.0 * h)
+    assert log_cr_slope(n, b) == pytest.approx(central, rel=1e-6, abs=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_log_cr_slope_changes_sign_once_on_the_default_bracket(n):
+    # the scanned claim behind optimize_spiral: one sign change, from
+    # falling to rising, so the stationary point it finds is the minimum
+    signs = [log_cr_slope(n, float(b)) >= 0.0 for b in np.geomspace(*DEFAULT_BRACKET, 2000)]
+    assert signs[0] is False and signs[-1] is True
+    assert sum(a != b for a, b in zip(signs, signs[1:])) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_log_cr_slope_keeps_its_sign_at_steep_growth(n):
+    # far past the optimum the ratio rises; the slope is formed from
+    # |tan| = sqrt(exp(2u) - 1), so no angle near the branch edge is rounded
+    for b in (5.0, 300.0, 1e10, 1e15):
+        assert log_cr_slope(n, b) > 0.0
+    assert log_cr_slope(1, 1e300) == pytest.approx(math.pi)
+
+
 def test_optimize_spiral_without_a_finite_ratio_has_not_converged():
-    # every steady-state ratio of one spiral overflows at these growth rates
+    # every steady-state ratio of one spiral overflows at these growth rates,
+    # and the ratio rises across the bracket: no sign change
     res = optimize_spiral(1, bracket=(400.0, 500.0))
     assert res.value == math.inf and not res.converged
+    assert res.slopes[0] > 0.0 and res.slopes[1] > 0.0
+
+
+# b* and R(b*) where the slope turns, with the two adjacent floats' slopes
+OPTIMA = {1: (0.21246955941564788, 13.811135179461136),
+          2: (0.6464642521222136, 5.264428634262551)}
 
 
 @pytest.mark.parametrize("n,value,evaluations", [(1, 13.811135, 47),
                                                  (2, 5.264429, 50)])
 def test_optimize_spiral_reaches_the_closed_form_optimum(n, value, evaluations):
+    # evaluations is the golden-section search's count, an upper bound here
     res = optimize_spiral(n)
     assert res.converged
+    assert (res.parameter, res.value) == OPTIMA[n]
     assert res.value == pytest.approx(value, abs=1e-6)
-    assert res.evaluations == evaluations
+    assert res.evaluations <= evaluations
+    lo, hi = res.bracket
+    assert lo == res.parameter and hi == math.nextafter(lo, math.inf)
+    assert res.slopes == (log_cr_slope(n, lo), log_cr_slope(n, hi))
+    assert res.slopes[0] < 0.0 <= res.slopes[1]
+
+
+def test_optimize_spiral_finds_the_optimum_in_a_bracket_to_1e300():
+    # a log step of 4e9 once stepped past every finite ratio in this bracket
+    res = optimize_spiral(1, bracket=(0.05, 1e300))
+    assert res.converged and (res.parameter, res.value) == OPTIMA[1]
 
 
 def test_optimize_spiral_rejects_bad_inputs():
@@ -199,12 +207,16 @@ def test_optimize_spiral_rejects_bad_inputs():
         optimize_spiral(3)
     with pytest.raises(ValueError):
         optimize_spiral(1, bracket=(0.5, 0.1))
-    with pytest.raises(ValueError):
-        optimize_spiral(1, prescan=2)
+    for bracket in ((1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)):
+        with pytest.raises(ValueError, match="bracket must be finite"):
+            optimize_spiral(1, bracket=bracket)
+    # the pair's phase psi ~ 1/b is lost once arctan(b) rounds to pi/2
+    with pytest.raises(ValueError, match="too steep"):
+        optimize_spiral(2, bracket=(0.05, 1e300))
 
 
 def test_optimize_spiral_quick_pair():
-    res = optimize_spiral(2, bracket=(0.55, 0.75), tol=5e-3, prescan=4)
+    res = optimize_spiral(2, bracket=(0.55, 0.75))
     assert isinstance(res, OptimizeResult)
     assert res.converged
     assert res.parameter == pytest.approx(0.6465, abs=0.02)

@@ -49,10 +49,11 @@ def test_document_cr_report_fields():
 
 
 def test_document_optimize_result():
-    doc = to_document(OptimizeResult(0.6465, 5.2644, 40, (0.6, 0.7)))
-    assert doc["schema"] == "optimize_result/v1"
+    doc = to_document(OptimizeResult(0.6465, 5.2644, 40, (0.6465, 0.6466), (-1e-9, 2e-9)))
+    assert doc["schema"] == "optimize_result/v2"
     assert doc["converged"] is True
-    assert doc["bracket"] == [0.6, 0.7]
+    assert doc["bracket"] == [0.6465, 0.6466]
+    assert doc["slopes"] == [-1e-9, 2e-9]
 
 
 def test_document_lemma_dict_and_unknown_type():

@@ -1,13 +1,17 @@
 """Repository-level guards: module layering, the shipped fleet configs, the
 spiral reproduction script and the cost of importing the CLI."""
 
+import argparse
 import ast
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from shoreline.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shoreline"
@@ -124,6 +128,20 @@ def test_reproduce_spiral_bounds_finds_both_optima(tmp_path):
             for line in proc.stdout.splitlines() if " gap " in line}
     assert set(gaps) == {"spiral-1", "double-spiral-2"}
     assert all(abs(gap) <= 1e-12 for gap in gaps.values()), gaps
+
+
+def test_readme_names_only_flags_the_cli_has():
+    # README's CLI paragraph lists every command's flags; a flag deleted
+    # from the parser must not linger there
+    text = (ROOT / "README.md").read_text()
+    start = text.index("`evaluate` accepts")
+    named = set(re.findall(r"--[a-z][a-z-]*", text[start:text.index("\n\n", start)]))
+    known = {flag for action in build_parser()._actions
+             if isinstance(action, argparse._SubParsersAction)
+             for command in action.choices.values()
+             for option in command._actions for flag in option.option_strings}
+    assert {"--horizon", "--d", "--suite", "--bracket"} <= named
+    assert named <= known, sorted(named - known)
 
 
 def test_importing_the_cli_builds_no_parser():
