@@ -29,9 +29,14 @@ robots, bisected where one is a spiral.  Along one robot's rising piece
 T(L) / L is monotone (straight) or falls, then rises (spiral), so a record
 cell's worst line is the one just above its floor or a crossing, or the
 one just below min(h, hi).  Each is paid when its first robot passes it:
-in closed form on a straight piece, bisected to the float spacing on a
-spiral piece.  One sweep runs in t order over tiles of every direction,
-carrying only the running maximum.
+in closed form on a straight piece.  On a spiral piece ln s = ln(b/c) + ln t
++ ln cos w, w the phase off the direction, is concave and rising in ln t
+where cos w > 0, so Newton steps place the crossing, and bisection of the
+computed support within a few roundings of it settles its float: a float
+whose support passes the level and whose predecessor's does not, that of
+plain bisection wherever the computed support crosses once (_rise_time).
+One sweep runs in t order over tiles of every direction, carrying only the
+running maximum.
 """
 
 from __future__ import annotations
@@ -61,6 +66,8 @@ TILE_CELLS = 1 << 15
 # Most parts of one cell in which two robots are searched for a swap at once;
 # only robots that run level to within a hair of each other need more.
 SWAP_PARTS = 64
+# A float's relative spacing, at most: the unit of a spiral root's rounding.
+ULP = 2.0 ** -52
 
 
 class UncoveredDirectionError(ValueError):
@@ -113,17 +120,58 @@ def _support(robot, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _rise_time(robot, u: np.ndarray, level: np.ndarray, t0: np.ndarray,
                t1: np.ndarray) -> np.ndarray:
-    """When a support rising through each cell [t0, t1] passes level: the
-    later end, once bisection leaves no float between the two."""
-    t0, t1 = t0.copy(), t1.copy()
-    while True:
-        mid = 0.5 * (t0 + t1)
-        live = (t0 < mid) & (mid < t1)
-        if not live.any():
-            return t1
-        up = _support(robot, mid, u) > level
-        t1 = np.where(live & up, mid, t1)
-        t0 = np.where(live & ~up, mid, t0)
+    """When a log spiral's support, rising through each cell [t0, t1], passes
+    level: a float t in (t0, t1] above level whose predecessor is not or lies
+    at or before t0, the crossing's float where the computed support crosses
+    level once.
+
+    With d = sign (phi - theta) + pi/2 and x = ln t, the support is r sin d
+    and d - d1 = (x - x1) / b from the cell's end.  So the root solves
+    g(d) = b (d - d1) + ln sin d - ln(level / r1) = 0, concave and rising on
+    the branch (0, pi/2 + arctan b): Newton steps from below the root, from
+    the arcsin of a lower bound on sin d, rise to it without overshoot, and
+    stop once g is within the computed log support's rounding, about |phi|
+    ulps times |cot d|.  That only places the root.  _support decides the
+    float: bisected in a window of a few roundings around it, an end clipped
+    to the cell counting as bracketing as in plain bisection, or over the
+    whole cell where the window's ends do not bracket the crossing.
+    """
+    b, sign = robot.growth, 1.0 if robot.chirality == "ccw" else -1.0
+    alpha = math.atan(b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r1 = b / math.sqrt(1.0 + b * b) * t1
+        log_r1 = np.log(r1)
+        base = alpha - 1.5 * math.pi  # d1 in [alpha - pi, alpha + pi), around the rising arc
+        w1 = sign * (robot.start_phase - np.arctan2(u[1], u[0])) + log_r1 / b
+        d1 = np.mod(w1 - base, 2.0 * math.pi) + (base + 0.5 * math.pi)
+        lo = np.maximum(d1 - np.log(t1 / t0) / b, 0.0)
+        hi = np.minimum(d1, 0.5 * math.pi + alpha)
+        q = level / r1
+        c = -b * d1 - np.log(q)
+        ulps = abs(robot.start_phase) + np.abs(log_r1) / b + 8.0  # of the phase
+        # sin d = q exp(b (d1 - d)) >= q exp(b (d1 - hi)) at the root
+        d = np.clip(np.arcsin(np.minimum(q * np.exp(b * (d1 - hi)), 1.0)), lo, hi)
+        for _ in range(64):  # about six steps reach the root to rounding
+            g = b * d + np.log(np.sin(d)) + c
+            cot = 1.0 / np.tan(d)
+            tol = (8.0 + ulps * np.abs(cot)) * ULP
+            if not ((g < -tol) & (d < hi)).any():
+                break
+            d = np.minimum(d - np.minimum(g, 0.0) / (b + cot), hi)
+        t = np.clip(t1 * np.exp(b * (d - d1)), t0, t1)
+        half = t * (16.0 * ULP + 4.0 * b * tol / np.abs(b + cot))
+        a, z = np.maximum(t - half, t0), np.minimum(t + half, t1)
+        s = _support(robot, np.stack((a, z)), u)
+        ok = ((a <= t0) | (s[0] <= level)) & ((z >= t1) | (s[1] > level))
+        t0, t1 = np.where(ok, a, t0), np.where(ok, z, t1)
+        while True:  # the later end, once bisection leaves no float between
+            mid = 0.5 * (t0 + t1)
+            live = (t0 < mid) & (mid < t1)
+            if not live.any():
+                return t1
+            up = _support(robot, mid, u) > level
+            t1 = np.where(live & up, mid, t1)
+            t0 = np.where(live & ~up, mid, t0)
 
 
 def _swaps(robots, normals: np.ndarray, ra: np.ndarray, rb: np.ndarray, j: np.ndarray,

@@ -59,7 +59,10 @@ def _phase(n: int, b: float) -> tuple[float, float]:
     psi is the upper end of the bracket bisection would leave on the
     log-root test g(psi) < 0, g(psi) = b*psi + log|cos(psi + alpha)|
     + log(c^2) / 2: g rises there, and so does its rounded value, so the end
-    is the first float past the root.  Newton steps on g'(psi) =
+    is the first float past the root.  On the bracket (edge, P), edge =
+    P - pi/2 - alpha, |cos(psi + alpha)| is sin(psi - edge), which the test
+    takes: for the pair psi ~ 1/b is near edge, and a cosine near pi/2 would
+    carry pi's absolute rounding.  Newton steps on g'(psi) =
     b - tan(psi + alpha), taken in log(psi - edge) for the bracket's lower
     end edge, where log|cos| has its singularity and is nearly a line in
     that variable, reach it in a few tests.  Once a step stalls within w
@@ -68,9 +71,9 @@ def _phase(n: int, b: float) -> tuple[float, float]:
     bracket toward edge, edge + 1, 2, 4... floats is tested while that lies
     in the bracket's lower half: for one steep spiral the root lies within
     a float of edge, which bisection would take ~49 tests to reach.
-    Otherwise the midpoint is tested.  For the pair, edge = arctan(1/b); a
-    growth rate whose arctan rounds to pi/2 leaves edge at 0 and psi
-    unresolved, and is rejected.
+    Otherwise the midpoint is tested.  For the pair, edge = arctan(1/b),
+    to full relative precision; a growth rate whose 1 + b^2 overflows loses
+    log c^2 and with it the pair's finite ratio, and is rejected.
     """
     if n not in (1, 2):
         raise ValueError(f"unsupported fleet size n={n}; only 1 or 2 spiral robots")
@@ -79,11 +82,12 @@ def _phase(n: int, b: float) -> tuple[float, float]:
     alpha = math.atan(b)
     period = 2.0 * math.pi if n == 1 else math.pi
     log_c2 = math.log1p(b * b)  # log c^2 = -2 log cos(alpha)
-    lo, hi = period - 0.5 * math.pi - alpha, period
-    if not lo > 0.0:
-        raise ValueError(f"growth rate {b!r} too steep for n=2: arctan(b) rounds "
-                         "to pi/2, so the phase psi ~ 1/b is lost")
-    edge, x, below, step, w, up = lo, math.nan, False, math.nan, 1.0, 1.0
+    if n == 2 and log_c2 == math.inf:
+        raise ValueError(f"growth rate {b!r} too steep for n=2: 1 + b^2 overflows, "
+                         "so log c^2 and the pair's finite ratio are lost")
+    edge = period - 0.5 * math.pi - alpha if n == 1 else math.atan(1.0 / b)
+    lo, hi = edge, period
+    x, below, step, w, up = math.nan, False, math.nan, 1.0, 1.0
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         p = x - step
         gap = w * math.ulp(x)
@@ -96,7 +100,7 @@ def _phase(n: int, b: float) -> tuple[float, float]:
             if not lo < p < mid:
                 p = mid
         # the root test in logs, so no exp overflows for large b
-        g = b * p + math.log(abs(math.cos(p + alpha)))
+        g = b * p + math.log(math.sin(p - edge))
         w = 2.0 * w if slow and (g < -0.5 * log_c2) == below else 1.0
         below = g < -0.5 * log_c2
         if below:

@@ -1,8 +1,8 @@
 """Scalar reference helpers the tests measure the package against.
 
 None of these has a caller inside the package: point positions, chord
-speeds, scanned first hits, point supports and distances, the bisection
-whose end the package's steady-state root search must return, and the
+speeds, scanned first hits, point supports and distances, the bisections
+whose ends the package's spiral root searches are measured against, and the
 unit-time reachable ellipse with its travel-budget oracle and scalar
 discriminant.
 """
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from shoreline.certifier import _discriminant_closed
+from shoreline.evaluator import _support
 from shoreline.geometry import Line, Point2
 from shoreline.trajectory import TrajectorySpec, positions
 
@@ -93,18 +94,35 @@ def first_hit_time(
     return float(hi)
 
 
+def rise_time_bisection(robot, u: np.ndarray, level: np.ndarray, t0: np.ndarray,
+                        t1: np.ndarray) -> np.ndarray:
+    """evaluator._rise_time before Newton: when a support rising through each
+    cell [t0, t1] passes level, the later end once bisection leaves no float
+    between the two."""
+    while True:
+        mid = 0.5 * (t0 + t1)
+        live = (t0 < mid) & (mid < t1)
+        if not live.any():
+            return t1
+        up = _support(robot, mid, u) > level
+        t1 = np.where(live & up, mid, t1)
+        t0 = np.where(live & ~up, mid, t0)
+
+
 def steady_state_cr_bisection(n: int, b: float) -> float:
-    """optimizer.steady_state_cr before Newton: its log-root test bisected
-    until the bracket stops shrinking."""
+    """optimizer.steady_state_cr before Newton: its log-root test, with
+    |cos(psi + alpha)| taken as sin(psi - edge) from the bracket's lower end,
+    bisected until the bracket stops shrinking."""
     alpha = math.atan(b)
     period = 2.0 * math.pi if n == 1 else math.pi
     log_c2 = math.log1p(b * b)
-    lo, hi = period - 0.5 * math.pi - alpha, period
+    edge = period - 0.5 * math.pi - alpha if n == 1 else math.atan(1.0 / b)
+    lo, hi = edge, period
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if b * mid + math.log(abs(math.cos(mid + alpha))) < -0.5 * log_c2:
+        if b * mid + math.log(math.sin(mid - edge)) < -0.5 * log_c2:
             lo = mid
         else:
             hi = mid

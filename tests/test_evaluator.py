@@ -20,9 +20,10 @@ from shoreline.evaluator import (
     evaluate_cr,
 )
 from shoreline.optimizer import steady_state_cr
-from shoreline.trajectory import AntipodalOf, Fleet, LogSpiral, Polyline, Ray
+from shoreline.trajectory import (AntipodalOf, Fleet, LogSpiral, Polyline, Ray,
+                                  support_extrema)
 
-from reference import first_hit_time
+from reference import first_hit_time, rise_time_bisection
 
 # all four vertices visited by t = 1 + 3 sqrt(2), so every direction covered
 DIAMOND = Polyline(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0),
@@ -1121,3 +1122,65 @@ def test_an_antipode_has_its_twins_support_in_the_opposite_direction(
     ts = np.broadcast_to(np.array(times)[:, None], (len(times), len(thetas)))
     assert np.array_equal(evaluator._support(spec, ts, u),
                           evaluator._support(twin, ts, sign * u))
+
+
+def test_a_spiral_evaluation_calls_positions_a_dozen_times(monkeypatch):
+    # double-spiral-2: one call per robot for the sweep, then one root search
+    # of 30 columns, which took 54 calls when it bisected each cell whole
+    calls, real = [], evaluator.positions
+    monkeypatch.setattr(evaluator, "positions", lambda *a: calls.append(a) or real(*a))
+    fleet, horizon, kwargs = _shipped("double-spiral-2")
+    evaluate_cr(fleet, horizon, **kwargs)
+    assert len(calls) <= 12
+
+
+def _rising_cells(spiral, u, start):
+    """(t0, t1, u, s0, s1) of each cell between support extrema over three
+    turns from time `start` in which the support rises to a positive value,
+    s0 and s1 the support at its ends."""
+    thetas = np.arctan2(u[1], u[0])
+    radius = spiral.growth / math.hypot(1.0, spiral.growth) * start
+    horizon = start * math.exp(6.0 * math.pi * spiral.growth)
+    ts = support_extrema(spiral, thetas, radius, horizon)
+    t0, t1, j = ts[:, :-1].ravel(), ts[:, 1:].ravel(), np.repeat(np.arange(len(thetas)),
+                                                                 ts.shape[1] - 1)
+    s0, s1 = (evaluator._support(spiral, t, u[:, j]) for t in (t0, t1))
+    keep = (t0 < t1) & (s1 > np.maximum(s0, 0.0))
+    return t0[keep], t1[keep], u[:, j[keep]], s0[keep], s1[keep]
+
+
+@given(growth=st.floats(0.05, 4.0), phase=st.floats(-10.0, 10.0),
+       chirality=st.sampled_from(["ccw", "cw"]),
+       thetas=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=4),
+       flip=st.booleans(), start=st.floats(1e-3, 1e6),
+       frac=st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e-12, 1e-6, 1.0 - 1e-9])))
+@settings(max_examples=80, deadline=None)
+def test_spiral_rise_times_keep_the_bisection_contract(growth, phase, chirality, thetas,
+                                                       flip, start, frac):
+    # a float t in (t0, t1] above level whose predecessor is not or lies at
+    # or before t0; where it is not bisection's float, the computed support
+    # crosses level more than once between the two
+    spiral = LogSpiral(growth, phase, chirality)
+    u = (-1.0 if flip else 1.0) * np.stack((np.cos(thetas), np.sin(thetas)))
+    t0, t1, u, s0, s1 = _rising_cells(spiral, u, start)
+    base = np.maximum(s0, 0.0)
+    level = base + frac * (s1 - base)
+    keep = (level > base) & (level < s1)
+    t0, t1, u, level = t0[keep], t1[keep], u[:, keep], level[keep]
+    if not len(level):
+        return
+    t = evaluator._rise_time(spiral, u, level, t0, t1)
+    before = np.nextafter(t, -np.inf)
+    assert ((t0 < t) & (t <= t1)).all()
+    assert (evaluator._support(spiral, t, u) > level).all()
+    assert ((before <= t0) | (evaluator._support(spiral, before, u) <= level)).all()
+    ref = rise_time_bisection(spiral, u, level, t0, t1)
+    for j in np.flatnonzero(t != ref):
+        # both pass level from below, so it is crossed down between them; a
+        # nearly tangent level may leave too many floats to walk
+        lo, hi = sorted((t[j], ref[j]))
+        lo = np.nextafter(lo, -np.inf)
+        if hi.view(np.int64) - lo.view(np.int64) < 1 << 20:
+            bits = np.arange(lo.view(np.int64), hi.view(np.int64) + 1)
+            up = evaluator._support(spiral, bits.view(float), u[:, [j]].repeat(len(bits), 1))
+            assert np.count_nonzero(np.diff(up > level[j])) > 1

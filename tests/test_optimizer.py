@@ -128,13 +128,21 @@ def test_steady_state_cr_matches_bisection(n):
         assert steady_state_cr(n, float(b)) == steady_state_cr_bisection(n, float(b))
 
 
+def test_steady_state_cr_of_a_steep_pair_grows_linearly():
+    # R / b settles to a constant: psi ~ 1/b lies near the bracket's edge,
+    # which pi/2 - arctan b would round by pi's absolute ulps (3.391 at 1e15)
+    ref = steady_state_cr(2, 1e8) / 1e8
+    for b in (1e10, 1e13, 1e15):
+        assert steady_state_cr(2, b) / b == pytest.approx(ref, rel=0.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("b", [40.0, 100.0, 300.0])
 def test_steady_state_cr_finds_a_root_at_the_bracket_edge_in_few_tests(monkeypatch, b):
     # one steep spiral's root lies within a float of the bracket's lower
     # end, where every Newton step leaves the bracket: a gallop up from the
     # edge finds it, where halving the bracket took 49 tests
-    calls, cos = [], math.cos
-    monkeypatch.setattr(math, "cos", lambda x: calls.append(x) or cos(x))
+    calls, sin = [], math.sin
+    monkeypatch.setattr(math, "sin", lambda x: calls.append(x) or sin(x))
     value = steady_state_cr(1, b)
     monkeypatch.undo()
     assert value == steady_state_cr_bisection(1, b)
@@ -210,7 +218,7 @@ def test_optimize_spiral_rejects_bad_inputs():
     for bracket in ((1.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0)):
         with pytest.raises(ValueError, match="bracket must be finite"):
             optimize_spiral(1, bracket=bracket)
-    # the pair's phase psi ~ 1/b is lost once arctan(b) rounds to pi/2
+    # the pair's ratio ~ 3.59 b is lost once 1 + b^2 overflows
     with pytest.raises(ValueError, match="too steep"):
         optimize_spiral(2, bracket=(0.05, 1e300))
 
