@@ -51,7 +51,6 @@ def spiral_fleet(n: int) -> dict:
             "horizon": p["horizon"],
             "window": list(p["window"]),
             "epsilon": p["epsilon"],
-            "spacing": p["spacing"],
             "t_start": p["t_start"],
             "t_steps": 200000,
             "theta_steps": 6,

@@ -127,7 +127,7 @@ def _rot(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def snapshot_lower_bound(fleet: Fleet, d: float, n: int, gamma: float = DEFAULT_GAMMA, *,
+def snapshot_lower_bound(fleet: Fleet, d: float, gamma: float = DEFAULT_GAMMA, *,
                          eps: float = DEFAULT_EPS, zeta: float = DEFAULT_ZETA,
                          origin_tol: float | None = None) -> ConeCertificate:
     """Certified CR lower bound from the fleet's positions at time d.
@@ -144,8 +144,7 @@ def snapshot_lower_bound(fleet: Fleet, d: float, n: int, gamma: float = DEFAULT_
     for name, value in (("gamma", gamma), ("eps", eps), ("zeta", zeta)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
-    if len(fleet) != n:
-        raise ValueError(f"fleet has {len(fleet)} robots, expected n={n}")
+    n = len(fleet)
     if origin_tol is None:
         origin_tol = 1e-9 * d
     pos = tuple(position(r, float(d)) for r in fleet.robots)

@@ -26,7 +26,8 @@ Fleet configs are JSON:
       "evaluation": {"horizon": 10.0, "theta_steps": 720, "t_steps": 4096}
     }
 
-The optional "evaluation" block supplies defaults that CLI flags override.
+The optional "evaluation" block supplies evaluator.evaluate_cr's settings,
+and the flags given override them.
 Every robot starts at the origin at t = 0; a spiral's "start_phase" is the
 bearing at which it crosses radius 1.  A key not shown here is an error.
 """
@@ -68,7 +69,6 @@ EVALUATION_VALUES = {
     "t_steps": ("an integer", _is_count),
     "window": ("a pair of numbers",
                lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_float, v))),
-    "spacing": ("a string", lambda v: isinstance(v, str)),
 }
 
 
@@ -129,34 +129,14 @@ def _write_out(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _pick(cli_value, config: dict, key: str, default=None):
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        return config[key]
-    return default
-
-
 def cmd_evaluate(args) -> int:
     fleet, robot_docs, ev = load_fleet_config(args.config)
-    horizon = _pick(args.horizon, ev, "horizon")
-    if horizon is None:
+    settings = {**ev, **{key: getattr(args, key) for key in EVALUATION_VALUES
+                         if getattr(args, key) is not None}}
+    if "horizon" not in settings:
         raise ConfigError("horizon must be given via --horizon or the config's "
                           "evaluation block")
-    theta_steps = int(_pick(args.theta_steps, ev, "theta_steps",
-                            evaluator.DEFAULT_THETA_STEPS))
-    t_steps = int(_pick(args.t_steps, ev, "t_steps", evaluator.DEFAULT_T_STEPS))
-    epsilon = _pick(args.epsilon, ev, "epsilon")
-    window = _pick(tuple(args.window) if args.window else None, ev, "window")
-    if window is not None:
-        window = (float(window[0]), float(window[1]))
-    spacing = _pick(args.spacing, ev, "spacing", "uniform")
-    t_start = float(_pick(args.t_start, ev, "t_start", 0.0))
-    rep = evaluator.evaluate_cr(
-        fleet, float(horizon), theta_steps, t_steps,
-        epsilon=None if epsilon is None else float(epsilon),
-        window=window, spacing=spacing, t_start=t_start,
-    )
+    rep = evaluator.evaluate_cr(fleet, **settings)
     text = report.emit_report(rep, fleet=robot_docs)
     if args.out:
         _write_out(args.out, text)
@@ -168,12 +148,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_certify(args) -> int:
     fleet, robot_docs, _ = load_fleet_config(args.config)
-    n = args.n if args.n is not None else len(fleet)
-    if n != len(fleet):
-        raise ConfigError(f"--n {n} does not match fleet size {len(fleet)}")
-    cert = certifier.snapshot_lower_bound(
-        fleet, args.d, n, args.gamma, eps=args.eps, zeta=args.zeta,
-    )
+    cert = certifier.snapshot_lower_bound(fleet, args.d, args.gamma, eps=args.eps,
+                                          zeta=args.zeta)
     text = report.emit_report(cert, fleet=robot_docs)
     if args.out:
         _write_out(args.out, text)
@@ -181,7 +157,7 @@ def cmd_certify(args) -> int:
         print(f"degenerate: unbounded CR (all robots at the origin at "
               f"d={cert.snapshot_time:g})" + (f" -> {args.out}" if args.out else ""))
     else:
-        print(f"bound={cert.bound:.9f} limit={cert.bound_limit:.9f} n={n} "
+        print(f"bound={cert.bound:.9f} limit={cert.bound_limit:.9f} n={cert.n} "
               f"d={cert.snapshot_time:g} witness_theta={cert.witness_line.theta:.6f} "
               f"witness_delta={cert.witness_line.delta:.6g}"
               + (f" -> {args.out}" if args.out else ""))
@@ -262,15 +238,14 @@ def build_parser() -> _Parser:
                     help="validated and echoed; every fleet is sampled at its events")
     pe.add_argument("--epsilon", type=float)
     pe.add_argument("--window", type=float, nargs=2, metavar=("LO", "HI"))
-    pe.add_argument("--spacing", choices=("uniform", "geometric"), help="as --t-steps")
-    pe.add_argument("--t-start", type=float, dest="t_start", help="as --t-steps")
+    pe.add_argument("--t-start", type=float, dest="t_start",
+                    help="validated only; every fleet is sampled at its events")
     pe.add_argument("--out")
     pe.set_defaults(func=cmd_evaluate)
 
     pc = sub.add_parser("certify", help="snapshot lower-bound certificate")
     pc.add_argument("config")
     pc.add_argument("--d", type=float, required=True, help="snapshot time")
-    pc.add_argument("--n", type=int, help="expected fleet size (validated)")
     pc.add_argument("--gamma", type=float, default=certifier.DEFAULT_GAMMA)
     pc.add_argument("--eps", type=float, default=certifier.DEFAULT_EPS)
     pc.add_argument("--zeta", type=float, default=certifier.DEFAULT_ZETA)

@@ -89,7 +89,6 @@ class CRReport:
     t_steps: int
     epsilon: float
     window: tuple[float, float] | None = None
-    spacing: str = "uniform"
 
 
 def _check_positive(name: str, value: float) -> None:
@@ -97,7 +96,7 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _check_time_grid(horizon: float, t_steps: int, spacing: str, t_start: float) -> None:
+def _check_time_grid(horizon: float, t_steps: int, t_start: float) -> None:
     """Validate the time-grid arguments, which no longer change the result."""
     _check_positive("horizon", horizon)
     if not math.isfinite(t_start):
@@ -106,10 +105,6 @@ def _check_time_grid(horizon: float, t_steps: int, spacing: str, t_start: float)
         raise ValueError(f"t_start must lie in [0, horizon), got {t_start!r}")
     if t_steps < 2:
         raise ValueError("t_steps must be at least 2")
-    if spacing not in ("uniform", "geometric"):
-        raise ValueError(f"unknown spacing {spacing!r}")
-    if spacing == "geometric" and t_start <= 0.0:
-        raise ValueError("geometric spacing needs t_start > 0")
 
 
 def _support(robot, ts: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -413,11 +408,10 @@ def _uncovered(theta: float, coverage: float, epsilon: float,
             f"the measurement window's upper end {window[1]:.6g} within horizon",
             theta,
         )
-    return UncoveredDirectionError(
-        f"direction theta={theta:.6f} has no records inside the "
-        f"measurement window {window}",
-        theta,
-    )
+    inside = (f"inside the measurement window {window}" if window is not None
+              else f"at offsets of epsilon {epsilon:.6g} or more")
+    return UncoveredDirectionError(f"direction theta={theta:.6f} has no records {inside}",
+                                   theta)
 
 
 def _ray_fleet_cr(headings: list[float], horizon: float, thetas: np.ndarray, epsilon: float,
@@ -454,7 +448,6 @@ def evaluate_cr(
     epsilon: float | None = None,
     window: tuple[float, float] | None = None,
     *,
-    spacing: str = "uniform",
     t_start: float = 0.0,
 ) -> CRReport:
     """Competitive-ratio estimate: the worst line over every direction for a
@@ -467,25 +460,30 @@ def evaluate_cr(
     other fleet is sampled at its events in each grid direction, so the
     ratio in each is exact up to rounding.  Either way the reported witness
     satisfies cr_estimate = witness_time / witness.delta.  No fleet is
-    sampled on a time grid: t_steps, spacing and t_start are validated and
-    echoed in the report, but do not change the result.
+    sampled on a time grid: t_steps and t_start are validated, and t_steps
+    echoed in the report, but neither changes the result.  epsilon, 1e-3 of
+    the horizon by default, may not exceed a window's upper end.
 
     Raises UncoveredDirectionError for the first direction, in grid order,
     whose coverage stays below epsilon (the fleet does not solve the problem
     within the horizon) or, with a window, below its upper end (lines in the
     window stay unhit), or whose records all fall outside the window.
     """
-    _check_time_grid(horizon, t_steps, spacing, t_start)
+    horizon, t_start = float(horizon), float(t_start)
+    _check_time_grid(horizon, t_steps, t_start)
     if theta_steps < 1:
         raise ValueError("theta_steps must be at least 1")
-    if epsilon is None:
-        epsilon = DEFAULT_EPSILON_FACTOR * horizon
+    default = epsilon is None
+    epsilon = DEFAULT_EPSILON_FACTOR * horizon if default else float(epsilon)
     _check_positive("epsilon", epsilon)
     if window is not None:
-        w_lo, w_hi = float(window[0]), float(window[1])
-        if not 0.0 < w_lo < w_hi:
+        window = (float(window[0]), float(window[1]))
+        if not 0.0 < window[0] < window[1]:
             raise ValueError("window must satisfy 0 < lo < hi")
-        window = (w_lo, w_hi)
+        if epsilon > window[1]:
+            given = " (the default, 1e-3 of the horizon)" if default else ""
+            raise ValueError(f"epsilon {epsilon:.6g}{given} exceeds the window's upper "
+                             f"end {window[1]:.6g}, so no line of the window is measured")
 
     thetas = np.arange(theta_steps) * (2.0 * math.pi / theta_steps)
     headings = [_heading(robot) for robot in fleet.robots]
@@ -498,12 +496,11 @@ def evaluate_cr(
         witness=witness,
         witness_time=time,
         coverage_radius=coverage,
-        horizon=float(horizon),
+        horizon=horizon,
         theta_steps=theta_steps,
         t_steps=t_steps,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         window=window,
-        spacing=spacing,
     )
 
 

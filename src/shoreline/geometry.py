@@ -47,12 +47,6 @@ class Point2:
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
-    def angle(self) -> float:
-        """Polar angle in [0, 2*pi). Undefined at the origin."""
-        if self.x == 0.0 and self.y == 0.0:
-            raise ValueError("angle of the origin is undefined")
-        return normalize_angle(math.atan2(self.y, self.x))
-
 
 @dataclass(frozen=True)
 class Line:

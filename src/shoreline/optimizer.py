@@ -34,8 +34,8 @@ def spiral_eval_params(n: int, b: float) -> dict:
     for the antipodal pair.  The window keeps one full turn of guard on each
     side per the periodicity of the ratio in log offset, and the outer
     radius leaves room for the final crossing.  A spiral from the origin
-    reaches radius r at time (c/b) * r, which sets the horizon.  The grid
-    keys only keep the shipped configs as they are: no result depends on them.
+    reaches radius r at time (c/b) * r, which sets the horizon.  t_start only
+    keeps the shipped configs as they are: no result depends on it.
     """
     c = math.hypot(1.0, b)
     period = 2.0 * math.pi if n == 1 else math.pi
@@ -48,7 +48,6 @@ def spiral_eval_params(n: int, b: float) -> dict:
         "horizon": (c / b) * r_end,
         "window": window,
         "epsilon": window[0],
-        "spacing": "geometric",
         "t_start": 0.05,
     }
 

@@ -69,7 +69,6 @@ def to_document(obj, *, fleet: list[dict] | None = None, extra: dict | None = No
                 "t_steps": obj.t_steps,
                 "epsilon": obj.epsilon,
                 "window": list(obj.window) if obj.window else None,
-                "spacing": obj.spacing,
             },
         }
     elif isinstance(obj, ConeCertificate):

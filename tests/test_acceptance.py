@@ -61,7 +61,7 @@ def test_criterion_02_lower_bounds_meet_upper_for_n_ge_4():
     t0 = time.perf_counter()
     worst = 0.0
     for n in range(4, 13):
-        cert = snapshot_lower_bound(rays(n), d=1.0, n=n, gamma=1e-6)
+        cert = snapshot_lower_bound(rays(n), d=1.0, gamma=1e-6)
         rep = evaluate_cr(rays(n), horizon=10.0, theta_steps=4 * n, t_steps=512)
         worst = max(worst, abs(cert.bound - rep.cr_estimate))
     turned = Fleet(tuple(Ray(0.1 + 0.5 * math.pi * k) for k in range(4)))
@@ -74,7 +74,7 @@ def test_criterion_02_lower_bounds_meet_upper_for_n_ge_4():
 
 
 def test_criterion_03_three_robot_gap():
-    cert = snapshot_lower_bound(rays(3), d=1.0, n=3, eps=1e-6)
+    cert = snapshot_lower_bound(rays(3), d=1.0, eps=1e-6)
     rep = evaluate_cr(rays(3), horizon=10.0)
     lower_err = abs(cert.bound - SQRT3)
     upper_err = abs(rep.cr_estimate - 2.0)
@@ -85,7 +85,7 @@ def test_criterion_03_three_robot_gap():
 
 def test_criterion_04_two_robot_bound_and_discriminant():
     t0 = time.perf_counter()
-    cert = snapshot_lower_bound(rays(2), d=1.0, n=2, zeta=1e-6)
+    cert = snapshot_lower_bound(rays(2), d=1.0, zeta=1e-6)
     bound_err = abs(cert.bound - 3.0)
     worst_disc = max(discriminant_max(zeta) for zeta in (1e-6, 1e-3, 0.1))
     elapsed = time.perf_counter() - t0
@@ -201,7 +201,7 @@ def test_criterion_10_certificates_never_exceed_measured_cr():
     for fleet, ds in criterion_10_draws():
         rep = evaluate_cr(fleet, horizon=16.0, theta_steps=180, t_steps=1024)
         for d in ds:
-            cert = snapshot_lower_bound(fleet, float(d), len(fleet))
+            cert = snapshot_lower_bound(fleet, float(d))
             assert not cert.degenerate  # the anchor is always off-origin
             worst_margin = min(worst_margin, rep.cr_estimate - cert.bound)
             checks += 1
@@ -226,7 +226,7 @@ def test_criterion_10_holds_on_k_spiral_fleets():
             horizon = math.hypot(1.0, b) / b * 4.0 * window[1] * period
             rep = evaluate_cr(fleet, horizon, theta_steps=6, epsilon=1.0, window=window)
             for d in (0.3, 1.0, 3.0):
-                cert = snapshot_lower_bound(fleet, d, k)
+                cert = snapshot_lower_bound(fleet, d)
                 worst_margin = min(worst_margin, rep.cr_estimate - cert.bound)
                 checks += 1
     record(10, worst_margin >= -1e-6, f"min(cr - bound) = {worst_margin:.3g} >= -1e-6 over "
@@ -246,7 +246,7 @@ def test_criterion_10_estimates_do_not_depend_on_the_t_grid():
         differ += coarse.cr_estimate != fine.cr_estimate
     for name in ("spiral-1", "double-spiral-2"):
         fleet, _, ev = load_fleet_config(str(FLEETS / f"{name}.json"))
-        kwargs = {k: ev[k] for k in ("horizon", "theta_steps", "epsilon", "spacing")}
+        kwargs = {k: ev[k] for k in ("horizon", "theta_steps", "epsilon")}
         kwargs["window"] = tuple(ev["window"])
         shipped = evaluate_cr(fleet, t_steps=200_000, t_start=0.05, **kwargs)
         for grid in ({"t_steps": 2, "t_start": 0.05}, {"t_steps": 200_000, "t_start": 1.0}):

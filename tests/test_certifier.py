@@ -211,7 +211,7 @@ def test_empty_cone_all_at_origin():
     # a fleet that has not left the origin gives no direction: the
     # certificate's empty cone is the full plane
     fleet, _, _ = load_fleet_config(str(FLEETS / "all-at-origin.json"))
-    cert = snapshot_lower_bound(fleet, d=1.0, n=len(fleet))
+    cert = snapshot_lower_bound(fleet, d=1.0)
     assert cert.degenerate
     assert cert.cone.half_angle == pytest.approx(math.pi)
     assert math.isinf(cert.bound)
@@ -221,7 +221,7 @@ def test_empty_cone_all_at_origin():
 
 
 def test_snapshot_bound_n4(ray_fleet):
-    cert = snapshot_lower_bound(ray_fleet(4), d=1.0, n=4)
+    cert = snapshot_lower_bound(ray_fleet(4), d=1.0)
     assert isinstance(cert, ConeCertificate)
     assert cert.bound == pytest.approx(math.sqrt(2.0), abs=1e-5)
     assert cert.bound_limit == pytest.approx(math.sqrt(2.0), rel=1e-15)
@@ -231,27 +231,27 @@ def test_snapshot_bound_n4(ray_fleet):
 
 @pytest.mark.parametrize("n", [5, 6, 8, 12])
 def test_snapshot_bound_large_n(n, ray_fleet):
-    cert = snapshot_lower_bound(ray_fleet(n), d=3.0, n=n)
+    cert = snapshot_lower_bound(ray_fleet(n), d=3.0)
     assert cert.bound == pytest.approx(1.0 / math.cos(math.pi / n), abs=1e-5)
     assert cert.bound_limit == pytest.approx(1.0 / math.cos(math.pi / n), rel=1e-15)
 
 
 def test_snapshot_bound_n3(ray_fleet):
-    cert = snapshot_lower_bound(ray_fleet(3), d=1.0, n=3)
+    cert = snapshot_lower_bound(ray_fleet(3), d=1.0)
     assert cert.bound == pytest.approx(SQRT3, abs=1e-5)
     assert cert.bound_limit == pytest.approx(SQRT3, rel=1e-15)
     assert cert.cone.half_angle == pytest.approx(math.pi / 3)
 
 
 def test_snapshot_bound_n2(ray_fleet):
-    cert = snapshot_lower_bound(ray_fleet(2), d=1.0, n=2)
+    cert = snapshot_lower_bound(ray_fleet(2), d=1.0)
     assert cert.bound == pytest.approx(3.0, abs=1e-5)
     assert cert.bound_limit == 3.0
     assert cert.cone.half_angle == pytest.approx(math.pi / 2)
 
 
 def test_snapshot_bound_n1():
-    cert = snapshot_lower_bound(Fleet((Ray(0.7),)), d=2.0, n=1)
+    cert = snapshot_lower_bound(Fleet((Ray(0.7),)), d=2.0)
     assert cert.bound == pytest.approx(3.0, abs=1e-5)
     assert cert.bound_limit == 3.0
 
@@ -262,15 +262,15 @@ def test_snapshot_witness_clears_all_robots(n, ray_fleet):
     # line, so the adversary could still have hidden it there
     fleet = ray_fleet(n, offset=0.37)
     d = 1.7
-    cert = snapshot_lower_bound(fleet, d=d, n=n)
+    cert = snapshot_lower_bound(fleet, d=d)
     for r in fleet.robots:
         p = position(r, d)
         assert support(p, cert.witness_line.theta) < cert.witness_line.delta - 1e-12
 
 
 def test_snapshot_scale_invariance(ray_fleet):
-    a = snapshot_lower_bound(ray_fleet(4, offset=0.2), d=1.0, n=4)
-    b = snapshot_lower_bound(ray_fleet(4, offset=0.2), d=3.0, n=4)
+    a = snapshot_lower_bound(ray_fleet(4, offset=0.2), d=1.0)
+    b = snapshot_lower_bound(ray_fleet(4, offset=0.2), d=3.0)
     assert a.bound == pytest.approx(b.bound, rel=1e-12)
     assert a.cone.bisector == pytest.approx(b.cone.bisector, abs=1e-9)
     assert b.witness_line.delta == pytest.approx(3.0 * a.witness_line.delta, rel=1e-9)
@@ -278,26 +278,24 @@ def test_snapshot_scale_invariance(ray_fleet):
 
 def test_snapshot_degenerate_all_at_origin():
     fleet = Fleet((Polyline(((0.0, 0.0), (0.0, 0.0), (1e-15, 0.0))),))
-    cert = snapshot_lower_bound(fleet, d=1.0, n=1, origin_tol=1e-6)
+    cert = snapshot_lower_bound(fleet, d=1.0, origin_tol=1e-6)
     assert cert.degenerate
     assert math.isinf(cert.bound)
     assert cert.witness_line.delta == pytest.approx(1.0)
 
 
 def test_snapshot_eps_controls_gap_to_limit(ray_fleet):
-    tight = snapshot_lower_bound(ray_fleet(3), d=1.0, n=3, eps=1e-9)
-    loose = snapshot_lower_bound(ray_fleet(3), d=1.0, n=3, eps=1e-3)
+    tight = snapshot_lower_bound(ray_fleet(3), d=1.0, eps=1e-9)
+    loose = snapshot_lower_bound(ray_fleet(3), d=1.0, eps=1e-3)
     assert tight.bound > loose.bound
     assert tight.bound < tight.bound_limit
 
 
 def test_snapshot_validates_inputs(ray_fleet):
     with pytest.raises(ValueError):
-        snapshot_lower_bound(ray_fleet(4), d=0.0, n=4)
-    with pytest.raises(ValueError, match="expected n"):
-        snapshot_lower_bound(ray_fleet(4), d=1.0, n=5)
+        snapshot_lower_bound(ray_fleet(4), d=0.0)
     with pytest.raises(ValueError):
-        snapshot_lower_bound(ray_fleet(4), d=1.0, n=4, gamma=math.pi)
+        snapshot_lower_bound(ray_fleet(4), d=1.0, gamma=math.pi)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -315,12 +313,12 @@ def test_snapshot_rejects_unsound_parameters(ray_fleet, n, kwargs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must be finite"):
-            snapshot_lower_bound(ray_fleet(n), n=n, **args)
+            snapshot_lower_bound(ray_fleet(n), **args)
 
 
 def test_snapshot_zero_offsets_give_the_limits(ray_fleet):
-    assert snapshot_lower_bound(ray_fleet(3), 1.0, 3, eps=0.0).bound == pytest.approx(SQRT3)
-    assert snapshot_lower_bound(ray_fleet(2), 1.0, 2, zeta=0.0).bound == 3.0
+    assert snapshot_lower_bound(ray_fleet(3), 1.0, eps=0.0).bound == pytest.approx(SQRT3)
+    assert snapshot_lower_bound(ray_fleet(2), 1.0, zeta=0.0).bound == 3.0
 
 
 # --------------------------------------------------------------- ellipses
@@ -511,7 +509,7 @@ def test_discriminant_matches_quadratic_expansion(delta, theta, zeta):
 def test_snapshot_with_spiral_fleet():
     fleet = Fleet((LogSpiral(growth=0.6465),
                    LogSpiral(growth=0.6465, start_phase=math.pi)))
-    cert = snapshot_lower_bound(fleet, d=4.0, n=2)
+    cert = snapshot_lower_bound(fleet, d=4.0)
     assert cert.bound == pytest.approx(3.0, abs=1e-5)
     for (px, py) in cert.robot_positions:
         assert support(Point2(px, py), cert.witness_line.theta) < cert.witness_line.delta

@@ -140,9 +140,8 @@ def test_evaluate_t_start_does_not_inflate_a_ray_fleet(tmp_path):
 @pytest.mark.parametrize("flags,message", [
     (["--t-start", "20"], "t_start must lie in [0, horizon)"),
     (["--t-start", "10"], "t_start must lie in [0, horizon)"),
-    (["--t-start", "-1", "--spacing", "uniform"], "t_start must lie in [0, horizon)"),
+    (["--t-start", "-1"], "t_start must lie in [0, horizon)"),
     (["--t-steps", "1"], "t_steps must be at least 2"),
-    (["--spacing", "geometric", "--t-start", "0"], "geometric spacing needs t_start"),
 ])
 def test_evaluate_bad_time_grid_is_a_config_error(capsys, config, flags, message):
     # the time grid is validated whether or not the fleet is sampled on it
@@ -152,6 +151,22 @@ def test_evaluate_bad_time_grid_is_a_config_error(capsys, config, flags, message
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags,given", [
+    ([], " (the default, 1e-3 of the horizon)"),
+    (["--epsilon", "5"], ""),
+], ids=["default", "given"])
+def test_evaluate_epsilon_above_the_window_is_a_config_error(capsys, flags, given):
+    # the offsets measured would be [epsilon, 2], empty: this used to report
+    # a witness at epsilon, outside the window
+    code = main(["evaluate", str(FLEETS / "rays-4.json"), "--horizon", "4000",
+                 "--window", "1", "2", *flags])
+    assert code == EXIT_CONFIG
+    epsilon = flags[-1] if flags else "4"
+    assert capsys.readouterr().err == (
+        f"error: epsilon {epsilon}{given} exceeds the window's upper end 2, so no line "
+        "of the window is measured\n")
 
 
 @pytest.mark.parametrize("key,value", [
@@ -183,6 +198,13 @@ def test_evaluate_missing_config_file(tmp_path, capsys):
 
 
 # ------------------------------------------------------------ config files
+
+
+def test_config_top_level_must_be_an_object(tmp_path, capsys):
+    p = tmp_path / "f.json"
+    p.write_text("[]")
+    assert main(["evaluate", str(p), "--horizon", "5"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: config {p}: top level must be an object\n"
 
 
 def test_config_rejects_bad_version(tmp_path, capsys):
@@ -278,7 +300,10 @@ def test_config_rejects_unknown_keys(tmp_path, capsys, doc, where, key):
      "robots[1]: start_phase must be finite, got nan"),
     ('{"kind": "ray", "angle": NaN}', "robots[1]: angle must be finite, got nan"),
     ('{"kind": "ray", "angle": 1e400}', "robots[1]: angle must be finite, got inf"),
-], ids=["spiral-nan-phase", "ray-nan", "ray-overflow"])
+    # json.load reads Infinity
+    ('{"kind": "polyline", "vertices": [[0, 0], [Infinity, 1]]}',
+     "robots[1]: polyline vertices must be finite"),
+], ids=["spiral-nan-phase", "ray-nan", "ray-overflow", "polyline-infinity"])
 def test_config_rejects_non_finite_bearings(tmp_path, capsys, command, robot, message):
     # a NaN phase used to certify "unbounded CR" with exit 0, a NaN ray was
     # dropped by certify and left evaluate uncovered, 1e400 hit a math error
@@ -334,12 +359,6 @@ def test_certify_four_rays(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["schema"] == "cone_certificate/v1"
     assert doc["bound_limit"] == pytest.approx(math.sqrt(2.0))
-
-
-def test_certify_n_mismatch(tmp_path, capsys):
-    cfg = ray_config(tmp_path / "f.json", 4)
-    assert main(["certify", cfg, "--d", "1.0", "--n", "5"]) == EXIT_CONFIG
-    assert "does not match" in capsys.readouterr().err
 
 
 def test_certify_degenerate_prints_notice(tmp_path, capsys):
@@ -406,6 +425,17 @@ def test_lemmas_negative_controls(capsys):
     out = capsys.readouterr().out
     assert "omb-negative-control" in out
     assert "discriminant-zeta-zero" in out
+
+
+def test_lemma_violation_exits_3(tmp_path, monkeypatch, capsys):
+    # past a quarter turn the reflection inequality fails, as its control does
+    monkeypatch.setattr(certifier, "OMB_PHIS", (math.pi / 8, 0.3 * math.pi))
+    out = tmp_path / "lemmas.json"
+    assert main(["lemmas", "--out", str(out)]) == EXIT_LEMMA
+    captured = capsys.readouterr()
+    assert "FAIL omb" in captured.out
+    assert captured.err == "lemma violation in: omb\n"
+    assert json.loads(out.read_text())["all_passed"] is False
 
 
 # ---------------------------------------------------------------- optimize
@@ -545,13 +575,15 @@ def test_plot_unknown_schema(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc,message", [
-    ([1, 2], "top level must be an object"),
-    ({"schema": "cr_report/v1"}, "lacks the field 'witness'"),
-], ids=["not-an-object", "missing-field"])
-def test_plot_malformed_report(tmp_path, capsys, doc, message):
+@pytest.mark.parametrize("text,message", [
+    (json.dumps([1, 2]), "top level must be an object"),
+    (json.dumps({"schema": "cr_report/v1"}), "lacks the field 'witness'"),
+    ('{"schema": ', "is not valid JSON"),
+    (json.dumps({"schema": "cr_report/v1", "witness": [0.5, 2.0]}), "is malformed"),
+], ids=["not-an-object", "missing-field", "not-json", "witness-list"])
+def test_plot_malformed_report(tmp_path, capsys, text, message):
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps(doc))
+    p.write_text(text)
     assert main(["plot", str(p)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -656,16 +688,16 @@ def parity_outputs(stem: str, work: Path) -> bytes:
 PARITY_DIGESTS = {
     "all-at-origin": "2cdacacb7cfb5dac0a56f5634b597c924d36da0191492c0fd0a2fd95a8a5a701",
     "double-spiral-2": "efacfa259edbbdec25b72e9a3c34eb17c31aa0bc1650a0f3ad6f00e0679ee7b6",
-    "rays-10": "afa8a1af045ec7255f338e27521cfced79c60262d50cd0ed33ff02672255955d",
-    "rays-11": "16fd0d8c32bceb17b9950f848266ac45c87247b14f58c92cb748db56aac1c988",
-    "rays-12": "8782e750b491769a23387edab5a3c263d2163885c3caf4a07fdb340f30cb20d1",
-    "rays-3": "8d77c7aa8b6e17e84ea86de3b2b93478dff243732a2cf149b567b8af6af5e4cc",
-    "rays-4": "0d100230f86dbc428947a8136cd1a73ac383029992d12fab69d082b63b946034",
-    "rays-5": "43ca9f4dec8f63245f54cae81887949929f0368652d2a9e5a36d3ecf8a745e11",
-    "rays-6": "7fd53af58df83c561fb2d685b394cb521282772ee9fbdd885ebb2455d941d4c9",
-    "rays-7": "8344b1abf7dbefbd3968ac3ac7a2dc1d5c3bc4d7b252d2a1282fca9a2c7625c6",
-    "rays-8": "0ea453f204c8c507917d74834b4c2a24ae6cb27221580711c4f8b8b35d4fd0f7",
-    "rays-9": "aad41f4a55ff905645680aaa634d8453c94d529172dfd7d08e3dc355a472441e",
+    "rays-10": "76376191158978e4d2ccc9b5af7093f1f57dab3047ac0cd5bbe452dcfc04c599",
+    "rays-11": "77df3435280b17a74e09943c5050dc08900a7019a2bd1c165454591c8bef27a6",
+    "rays-12": "c840671b6e83aaa400d2d758187436cf4361fc944e121491a26bad7c6e4e9838",
+    "rays-3": "ca784c42973f532f358cac8deac4e0e3970232d03fe38d575ce8e38f602b3e39",
+    "rays-4": "80c3535ac3f8db8abb81e282a52b1d21d31e7845e4885eaec51ef82e059d874a",
+    "rays-5": "12cf9530bfc2428b78946f5720c756600214214fcd535e9ab4025ccebe95003d",
+    "rays-6": "6c4cdb0a828979d5818d604f03ee361c0deab856146b7b30394ecd0412d16b4c",
+    "rays-7": "822513d8adc188868ac8c283957589064820b5ea5f1e172472e74ba89465a8d9",
+    "rays-8": "6998e146b6056cf8c0392c83cdba85be1657d3334ccb88506f5af1805cde9757",
+    "rays-9": "81b63c4b687b838ff21efbea4644c084c8f5d7bab6a91f84f3ed0da772f468bb",
     "single-ray": "58529693bd0ba2d6d583839d08d16286b6346307be2abd76db431185a6566ae8",
     "spiral-1": "d17146817fa920b26ea62096703a081861ce2d4e57d1bb4be9658ac020b703dd",
 }
@@ -704,9 +736,9 @@ def trajectory_picture_outputs(config: str, work: Path) -> bytes:
 # that plot draws for spiral and polyline reports, which PARITY_DIGESTS (ray
 # reports only) leaves unpinned.  The values depend on the platform's libm.
 TRAJECTORY_PICTURE_DIGESTS = {
-    "spiral-1": "fe5fed67b65c86b8450198a195376fe677791598667dcefd29d4c5bcdc695792",
-    "double-spiral-2": "b2dfba7eda4a827a48cedb45e87d2258c4a59c02eb6c129064653298ae6aed0a",
-    "polyline": "5eb236ffa03a4c02c784f483865666b00dd89ec9b98bf1f6fef5b5e03ddbc2db",
+    "spiral-1": "64f302464c9001cc7d31c7be55a4251e65a5105aafb11ffb107823cc8cb2ed0e",
+    "double-spiral-2": "3c1ba19f72b28e07c25b06d4ed35d553d2334e2e1f4dc8aadb9b016041b5d1d3",
+    "polyline": "50b3cfc01a92916ee4e2eef1cd9e6efbee4a21d3d083b9656cd918a32a78727f",
 }
 
 

@@ -104,19 +104,6 @@ def test_profile_invariants_mixed_fleet(a, b, phase, walk):
     assert rep.cr_estimate == rep.witness_time / rep.witness.delta
 
 
-def test_profile_geometric_spacing_requires_start():
-    with pytest.raises(ValueError):
-        one_direction(straight(0.0, 10.0), horizon=5.0, spacing="geometric", t_start=0.0)
-    rep = one_direction(straight(0.0, 10.0), horizon=5.0, t_steps=256, spacing="geometric",
-                        t_start=0.01)
-    assert rep.coverage_radius == pytest.approx(5.0)
-
-
-def test_profile_unknown_spacing():
-    with pytest.raises(ValueError, match="spacing"):
-        one_direction(Ray(0.0), horizon=5.0, spacing="log")
-
-
 # ----------------------------------------------------- records to ratio
 
 
@@ -231,7 +218,6 @@ def test_evaluate_cr_report_fields(ray_fleet):
     assert report.theta_steps == 360
     assert report.t_steps == 512
     assert report.epsilon == pytest.approx(DEFAULT_EPSILON_FACTOR * 8.0)
-    assert report.spacing == "uniform"
     assert report.window is None
     # worst direction over the grid determines the coverage radius
     assert report.coverage_radius == pytest.approx(8.0 * math.cos(math.pi / 4), rel=1e-3)
@@ -459,8 +445,7 @@ PINNED = {
 
 def _shipped(name):
     fleet, _, ev = load_fleet_config(str(FLEETS / f"{name}.json"))
-    kwargs = {k: ev[k] for k in ("theta_steps", "t_steps", "epsilon", "spacing",
-                                "t_start") if k in ev}
+    kwargs = {k: ev[k] for k in ("theta_steps", "t_steps", "epsilon", "t_start") if k in ev}
     if "window" in ev:
         kwargs["window"] = tuple(ev["window"])
     return fleet, ev["horizon"], kwargs
@@ -565,7 +550,7 @@ def test_tile_size_never_changes_mixed_grid_fleet(walk):
     with pytest.MonkeyPatch.context() as mp:
         _assert_tile_invariant(mp, fleet, (1, 144, 360, 1 << 20), horizon=12.0,
                                theta_steps=24, t_steps=300, window=(0.5, 0.75),
-                               spacing="geometric", t_start=0.3)
+                               t_start=0.3)
 
 
 def test_record_sweep_overflow_stays_silent():
@@ -586,7 +571,7 @@ def test_tile_size_never_changes_windowed_spiral(monkeypatch):
     fleet = Fleet((LogSpiral(growth=0.3),))
     _assert_tile_invariant(monkeypatch, fleet, (6, 12, 30, 3000), t_steps=3001,
                            horizon=2000.0, theta_steps=6, epsilon=5.0,
-                           window=(5.0, 150.0), spacing="geometric", t_start=0.05)
+                           window=(5.0, 150.0), t_start=0.05)
 
 
 def test_tile_size_never_changes_tied_ratios(monkeypatch):
@@ -742,9 +727,9 @@ def test_piecewise_linear_fleets_ignore_the_time_grid(anchor, extra, window):
     fleet = Fleet(anchor + tuple(extra))
     kwargs = {"horizon": 12.0, "theta_steps": 24, "window": window}
     want = evaluate_cr(fleet, t_steps=4096, **kwargs)
-    for grid in ({"t_steps": 2}, {"spacing": "geometric", "t_start": 0.5}):
+    for grid in ({"t_steps": 2}, {"t_start": 0.5}):
         rep = evaluate_cr(fleet, **grid, **kwargs)
-        assert replace(rep, t_steps=want.t_steps, spacing=want.spacing) == want
+        assert replace(rep, t_steps=want.t_steps) == want
 
 
 def test_t_start_changes_nothing_on_a_spiral_already_past_epsilon():
@@ -826,6 +811,37 @@ def test_a_window_the_horizon_does_not_cover_is_refused(fleet, horizons):
         assert err.value.theta == 0.0
 
 
+@pytest.mark.parametrize("fleet", [
+    Fleet(tuple(Ray(k * math.pi / 2.0) for k in range(4))),
+    # climbs in unit steps, so every record lies above the window's upper end
+    Fleet((path(*((float(k), 0.0) for k in range(1, 8))),)),
+], ids=["rays", "polyline"])
+def test_an_epsilon_above_the_window_is_refused(fleet):
+    # lines below epsilon are never measured, so [max(epsilon, lo), hi] would
+    # be empty: the default 1e-3 * 4000 = 4 once reported a witness at 4, and
+    # the polyline an uncovered window
+    with pytest.raises(ValueError, match=r"^epsilon 4 \(the default, 1e-3 of the horizon\) "
+                                         r"exceeds the window's upper end 2, "):
+        evaluate_cr(fleet, 4000.0, theta_steps=1, window=(1.0, 2.0))
+    with pytest.raises(ValueError, match=r"^epsilon 5 exceeds the window's upper end 2, "):
+        evaluate_cr(fleet, 4000.0, theta_steps=1, epsilon=5.0, window=(1.0, 2.0))
+    rep = evaluate_cr(fleet, 4000.0, theta_steps=1, epsilon=2.0, window=(1.0, 2.0))
+    assert rep.witness.delta == 2.0
+
+
+@pytest.mark.parametrize("window,where", [
+    (None, "at offsets of epsilon 1 or more"),
+    ((1.0, 1.0 + 1e-13), "inside the measurement window (1.0, 1.0000000000001)"),
+])
+def test_a_direction_without_records_names_its_offsets(window, where):
+    # the rise from 1 - 1e-13 to 1 + 1e-13 is a tie up to rounding, not a
+    # record, and the first rise ends below 1
+    fleet = Fleet((path((1.0 - 1e-13, 0.0), (0.0, 0.0), (1.0 + 1e-13, 0.0)),))
+    with pytest.raises(UncoveredDirectionError) as err:
+        evaluate_cr(fleet, 10.0, theta_steps=1, epsilon=1.0, window=window)
+    assert str(err.value) == f"direction theta=0.000000 has no records {where}"
+
+
 # --------------------------------------------------------- ray fleets
 
 
@@ -846,11 +862,12 @@ _ray_window = st.one_of(
 
 
 def _ray_outcome(robots, horizon, window):
-    """The CR of a ray fleet, or the uncovered error's message."""
+    """The CR of a ray fleet, or the message of the error it raises: uncovered,
+    or an epsilon above the window's upper end."""
     try:
         return evaluate_cr(Fleet(tuple(robots)), horizon, theta_steps=16,
                            window=window).cr_estimate
-    except UncoveredDirectionError as err:
+    except ValueError as err:
         return str(err)
 
 
@@ -860,10 +877,15 @@ def test_ray_fleets_are_the_closed_form(robots, horizon, window):
     # the widest gap g between headings sets the ratio, 1/cos(g/2), and the
     # fleet is uncovered exactly where horizon * cos(g/2) falls short of lo,
     # the larger of epsilon and the window's lower end, or of the window's
-    # upper end; only a shortfall below epsilon is an error without a window
+    # upper end; only a shortfall below epsilon is an error without a window.
+    # A default epsilon above the window's upper end is refused first
     fleet, steps = Fleet(tuple(robots)), 8
     g = _heading_gap(robots)
     epsilon = DEFAULT_EPSILON_FACTOR * horizon
+    if window and epsilon > window[1]:
+        with pytest.raises(ValueError, match="exceeds the window's upper end"):
+            evaluate_cr(fleet, horizon, theta_steps=steps, window=window)
+        return
     lo = max(epsilon, window[0]) if window else epsilon
     reach = horizon * math.cos(0.5 * g) if g < math.pi else 0.0
     if reach < (max(lo, window[1]) if window else lo):

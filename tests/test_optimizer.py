@@ -43,8 +43,7 @@ def windowed_cr(n: int, b: float, start_phase: float = 0.0) -> float:
     """
     p = spiral_eval_params(n, b)
     rep = evaluate_cr(spiral_fleet(n, b, start_phase), p["horizon"], 6,
-                      epsilon=p["epsilon"], window=p["window"],
-                      spacing=p["spacing"], t_start=p["t_start"])
+                      epsilon=p["epsilon"], window=p["window"], t_start=p["t_start"])
     return rep.cr_estimate
 
 
@@ -64,7 +63,6 @@ def test_spiral_eval_params_shape():
     lo, hi = p["window"]
     assert 0.0 < lo < hi < p["horizon"]
     assert p["epsilon"] == lo
-    assert p["spacing"] == "geometric"
     assert p["t_start"] > 0.0
     # window edges keep one full turn of guard past radius 1 and before the
     # horizon's radius
@@ -99,8 +97,7 @@ def test_steady_state_cr_matches_windowed_reference(n, b):
 def test_shipped_spiral_configs_match_the_closed_form(n, name):
     fleet, _, ev = load_fleet_config(str(FLEETS / f"{name}.json"))
     rep = evaluate_cr(fleet, ev["horizon"], ev["theta_steps"], ev["t_steps"],
-                      epsilon=ev["epsilon"], window=tuple(ev["window"]),
-                      spacing=ev["spacing"], t_start=ev["t_start"])
+                      epsilon=ev["epsilon"], window=tuple(ev["window"]), t_start=ev["t_start"])
     b = fleet.robots[0].growth
     assert rep.cr_estimate == pytest.approx(steady_state_cr(n, b), rel=1e-12)
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shoreline.certifier import snapshot_lower_bound
+from shoreline import report
+from shoreline.certifier import lemma_suite, snapshot_lower_bound
 from shoreline.evaluator import CRReport
 from shoreline.geometry import Line
 from shoreline.optimizer import OptimizeResult
@@ -45,7 +46,7 @@ def test_document_cr_report_fields():
     doc = to_document(sample_cr_report())
     assert doc["witness"] == {"theta": 0.25, "delta": 2.0}
     assert doc["grid"]["window"] == [1.0, 5.0]
-    assert doc["grid"]["spacing"] == "uniform"
+    assert set(doc["grid"]) == {"horizon", "theta_steps", "t_steps", "epsilon", "window"}
 
 
 def test_document_optimize_result():
@@ -65,7 +66,7 @@ def test_document_lemma_dict_and_unknown_type():
 
 def test_document_certificate_infinity_becomes_null():
     parked = Fleet((Polyline(((0.0, 0.0), (0.0, 0.0), (1e-15, 0.0))),))
-    cert = snapshot_lower_bound(parked, d=1.0, n=1, origin_tol=1e-6)
+    cert = snapshot_lower_bound(parked, d=1.0, origin_tol=1e-6)
     doc = to_document(cert)
     assert doc["schema"] == "cone_certificate/v1"
     assert doc["degenerate"] is True
@@ -116,6 +117,22 @@ def test_emit_writes_the_indented_json_dump(doc, fleet):
     assert emit_report(doc, fleet=fleet) == want
 
 
+def test_emit_without_the_c_encoder_writes_the_same_bytes(monkeypatch, ray_fleet):
+    # a Python built without json's C accelerator takes the pure encoder
+    fleet = ray_fleet(5)
+    robots = [spec_to_dict(robot) for robot in fleet.robots]
+    cert, lemmas = snapshot_lower_bound(fleet, d=1.0), {"results": lemma_suite(),
+                                                        "all_passed": True}
+    want = [emit_report(lemmas), emit_report(cert, fleet=robots)]
+    monkeypatch.setattr(report, "c_make_encoder", None)
+    report._items_encoder.cache_clear()
+    try:
+        assert isinstance(report._items_encoder(1).__self__, json.JSONEncoder)
+        assert [emit_report(lemmas), emit_report(cert, fleet=robots)] == want
+    finally:
+        report._items_encoder.cache_clear()
+
+
 def point_certificate(x: float, y: float, d: float = 1.0) -> dict:
     """A degenerate certificate document: one robot, no cone or ellipse."""
     return {"schema": "cone_certificate/v1", "snapshot_time": d, "n": 1,
@@ -138,8 +155,8 @@ def test_render_validates_canvas_and_radius():
 def test_render_draws_every_element_kind(ray_fleet):
     fleet = [spec_to_dict(Ray(0.0)), spec_to_dict(Ray(math.pi))]
     report = render(to_document(sample_cr_report(), fleet=fleet), canvas=320)
-    cone = render(to_document(snapshot_lower_bound(ray_fleet(5), d=1.0, n=5)))
-    ellipses = render(to_document(snapshot_lower_bound(ray_fleet(2), d=1.0, n=2)))
+    cone = render(to_document(snapshot_lower_bound(ray_fleet(5), d=1.0)))
+    ellipses = render(to_document(snapshot_lower_bound(ray_fleet(2), d=1.0)))
     for svg in (report, cone, ellipses):
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
@@ -177,7 +194,7 @@ def test_scene_cr_report_round_trip():
 
 
 def test_scene_two_robot_certificate_draws_ellipses(ray_fleet):
-    cert = snapshot_lower_bound(ray_fleet(2), d=1.0, n=2)
+    cert = snapshot_lower_bound(ray_fleet(2), d=1.0)
     svg = render(to_document(cert), canvas=320)
     # one reachable region per robot plus two position markers
     assert svg.count("<polygon") == 2
@@ -186,7 +203,7 @@ def test_scene_two_robot_certificate_draws_ellipses(ray_fleet):
 
 
 def test_scene_cone_certificate_draws_wedge(ray_fleet):
-    cert = snapshot_lower_bound(ray_fleet(5), d=1.0, n=5)
+    cert = snapshot_lower_bound(ray_fleet(5), d=1.0)
     svg = render(to_document(cert))
     assert svg.count("<polygon") == 1  # the empty cone
     assert svg.count("<circle") == 5
@@ -194,7 +211,7 @@ def test_scene_cone_certificate_draws_wedge(ray_fleet):
 
 def test_scene_degenerate_certificate_says_unbounded():
     parked = Fleet((Polyline(((0.0, 0.0), (0.0, 0.0), (1e-15, 0.0))),))
-    cert = snapshot_lower_bound(parked, d=1.0, n=1, origin_tol=1e-6)
+    cert = snapshot_lower_bound(parked, d=1.0, origin_tol=1e-6)
     svg = render(to_document(cert))
     assert "unbounded" in svg
     assert "<polygon" not in svg

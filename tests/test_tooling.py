@@ -4,6 +4,7 @@ spiral reproduction script and the cost of importing the CLI."""
 import argparse
 import ast
 import importlib.util
+import inspect
 import json
 import os
 import re
@@ -11,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from shoreline import cli, evaluator
 from shoreline.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,6 +144,17 @@ def test_readme_names_only_flags_the_cli_has():
              for option in command._actions for flag in option.option_strings}
     assert {"--horizon", "--d", "--suite", "--bracket"} <= named
     assert named <= known, sorted(named - known)
+
+
+def test_evaluate_flags_are_the_evaluation_keys():
+    # cmd_evaluate hands the config's evaluation block, overridden by the
+    # flags given, to evaluate_cr as keywords: a key it does not take would
+    # be a TypeError and a traceback, not an exit code
+    evaluate = next(action.choices["evaluate"] for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for action in evaluate._actions} - {"help", "config", "out"}
+    assert dests == set(cli.EVALUATION_VALUES)
+    assert set(cli.EVALUATION_VALUES) <= set(inspect.signature(evaluator.evaluate_cr).parameters)
 
 
 def test_importing_the_cli_builds_no_parser():

@@ -84,6 +84,24 @@ def test_polyline_must_start_at_origin():
         Polyline(((0.1, 0.0), (1.0, 0.0)))
 
 
+@pytest.mark.parametrize("vertices,message", [
+    (((0.0, 0.0),), "at least two vertices"),
+    (((0.0, 0.0), (math.inf, 1.0)), "must be finite"),
+    (((0.0, 0.0), (1.0, math.nan)), "must be finite"),
+])
+def test_polyline_needs_two_finite_vertices(vertices, message):
+    with pytest.raises(ValueError, match=message):
+        Polyline(vertices)
+
+
+def test_times_must_be_a_row_of_non_negative_numbers():
+    with pytest.raises(ValueError, match="one-dimensional"):
+        trajectory.positions(Ray(0.0), np.zeros((2, 2)))
+    for spec in (Ray(0.0), Polyline(((0.0, 0.0), (1.0, 0.0)))):
+        with pytest.raises(ValueError, match="negative time"):
+            trajectory.position(spec, -1.0)
+
+
 def test_polyline_parks_at_end():
     p = Polyline(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
     end = position(p, 50.0)
