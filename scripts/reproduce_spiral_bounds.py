@@ -31,9 +31,6 @@ GAP_TOL = 1e-12
 def evaluated_gap(name: str, n: int) -> float:
     """Relative gap between the evaluator and the closed form on a shipped config."""
     fleet, _, ev = load_fleet_config(str(FLEETS / f"{name}.json"))
-    ev = dict(ev)
-    if "window" in ev:
-        ev["window"] = tuple(ev["window"])
     rep = evaluate_cr(fleet, **ev)
     closed = steady_state_cr(n, fleet.robots[0].growth)
     print(f"{name}: evaluated cr={rep.cr_estimate:.12f} closed form "

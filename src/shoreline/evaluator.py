@@ -510,13 +510,16 @@ def _sweep_cr(fleet: Fleet, horizon: float, thetas: np.ndarray, epsilon: float,
     normals = np.stack([np.cos(thetas), np.sin(thetas)])
     kinks = np.concatenate([breakpoints(robot) for robot in fleet.robots])
     ts = np.unique(np.concatenate(([0.0, horizon], kinks[kinks < horizon])))
-    turns = []
+    turns = {}  # each inner robot once: an antipode turns when its inner robot does
     for i, robot in enumerate(fleet.robots):
-        try:
-            turns.append(support_extrema(robot, thetas, epsilon, horizon))
-        except ValueError as exc:
-            raise ValueError(f"robots[{i}]: {exc}") from exc
-    turns = np.concatenate(turns, axis=1)
+        while isinstance(robot, AntipodalOf):
+            robot = robot.inner
+        if robot not in turns:
+            try:
+                turns[robot] = support_extrema(robot, thetas, epsilon, horizon)
+            except ValueError as exc:
+                raise ValueError(f"robots[{i}]: {exc}") from exc
+    turns = np.concatenate(list(turns.values()), axis=1)
     if turns.size:  # one row of times per direction
         ts = np.sort(np.concatenate((np.broadcast_to(ts, (len(thetas), len(ts))), turns),
                                     axis=1), axis=1)

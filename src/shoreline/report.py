@@ -2,10 +2,9 @@
 
 Reports are JSON with sorted keys and a versioned schema tag, so identical
 inputs produce byte-identical files.  Figures are plain SVG assembled from
-strings: trajectories become sampled polylines, adversary lines are clipped
-to the shown square, cones become wedges, and reachable regions become
-512-point ellipse outlines.  World coordinates are mapped to canvas pixels
-with the y axis flipped.
+strings: trajectories become sampled polylines, cones and reachable
+ellipses exact elliptical arcs, and adversary lines segments the viewport
+clips.  World coordinates are mapped to canvas pixels with the y axis flipped.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 
-from .certifier import ConeCertificate, ellipse_boundary
+from .certifier import ConeCertificate
 from .evaluator import CRReport
 from .geometry import Cone, Line
 from .optimizer import OptimizeResult
@@ -157,26 +156,6 @@ def emit_report(obj, *, fleet: list[dict] | None = None, extra: dict | None = No
     return _indented(to_document(obj, fleet=fleet, extra=extra)) + "\n"
 
 
-def _clip_line(line: Line, w: float) -> tuple[tuple[float, float], tuple[float, float]] | None:
-    """Segment of the line inside the square [-w, w]^2, if any."""
-    c, s = math.cos(line.theta), math.sin(line.theta)
-    px, py = line.delta * c, line.delta * s
-    dx, dy = -s, c
-    t_lo, t_hi = -math.inf, math.inf
-    for p, d in ((px, dx), (py, dy)):
-        if abs(d) < 1e-15:
-            if abs(p) > w:
-                return None
-            continue
-        t1, t2 = (-w - p) / d, (w - p) / d
-        if t1 > t2:
-            t1, t2 = t2, t1
-        t_lo, t_hi = max(t_lo, t1), min(t_hi, t2)
-    if t_lo >= t_hi:
-        return None
-    return (px + t_lo * dx, py + t_lo * dy), (px + t_hi * dx, py + t_hi * dy)
-
-
 def render(doc: dict, *, canvas: int = DEFAULT_CANVAS,
            world_radius: float | None = None) -> str:
     """SVG picture of an emitted `cr_report/v1` or `cone_certificate/v1` document.
@@ -238,28 +217,39 @@ def render(doc: dict, *, canvas: int = DEFAULT_CANVAS,
         if not all(isinstance(p, list) and len(p) == 2 and all(map(math.isfinite, p))
                    for p in robots):
             raise ValueError(f"robot_positions must be pairs of finite numbers, got {robots!r}")
-        if not doc.get("degenerate"):
-            if int(doc.get("n") or 0) >= 3:
-                cone = Cone(doc["cone"]["bisector"], doc["cone"]["half_angle"])
-                angles = np.linspace(cone.bisector - cone.half_angle,
-                                     cone.bisector + cone.half_angle, 64)
-                radius = 1.5 * d
-                wedge = [(radius * math.cos(a), radius * math.sin(a)) for a in angles]
-                parts.append(outline("polygon", [(0.0, 0.0)] + wedge, "cone"))
-            else:
-                for i, (x, y) in enumerate(robots):
-                    delta = min(math.hypot(x, y) / d, 1.0)
-                    phi = math.atan2(y, x) if delta > 0 else 0.0
-                    parts.append(outline("polygon",
-                                         d * ellipse_boundary(delta, phi, CURVE_SAMPLES),
-                                         "ellipse" if i == 0 else "ellipse-alt"))
+        if not doc.get("degenerate") and int(doc.get("n") or 0) >= 3:
+            cone, r = Cone(doc["cone"]["bisector"], doc["cone"]["half_angle"]), 1.5 * d
+            (x0, y0), (x1, y1) = [pixel(r * math.cos(a), r * math.sin(a)) for a in (
+                cone.bisector - cone.half_angle, cone.bisector + cone.half_angle)]
+            # apex, one edge, then counterclockwise in the world: sweep flag 0
+            parts.append(f'<path d="M {canvas / 2:.2f} {canvas / 2:.2f} L {x0:.2f} {y0:.2f} A '
+                         f'{r * scale:.2f} {r * scale:.2f} 0 {int(cone.half_angle > math.pi / 2)} '
+                         f'0 {x1:.2f} {y1:.2f} Z" {_STYLES["cone"]}/>')
+        elif not doc.get("degenerate"):
+            for i, (x, y) in enumerate(robots):
+                # foci O and the robot: centre delta d/2 along phi, semi-axes d/2
+                # and d sqrt(1 - delta^2)/2.  In its own frame one printed number is
+                # the semi-axis and the ends' offset, so the two arcs are exact
+                # halves, and at delta = 1 the segment (SVG 1.1, F.6.2)
+                delta = min(math.hypot(x, y) / d, 1.0)
+                phi = math.atan2(y, x) if delta > 0 else 0.0
+                cx, cy = pixel(0.5 * delta * d * math.cos(phi), 0.5 * delta * d * math.sin(phi))
+                a = f"{0.5 * d * scale:.2f}"
+                b = f"{0.5 * d * scale * math.sqrt(1.0 - delta * delta):.2f}"
+                parts.append(f'<path transform="translate({cx:.2f} {cy:.2f}) rotate('
+                             f'{-math.degrees(phi):.4f})" d="M -{a} 0 A {a} {b} 0 0 1 {a} 0 '
+                             f'A {a} {b} 0 0 1 -{a} 0 Z" '
+                             f'{_STYLES["ellipse" if i == 0 else "ellipse-alt"]}/>')
         for x, y in robots:
             parts.append('<circle cx="{:.2f}" cy="{:.2f}" r="3" {}/>'.format(
                 *pixel(x, y), _STYLES["point"]))
-    seg = _clip_line(witness, w)
-    if seg is not None:
+    # the square lies within sqrt(2) w < 1.5 w of the origin: a line meets it
+    # within 1.5 w (0.75 canvas) of its foot or not at all; the viewport clips
+    if witness.delta < 1.5 * w:
+        c, s, h = math.cos(witness.theta), math.sin(witness.theta), 0.75 * canvas
+        fx, fy = pixel(witness.delta * c, witness.delta * s)
         parts.append('<line x1="{:.2f}" y1="{:.2f}" x2="{:.2f}" y2="{:.2f}" {}/>'.format(
-            *pixel(*seg[0]), *pixel(*seg[1]), _STYLES["witness"]))
+            fx + h * s, fy + h * c, fx - h * s, fy - h * c, _STYLES["witness"]))
     parts.append('<text x="{:.2f}" y="{:.2f}" {}>{}</text>'.format(
         *pixel(-0.95 * w, 0.9 * w), _STYLES["annotation"], label))
     parts.append("</svg>")

@@ -2,9 +2,10 @@
 
 None of these has a caller inside the package: point positions, chord
 speeds, scanned first hits, point supports and distances, the bisections
-whose ends the package's spiral root searches are measured against, and the
+whose ends the package's spiral root searches are measured against, the
 unit-time reachable ellipse with its travel-budget oracle and scalar
-discriminant.
+discriminant, and the part of a line inside a square, which a picture's
+witness segment must cover.
 """
 
 import math
@@ -31,6 +32,26 @@ def support(p: Point2, theta: float) -> float:
 
 def distance_point_line(p: Point2, line: Line) -> float:
     return abs(support(p, line.theta) - line.delta)
+
+
+def clip_line(line: Line, w: float) -> tuple[tuple[float, float], tuple[float, float]] | None:
+    """Segment of the line inside the square [-w, w]^2, if any."""
+    c, s = math.cos(line.theta), math.sin(line.theta)
+    px, py = line.delta * c, line.delta * s
+    dx, dy = -s, c
+    t_lo, t_hi = -math.inf, math.inf
+    for p, d in ((px, dx), (py, dy)):
+        if abs(d) < 1e-15:
+            if abs(p) > w:
+                return None
+            continue
+        t1, t2 = (-w - p) / d, (w - p) / d
+        if t1 > t2:
+            t1, t2 = t2, t1
+        t_lo, t_hi = max(t_lo, t1), min(t_hi, t2)
+    if t_lo >= t_hi:
+        return None
+    return (px + t_lo * dx, py + t_lo * dy), (px + t_hi * dx, py + t_hi * dy)
 
 
 # --------------------------------------------------------------- trajectory

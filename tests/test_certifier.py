@@ -123,10 +123,12 @@ def test_omb_oracle_negative_control():
 
 
 def test_omb_oracle_domain_checks():
-    with pytest.raises(ValueError):
-        omb_minimum(0.0)
-    with pytest.raises(ValueError):
-        omb_minimum(math.pi / 2)
+    # the hypothesis check comes first; beyond it, phi must still lie in (0, pi/2)
+    for phi in (0.0, math.pi / 2):
+        with pytest.raises(ValueError, match="hypothesis"):
+            omb_minimum(phi)
+        with pytest.raises(ValueError, match=r"phi must lie in \(0, pi/2\)"):
+            omb_minimum(phi, allow_beyond_hypothesis=True)
 
 
 @given(phi=st.floats(0.0, 0.49 * math.pi, exclude_min=True), s=st.floats(0.0, 1.0))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import warnings
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -565,7 +566,7 @@ def test_plot_certificate_with_options(tmp_path):
     assert main(["plot", str(rep), "--out", str(out), "--size", "256"]) == EXIT_OK
     svg = out.read_text()
     assert 'width="256"' in svg
-    assert svg.count("<polygon") == 2  # one reachable ellipse per robot
+    assert svg.count("<path") == 2  # one reachable ellipse per robot
 
 
 def test_plot_unknown_schema(tmp_path, capsys):
@@ -580,7 +581,12 @@ def test_plot_unknown_schema(tmp_path, capsys):
     (json.dumps({"schema": "cr_report/v1"}), "lacks the field 'witness'"),
     ('{"schema": ', "is not valid JSON"),
     (json.dumps({"schema": "cr_report/v1", "witness": [0.5, 2.0]}), "is malformed"),
-], ids=["not-an-object", "missing-field", "not-json", "witness-list"])
+    (json.dumps({"schema": "cone_certificate/v1", "snapshot_time": 1.0, "n": 3,
+                 "degenerate": False, "bound": 1.7, "robot_positions": [],
+                 "cone": {"bisector": 0.0, "half_angle": 5.0},
+                 "witness_line": {"theta": 0.0, "delta": 0.6}}),
+     "half_angle must lie in (0, pi]"),
+], ids=["not-an-object", "missing-field", "not-json", "witness-list", "cone-half-angle"])
 def test_plot_malformed_report(tmp_path, capsys, text, message):
     p = tmp_path / "bad.json"
     p.write_text(text)
@@ -674,8 +680,18 @@ def parity_outputs(stem: str, work: Path) -> bytes:
         rep = work / f"{stem}.report.json"
         runs += [(["evaluate", cfg, "--theta-steps", "72"], rep),
                  (["plot", str(rep)], rep.with_suffix(".svg"))]
+    return run_and_parse(runs)
+
+
+def run_and_parse(runs) -> bytes:
+    """Run each (argv, out) and join the outputs, after checking that every
+    picture parses as XML and no attribute holds a nan or an infinity."""
     for argv, out in runs:
         assert main(argv + ["--out", str(out)]) == EXIT_OK
+        if out.suffix == ".svg":
+            for element in ET.fromstring(out.read_text()).iter():
+                for value in element.attrib.values():
+                    assert "nan" not in value and "inf" not in value, (out.name, value)
     return b"".join(out.read_bytes() for _, out in runs)
 
 
@@ -686,20 +702,20 @@ def parity_outputs(stem: str, work: Path) -> bytes:
 # a picture, down to the last digit printed, changes its digest; the values
 # depend on the platform's libm.
 PARITY_DIGESTS = {
-    "all-at-origin": "2cdacacb7cfb5dac0a56f5634b597c924d36da0191492c0fd0a2fd95a8a5a701",
-    "double-spiral-2": "efacfa259edbbdec25b72e9a3c34eb17c31aa0bc1650a0f3ad6f00e0679ee7b6",
-    "rays-10": "76376191158978e4d2ccc9b5af7093f1f57dab3047ac0cd5bbe452dcfc04c599",
-    "rays-11": "77df3435280b17a74e09943c5050dc08900a7019a2bd1c165454591c8bef27a6",
-    "rays-12": "c840671b6e83aaa400d2d758187436cf4361fc944e121491a26bad7c6e4e9838",
-    "rays-3": "ca784c42973f532f358cac8deac4e0e3970232d03fe38d575ce8e38f602b3e39",
-    "rays-4": "80c3535ac3f8db8abb81e282a52b1d21d31e7845e4885eaec51ef82e059d874a",
-    "rays-5": "12cf9530bfc2428b78946f5720c756600214214fcd535e9ab4025ccebe95003d",
-    "rays-6": "6c4cdb0a828979d5818d604f03ee361c0deab856146b7b30394ecd0412d16b4c",
-    "rays-7": "822513d8adc188868ac8c283957589064820b5ea5f1e172472e74ba89465a8d9",
-    "rays-8": "6998e146b6056cf8c0392c83cdba85be1657d3334ccb88506f5af1805cde9757",
-    "rays-9": "81b63c4b687b838ff21efbea4644c084c8f5d7bab6a91f84f3ed0da772f468bb",
-    "single-ray": "58529693bd0ba2d6d583839d08d16286b6346307be2abd76db431185a6566ae8",
-    "spiral-1": "d17146817fa920b26ea62096703a081861ce2d4e57d1bb4be9658ac020b703dd",
+    "all-at-origin": "06d7af2fcd44e068675b78caa950b385d37c7646bb7a22ff5d9d28dd4d5572c3",
+    "double-spiral-2": "b88d1bf70f26fdfe73c9f01f1f5c30e39244ad8ef669afff869195deca62a599",
+    "rays-10": "4a83b998d340a1ee9d6dcec6de88677622a23a6f7ebc00fa1cd9cf4185ced587",
+    "rays-11": "77b59cd9481576941f7b07f9925368537e4a78807c86126ed7968d56d8f2a11a",
+    "rays-12": "998d0210fe48b86525842bb18a487b964e8937fb1ebd9f1e7802b5ec10d64f2b",
+    "rays-3": "54c7fec2e7008692f95cbbae93cc94c72217f59105116efec0c3865537b63dee",
+    "rays-4": "35004b1872a7c16f3fdac5bcfaba00b2b361acaa86bc635f2abd6347e08990b2",
+    "rays-5": "9d0be37ae2886f6a111ce2cebd258689068265423d03fdbcbc469513c11b822a",
+    "rays-6": "2c26418dee00ad4745e5a0c3fb67d7faa8ced8d0c8b2c39f7c7593997d1847a9",
+    "rays-7": "32518a287fabce4962f95ec44268d7a124e6056b018d487a91be5505a550f41e",
+    "rays-8": "8b6bc56ca4597fa21f4988bc4029ffae64f44717fc8a71ccc1d8040ac5305a4d",
+    "rays-9": "1a824286748f6af9beb36e833d61eadd447ecfafb2ce08a24a69f3de5d55e2c8",
+    "single-ray": "d2633bca951de7ab24d4b358969d92e157c4311abd4abad6cddf3a082b06d2a6",
+    "spiral-1": "c710c469e40bb566629dcdb1f483c7ccf3b30589a57f0d52df7e3d67ecb5de53",
 }
 
 
@@ -727,18 +743,16 @@ def trajectory_picture_outputs(config: str, work: Path) -> bytes:
             (["plot", str(rep)], rep.with_suffix(".svg")),
             (["plot", str(rep), "--size", "200", "--world-radius", "3"],
              work / "report.small.svg")]
-    for argv, out in runs:
-        assert main(argv + ["--out", str(out)]) == EXIT_OK
-    return b"".join(out.read_bytes() for _, out in runs)
+    return run_and_parse(runs)
 
 
 # sha256 of trajectory_picture_outputs: the 512-sample trajectory outlines
 # that plot draws for spiral and polyline reports, which PARITY_DIGESTS (ray
 # reports only) leaves unpinned.  The values depend on the platform's libm.
 TRAJECTORY_PICTURE_DIGESTS = {
-    "spiral-1": "64f302464c9001cc7d31c7be55a4251e65a5105aafb11ffb107823cc8cb2ed0e",
-    "double-spiral-2": "3c1ba19f72b28e07c25b06d4ed35d553d2334e2e1f4dc8aadb9b016041b5d1d3",
-    "polyline": "50b3cfc01a92916ee4e2eef1cd9e6efbee4a21d3d083b9656cd918a32a78727f",
+    "spiral-1": "a1268d370940800051d521d7d2e9c068acb2778629bca9dd53924c04db43d663",
+    "double-spiral-2": "40b523f44751e604562da94cfa470825c7eda62dbceeb5354d47886ae372cb1d",
+    "polyline": "ae0af7963fd1a07af4b8684071466f7ad2bce1ac86859cebf08e4a960f04b160",
 }
 
 

@@ -1128,6 +1128,29 @@ def test_a_spiral_and_its_antipode_share_one_root_search(monkeypatch):
     assert robot == fleet.robots[0] and len(level) == 30
 
 
+def test_a_spiral_and_its_antipodes_share_one_extrema_call(monkeypatch):
+    # an antipode turns when its inner spiral does, so its event rows would
+    # repeat the spiral's and add only zero-length cells
+    calls, extrema = [], evaluator.support_extrema
+    monkeypatch.setattr(evaluator, "support_extrema",
+                        lambda robot, *a: calls.append(robot) or extrema(robot, *a))
+    fleet, horizon, kwargs = _shipped("double-spiral-2")
+    spiral = fleet.robots[0]
+    tripled = Fleet((*fleet.robots, AntipodalOf(AntipodalOf(spiral))))
+    want, got = evaluate_cr(fleet, horizon, **kwargs), evaluate_cr(tripled, horizon, **kwargs)
+    assert calls == [spiral, spiral]  # once per evaluation
+    assert (got.cr_estimate, got.witness, got.witness_time) == (
+        want.cr_estimate, want.witness, want.witness_time)
+
+
+def test_extrema_errors_name_the_first_robot_with_the_spiral():
+    # a phase so large that floats cannot number its turns
+    spiral = LogSpiral(0.3, start_phase=1e308)
+    fleet = Fleet((Ray(0.0), AntipodalOf(spiral), spiral))
+    with pytest.raises(ValueError, match=r"^robots\[1\]: log spiral"):
+        evaluate_cr(fleet, 1000.0, theta_steps=8)
+
+
 @given(growth=st.floats(0.05, 2.0), phase=st.floats(-10.0, 10.0),
        chirality=st.sampled_from(["ccw", "cw"]), nesting=st.integers(1, 2),
        thetas=st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=6),

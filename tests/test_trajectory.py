@@ -233,6 +233,13 @@ def test_positions_rejects_negative_times():
         positions(Ray(0.0), np.array([0.0, -1.0]))
 
 
+@pytest.mark.parametrize("spec", [Line(0.0, 1.0), AntipodalOf(Line(0.0, 1.0))],
+                         ids=["line", "antipode-of-line"])
+def test_positions_rejects_an_unknown_spec(spec):
+    with pytest.raises(TypeError, match="unknown trajectory spec Line"):
+        positions(spec, np.array([0.0, 1.0]))
+
+
 def test_first_hit_time_diagonal():
     # ray along pi/4 reaches the vertical line x = 1 at t = sqrt(2)
     t = first_hit_time(Ray(math.pi / 4), Line(0.0, 1.0), horizon=10.0)
