@@ -137,10 +137,12 @@ def snapshot_lower_bound(fleet: Fleet, d: float, gamma: float = DEFAULT_GAMMA, *
     certificate's bound uses the finite values while bound_limit records the
     eps -> 0 supremum.  Robots within origin_tol (default 1e-9 d) of the
     origin give no direction: such a robot still needs the full line offset
-    to reach the witness, so the bound survives.
+    to reach the witness, so the bound survives.  d must be a normal float.
     """
     if not (math.isfinite(d) and d > 0.0):
         raise ValueError(f"snapshot time d must be finite and positive, got {d!r}")
+    if d < (tiny := float(np.finfo(float).tiny)):  # a subnormal d rounds off the witness
+        raise ValueError(f"snapshot time d {d!r} is below the least normal float {tiny!r}")
     for name, value in (("gamma", gamma), ("eps", eps), ("zeta", zeta)):
         if not (math.isfinite(value) and value >= 0.0):
             raise ValueError(f"{name} must be finite and non-negative, got {value!r}")

@@ -81,16 +81,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def load_fleet_config(path: str) -> tuple[Fleet, list[dict], dict]:
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path; what names the file in errors."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError(f"config {path}: top level must be an object")
+        raise ConfigError(f"{what} {path}: top level must be an object")
+    return doc
+
+
+def load_fleet_config(path: str) -> tuple[Fleet, list[dict], dict]:
+    doc = _read_object(path, "config")
     _reject_unknown_keys(doc, {"version", "robots", "evaluation"}, f"config {path}")
     if doc.get("version") != 1:
         raise ConfigError(f"config {path}: missing or unsupported version "
@@ -202,15 +208,7 @@ def cmd_plot(args) -> int:
     out = args.out or str(Path(args.report).with_suffix(".svg"))
     if Path(out).resolve() == Path(args.report).resolve():
         raise ConfigError(f"{out} would overwrite the report; pass another --out")
-    try:
-        with open(args.report) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read report {args.report}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report {args.report} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"report {args.report}: top level must be an object")
+    doc = _read_object(args.report, "report")
     try:
         svg = report.render(doc, canvas=args.size, world_radius=args.world_radius)
     except KeyError as exc:

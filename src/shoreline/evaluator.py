@@ -68,6 +68,7 @@ TILE_CELLS = 1 << 15
 SWAP_PARTS = 64
 # A float's relative spacing, at most: the unit of a spiral root's rounding.
 ULP = 2.0 ** -52
+NORMAL_MIN = float(np.finfo(float).tiny)  # sys.float_info.min: below it, bits are lost
 
 
 class UncoveredDirectionError(ValueError):
@@ -94,6 +95,8 @@ class CRReport:
 def _check_positive(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if value < NORMAL_MIN:
+        raise ValueError(f"{name} {value!r} is below the least normal float {NORMAL_MIN!r}")
 
 
 def _check_time_grid(horizon: float, t_steps: int, t_start: float) -> None:
@@ -462,7 +465,8 @@ def evaluate_cr(
     satisfies cr_estimate = witness_time / witness.delta.  No fleet is
     sampled on a time grid: t_steps and t_start are validated, and t_steps
     echoed in the report, but neither changes the result.  epsilon, 1e-3 of
-    the horizon by default, may not exceed a window's upper end.
+    the horizon by default, may not exceed a window's upper end; it, the
+    horizon and the window's ends must be finite normal floats.
 
     Raises UncoveredDirectionError for the first direction, in grid order,
     whose coverage stays below epsilon (the fleet does not solve the problem
@@ -475,13 +479,15 @@ def evaluate_cr(
         raise ValueError("theta_steps must be at least 1")
     default = epsilon is None
     epsilon = DEFAULT_EPSILON_FACTOR * horizon if default else float(epsilon)
-    _check_positive("epsilon", epsilon)
+    given = " (the default, 1e-3 of the horizon)" if default else ""
+    _check_positive("epsilon" + given, epsilon)
     if window is not None:
         window = (float(window[0]), float(window[1]))
         if not 0.0 < window[0] < window[1]:
             raise ValueError("window must satisfy 0 < lo < hi")
+        _check_positive("window's lower end", window[0])
+        _check_positive("window's upper end", window[1])
         if epsilon > window[1]:
-            given = " (the default, 1e-3 of the horizon)" if default else ""
             raise ValueError(f"epsilon {epsilon:.6g}{given} exceeds the window's upper "
                              f"end {window[1]:.6g}, so no line of the window is measured")
 

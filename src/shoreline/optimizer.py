@@ -61,58 +61,48 @@ def _phase(n: int, b: float) -> tuple[float, float]:
     is the first float past the root.  On the bracket (edge, P), edge =
     P - pi/2 - alpha, |cos(psi + alpha)| is sin(psi - edge), which the test
     takes: for the pair psi ~ 1/b is near edge, and a cosine near pi/2 would
-    carry pi's absolute rounding.  Newton steps on g'(psi) =
-    b - tan(psi + alpha), taken in log(psi - edge) for the bracket's lower
-    end edge, where log|cos| has its singularity and is nearly a line in
-    that variable, reach it in a few tests.  Once a step stalls within w
-    floats of the last point x, x +- w floats is tested toward the root,
-    w doubling while the test keeps its side.  Where a step misses the
-    bracket toward edge, edge + 1, 2, 4... floats is tested while that lies
-    in the bracket's lower half: for one steep spiral the root lies within
-    a float of edge, which bisection would take ~49 tests to reach.
-    Otherwise the midpoint is tested.  For the pair, edge = arctan(1/b),
-    to full relative precision; a growth rate whose 1 + b^2 overflows loses
-    log c^2 and with it the pair's finite ratio, and is rejected.
+    carry pi's absolute rounding.  As in evaluator._rise_time, x = psi - edge
+    solves b*x + log(sin x) + k = 0, k = b*edge + log(c^2)/2 > 0, concave
+    and rising on (0, pi/2): the root lies below xu = arcsin(exp(-k)) and
+    above arcsin(exp(-k - b*xu)), and Newton steps from there rise to it
+    without overshoot, until within rounding or below edge's float spacing.
+    The test settles the float: a gallop of 1, 2, 4... floats from edge + x
+    toward the root, then bisection.  A small b puts the root near pi/2,
+    where log sin is flat and rounding moves the test's root up to ~2^24
+    floats.  The pair's edge is arctan(1/b), to full relative precision; a b
+    whose 1 + b^2 overflows loses log c^2 and the finite ratio: rejected.
     """
     if n not in (1, 2):
         raise ValueError(f"unsupported fleet size n={n}; only 1 or 2 spiral robots")
     if not (math.isfinite(b) and b > 0.0):
         raise ValueError(f"growth rate must be finite and positive, got {b!r}")
-    alpha = math.atan(b)
     period = 2.0 * math.pi if n == 1 else math.pi
     log_c2 = math.log1p(b * b)  # log c^2 = -2 log cos(alpha)
     if n == 2 and log_c2 == math.inf:
         raise ValueError(f"growth rate {b!r} too steep for n=2: 1 + b^2 overflows, "
                          "so log c^2 and the pair's finite ratio are lost")
-    edge = period - 0.5 * math.pi - alpha if n == 1 else math.atan(1.0 / b)
-    lo, hi = edge, period
-    x, below, step, w, up = math.nan, False, math.nan, 1.0, 1.0
+    edge = period - 0.5 * math.pi - math.atan(b) if n == 1 else math.atan(1.0 / b)
+    k = b * edge + 0.5 * log_c2
+    x = math.asin(math.exp(-k - b * math.asin(math.exp(-k))))
+    for _ in range(64):
+        if edge + x == edge:
+            break
+        g = b * x + math.log(math.sin(x)) + k
+        if g >= -8.0 * math.ulp(b * x + k + 1.0):
+            break
+        t = math.tan(x)  # the step g / (b + cot x), with no 1/tan to overflow
+        x -= g * t / (b * t + 1.0)
+    lo, hi, w = edge, period, 1.0
+    p = min(max(edge + x, math.nextafter(edge, period)), math.nextafter(period, edge))
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        p = x - step
-        gap = w * math.ulp(x)
-        slow = abs(step) <= gap
-        if slow:
-            p = x + gap if below else x - gap
-        if not lo < p < hi:
-            if p <= lo:  # toward the edge: gallop up 1, 2, 4... floats from it
-                p, up = edge + up * math.ulp(edge), 2.0 * up
-            if not lo < p < mid:
-                p = mid
-        # the root test in logs, so no exp overflows for large b
-        g = b * p + math.log(math.sin(p - edge))
-        w = 2.0 * w if slow and (g < -0.5 * log_c2) == below else 1.0
-        below = g < -0.5 * log_c2
-        if below:
+        p = p if lo < p < hi else mid
+        if b * p + math.log(math.sin(p - edge)) < -0.5 * log_c2:
             lo = p
         else:
             hi = p
-        # Newton in log(psi - edge), where log|cos| is nearly a line
-        d = p - edge
-        try:
-            step = -d * math.expm1(-(g + 0.5 * log_c2) / ((b - math.tan(p + alpha)) * d))
-        except (OverflowError, ZeroDivisionError):
-            step = math.nan
-        x = p
+        p = (hi - w * math.ulp(hi) if lo == edge else lo + w * math.ulp(lo) if hi == period
+             else 0.5 * (lo + hi))
+        w *= 2.0
     return hi, log_c2
 
 

@@ -219,12 +219,14 @@ def render(doc: dict, *, canvas: int = DEFAULT_CANVAS,
             raise ValueError(f"robot_positions must be pairs of finite numbers, got {robots!r}")
         if not doc.get("degenerate") and int(doc.get("n") or 0) >= 3:
             cone, r = Cone(doc["cone"]["bisector"], doc["cone"]["half_angle"]), 1.5 * d
-            (x0, y0), (x1, y1) = [pixel(r * math.cos(a), r * math.sin(a)) for a in (
+            a, z = ["{:.2f} {:.2f}".format(*pixel(r * math.cos(t), r * math.sin(t))) for t in (
                 cone.bisector - cone.half_angle, cone.bisector + cone.half_angle)]
-            # apex, one edge, then counterclockwise in the world: sweep flag 0
-            parts.append(f'<path d="M {canvas / 2:.2f} {canvas / 2:.2f} L {x0:.2f} {y0:.2f} A '
-                         f'{r * scale:.2f} {r * scale:.2f} 0 {int(cone.half_angle > math.pi / 2)} '
-                         f'0 {x1:.2f} {y1:.2f} Z" {_STYLES["cone"]}/>')
+            big, c, rs = int(cone.half_angle > math.pi / 2), f"{canvas / 2:.2f}", f"{r * scale:.2f}"
+            if big and a == z:  # a disk: SVG drops an arc between equal ends (F.6.2)
+                parts.append(f'<circle cx="{c}" cy="{c}" r="{rs}" {_STYLES["cone"]}/>')
+            else:  # apex, one edge, then counterclockwise in the world: sweep flag 0
+                parts.append(f'<path d="M {c} {c} L {a} A {rs} {rs} 0 {big} 0 {z} Z" '
+                             f'{_STYLES["cone"]}/>')
         elif not doc.get("degenerate"):
             for i, (x, y) in enumerate(robots):
                 # foci O and the robot: centre delta d/2 along phi, semi-axes d/2

@@ -130,10 +130,10 @@ def rise_time_bisection(robot, u: np.ndarray, level: np.ndarray, t0: np.ndarray,
         t0 = np.where(live & ~up, mid, t0)
 
 
-def steady_state_cr_bisection(n: int, b: float) -> float:
-    """optimizer.steady_state_cr before Newton: its log-root test, with
+def phase_bisection(n: int, b: float) -> tuple[float, float]:
+    """optimizer._phase before Newton: its log-root test, with
     |cos(psi + alpha)| taken as sin(psi - edge) from the bracket's lower end,
-    bisected until the bracket stops shrinking."""
+    bisected until the bracket stops shrinking; (psi, log c^2)."""
     alpha = math.atan(b)
     period = 2.0 * math.pi if n == 1 else math.pi
     log_c2 = math.log1p(b * b)
@@ -147,8 +147,14 @@ def steady_state_cr_bisection(n: int, b: float) -> float:
             lo = mid
         else:
             hi = mid
+    return hi, log_c2
+
+
+def steady_state_cr_bisection(n: int, b: float) -> float:
+    """optimizer.steady_state_cr at phase_bisection's phase."""
+    psi, log_c2 = phase_bisection(n, b)
     try:
-        return math.exp(log_c2 - math.log(b) + b * hi)
+        return math.exp(log_c2 - math.log(b) + b * psi)
     except OverflowError:
         return math.inf
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -298,6 +299,22 @@ def test_snapshot_validates_inputs(ray_fleet):
         snapshot_lower_bound(ray_fleet(4), d=0.0)
     with pytest.raises(ValueError):
         snapshot_lower_bound(ray_fleet(4), d=1.0, gamma=math.pi)
+
+
+def test_snapshot_rejects_a_subnormal_d(ray_fleet):
+    for d in (1e-320, 5e-324, math.nextafter(sys.float_info.min, 0.0)):
+        with pytest.raises(ValueError, match="below the least normal float"):
+            snapshot_lower_bound(ray_fleet(4), d=d)
+
+
+def test_snapshot_at_the_least_normal_d_leaves_the_witness_unhit():
+    # at d = 1e-320 the witness's offset kept too few bits, and it lay up to
+    # 4.94e-4 d inside a ray's reach; at the least normal d the eps margin holds
+    d = sys.float_info.min
+    for k in range(200):
+        headings = [2.0 * math.pi * k / 200 + 0.5 * math.pi * j for j in range(4)]
+        line = snapshot_lower_bound(Fleet(tuple(map(Ray, headings))), d).witness_line
+        assert max(d * math.cos(a - line.theta) for a in headings) < line.delta
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

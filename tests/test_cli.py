@@ -99,6 +99,22 @@ def test_evaluate_non_finite_is_a_config_error(tmp_path, capsys, flag, value):
     assert "uncovered" not in err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--horizon", "1e-320"], "horizon 1e-320 is below the least normal float"),
+    (["--horizon", "10", "--epsilon", "1e-320"], "epsilon 1e-320 is below the least normal"),
+    (["--horizon", "10", "--window", "1e-310", "1"],
+     "window's lower end 1e-310 is below the least normal"),
+    (["--horizon", "10", "--window", "1", "inf"], "window's upper end must be finite"),
+], ids=["horizon", "epsilon", "window-lo", "window-inf"])
+def test_evaluate_subnormal_or_unbounded_scales_are_config_errors(capsys, flags, message):
+    # a subnormal horizon once reported 1.5 for four rays, whose CR is sqrt(2),
+    # and an infinite window's end exited 2 as an uncovered fleet
+    assert main(["evaluate", str(FLEETS / "rays-4.json"), *flags]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_evaluate_non_finite_t_start_is_a_config_error(tmp_path, capsys, value):
     cfg = ray_config(tmp_path / "f.json", 4, horizon=10.0, theta_steps=16,
@@ -375,6 +391,15 @@ def test_certify_rejects_nonpositive_d(tmp_path, capsys):
     assert main(["certify", cfg, "--d", "0.0"]) == EXIT_CONFIG
 
 
+def test_certify_rejects_a_subnormal_d(capsys):
+    # d = 1e-320 once placed the witness inside a robot's reach
+    assert main(["certify", str(FLEETS / "rays-4.json"), "--d", "1e-320"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ("error: snapshot time d 1e-320 is below the least normal "
+                            "float 2.2250738585072014e-308\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("config,flag,value", [
     ("rays-3.json", "d", "inf"),
     ("rays-3.json", "d", "nan"),
@@ -474,6 +499,21 @@ def test_optimize_finds_the_optimum_in_a_bracket_to_1e300(capsys):
     # a pre-scan's log step of 4e9 once left no finite CR to refine
     assert main(["optimize", "--n", "1", "--bracket", "0.05", "1e300"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("b=0.212470 cr=13.811135 ")
+
+
+def test_optimize_from_a_tiny_growth_rate_finds_the_pair_optimum(tmp_path, capsys):
+    # at b = 1.76e-24 the phase search once took 10.7M root tests; the
+    # secant and bisection steps then reach the default bracket's optimum
+    docs = []
+    for name, bracket in (("default", DEFAULT_BRACKET), ("tiny", (1.7575106248547967e-24, 2))):
+        out = tmp_path / f"{name}.json"
+        argv = ["optimize", "--n", "2", "--bracket", *map(str, bracket), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        docs.append(json.loads(out.read_text()))
+    assert capsys.readouterr().out.splitlines()[1].startswith("b=0.646464 cr=5.264429 ")
+    default, tiny = docs
+    assert (tiny["parameter"], tiny["value"]) == (default["parameter"], default["value"])
+    assert tiny["evaluations"] == 55
 
 
 @pytest.mark.parametrize("argv,message", [

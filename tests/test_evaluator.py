@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -343,6 +344,29 @@ def test_evaluate_cr_rejects_non_finite(ray_fleet, arg, bad):
         with pytest.raises(ValueError, match=f"{arg} must be finite") as err:
             evaluate_cr(ray_fleet(4), **kwargs)
     assert not isinstance(err.value, UncoveredDirectionError)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"horizon": 1e-320}, "horizon 1e-320 is below the least normal float"),
+    ({"epsilon": 1e-320}, "epsilon 1e-320 is below"),
+    ({"horizon": 1e-306}, r"epsilon \(the default, 1e-3 of the horizon\) \S+ is below"),
+    ({"window": (5e-324, 1.0)}, "window's lower end 5e-324 is below"),
+    ({"window": (1.0, math.inf)}, "window's upper end must be finite and positive, got inf"),
+], ids=["horizon", "epsilon", "default-epsilon", "window-lo", "window-inf"])
+def test_evaluate_cr_rejects_subnormal_or_unbounded_scales(ray_fleet, kwargs, message):
+    # scales below sys.float_info.min keep too few bits: four rays read 1.5
+    # at horizon 1e-320 and 1.414031621 at epsilon 1e-320, not sqrt(2)
+    kwargs = {"horizon": 10.0, **kwargs}
+    with pytest.raises(ValueError, match=message) as err:
+        evaluate_cr(ray_fleet(4), **kwargs)
+    assert not isinstance(err.value, UncoveredDirectionError)
+
+
+def test_evaluate_cr_takes_the_least_normal_scales(ray_fleet):
+    tiny = sys.float_info.min
+    for kwargs in ({"horizon": 2e3 * tiny}, {"horizon": 10.0, "epsilon": tiny},
+                   {"horizon": 10.0, "epsilon": tiny, "window": (tiny, 1.0)}):
+        assert evaluate_cr(ray_fleet(4), **kwargs).cr_estimate == pytest.approx(math.sqrt(2.0))
 
 
 def test_evaluate_cr_refinement_stability(ray_fleet):

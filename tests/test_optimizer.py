@@ -11,6 +11,7 @@ from shoreline.evaluator import evaluate_cr
 from shoreline.optimizer import (
     DEFAULT_BRACKET,
     OptimizeResult,
+    _phase,
     log_cr_slope,
     optimize_spiral,
     spiral_eval_params,
@@ -18,7 +19,7 @@ from shoreline.optimizer import (
 )
 from shoreline.trajectory import AntipodalOf, Fleet, LogSpiral
 
-from reference import steady_state_cr_bisection
+from reference import phase_bisection, steady_state_cr_bisection
 
 FLEETS = Path(__file__).resolve().parents[1] / "fleets"
 
@@ -117,12 +118,40 @@ def test_steady_state_cr_steep_spirals_do_not_overflow():
     assert 1e3 < steady_state_cr(2, 500.0) < 1e4
 
 
+def phase_inputs(n: int) -> list[float]:
+    """Growth rates from nearly circular to the steepest the phase takes:
+    log grids to 700 (every finite n = 1 ratio and past it) and to 1e15 (the
+    pair), the n = 1 band where exp(-k) is subnormal, and the default bracket."""
+    bs = [np.geomspace(1e-300, 700.0 if n == 1 else 1e15, 600),
+          np.geomspace(0.01, 600.0, 400), [1.7575106248547967e-24]]
+    if n == 1:
+        bs.append(np.linspace(200.0, 260.0, 300))
+    return [float(b) for b in np.concatenate(bs)]
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_steady_state_cr_matches_bisection(n):
-    # Newton stops at the float bisection stops at, on a log grid of growth
-    # rates from nearly circular to steeper than any finite n = 1 ratio
-    for b in np.geomspace(0.01, 600.0, 400):
-        assert steady_state_cr(n, float(b)) == steady_state_cr_bisection(n, float(b))
+    # Newton stops at the float bisection stops at, from growth rates whose
+    # sin rounds to 1 at the root to ones whose root is within a float of edge
+    for b in phase_inputs(n):
+        assert _phase(n, b) == phase_bisection(n, b), b
+        assert steady_state_cr(n, b) == steady_state_cr_bisection(n, b)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_phase_takes_at_most_64_sines(monkeypatch, n):
+    # Newton's values and the root tests together: halving the bracket takes
+    # up to 104 tests on these inputs, and a search that crawled a float at a
+    # time took millions (5.4M for n = 1 and 10.7M for n = 2 at b = 1.76e-24)
+    calls, sin = [], math.sin
+    monkeypatch.setattr(math, "sin", lambda x: calls.append(x) or sin(x))
+    counts = {}
+    for b in phase_inputs(n):
+        calls.clear()
+        _phase(n, b)
+        counts[b] = len(calls)
+    monkeypatch.undo()
+    assert max(counts.values()) <= 64, max(counts, key=counts.get)
 
 
 def test_steady_state_cr_of_a_steep_pair_grows_linearly():
@@ -136,8 +165,8 @@ def test_steady_state_cr_of_a_steep_pair_grows_linearly():
 @pytest.mark.parametrize("b", [40.0, 100.0, 300.0])
 def test_steady_state_cr_finds_a_root_at_the_bracket_edge_in_few_tests(monkeypatch, b):
     # one steep spiral's root lies within a float of the bracket's lower
-    # end, where every Newton step leaves the bracket: a gallop up from the
-    # edge finds it, where halving the bracket took 49 tests
+    # end, below edge's float spacing: Newton stops there and the first test
+    # is the float past edge, where halving the bracket took 49 tests
     calls, sin = [], math.sin
     monkeypatch.setattr(math, "sin", lambda x: calls.append(x) or sin(x))
     value = steady_state_cr(1, b)

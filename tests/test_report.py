@@ -343,6 +343,20 @@ def test_render_draws_the_empty_cone_with_one_arc(n, half_angle):
     assert np.abs(np.hypot(x - 320.0, y - 320.0) - r).max() < 0.01
 
 
+@pytest.mark.parametrize("half_angle", [math.pi, math.nextafter(math.pi, 0.0), math.pi - 1e-6])
+def test_render_draws_a_full_cone_as_a_disk(half_angle):
+    # the cone's edges print as one point, and SVG drops an arc between
+    # equal ends (F.6.2): the picture showed only the edge line
+    doc = cone_document(3, half_angle)
+    d, canvas = doc["snapshot_time"], 640
+    svg = render(doc, canvas=canvas)
+    assert not drawn(svg, "path")
+    (disk,) = [a for a in drawn(svg, "circle") if a.get("fill") == "#cc223322"]
+    assert disk["stroke"] == "#cc2233" and disk["stroke-width"] == "1"
+    assert (disk["cx"], disk["cy"]) == ("320.00", "320.00")
+    assert float(disk["r"]) == pytest.approx(1.5 * d * canvas / (3.6 * d), abs=0.005)
+
+
 @given(theta=st.floats(-7.0, 7.0), delta=st.floats(0.0, 8.0), w=st.floats(0.5, 4.0))
 @example(theta=0.3, delta=3.0, w=2.0)  # at 1.5 w: no line
 @example(theta=0.3, delta=math.nextafter(3.0, 0.0), w=2.0)
